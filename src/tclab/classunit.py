@@ -12,13 +12,14 @@ floating point enter the certified path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import mpmath
 
 from . import intlinalg as la
-from .embeddings import RealEmbeddings, certified_log_rank
+from .embeddings import certified_log_rank
 from .numberfield import (
     FieldError,
     NFElement,
@@ -31,15 +32,6 @@ from .numberfield import (
 
 class CertificationError(RuntimeError):
     pass
-
-
-def _embeddings(field: NumberField) -> RealEmbeddings:
-    if not hasattr(field, "_emb_cache"):
-        field._emb_cache = RealEmbeddings(field)
-    return field._emb_cache
-
-
-NumberField._embeddings = _embeddings
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +71,9 @@ class UnitRankError(RuntimeError):
 
 def unit_group(field: NumberField, height_bound: int | None = None,
                saturate_at: tuple[int, ...] = (2, 3, 5)) -> UnitBasis:
-    if getattr(field, "_unit_cache", None) is not None:
-        cached = field._unit_cache
-        if set(saturate_at) <= set(cached.saturated_at):
-            return cached
+    cached = field._unit_cache
+    if cached is not None and set(saturate_at) <= set(cached.saturated_at):
+        return cached
     r1, r2 = field.signature
     rank = r1 + r2 - 1
     w, tgen = _torsion(field)
@@ -159,7 +150,7 @@ def _unit_system_by_enumeration(field: NumberField, rank: int, bound: int):
     units: list[NFElement] = []
     h = 1
     while h <= min(bound, 64):
-        for coords in _shell(field.degree, h):
+        for coords in la.shell(field.degree, h):
             x = field.elt(coords)
             if abs(x.norm()) != 1:
                 continue
@@ -172,21 +163,6 @@ def _unit_system_by_enumeration(field: NumberField, rank: int, bound: int):
             return units
         h += 1
     raise UnitRankError(rank, len(units))
-
-
-def _shell(n: int, h: int):
-    for vec in _box(n, h):
-        if max(abs(v) for v in vec) == h:
-            yield vec
-
-
-def _box(n: int, h: int):
-    if n == 0:
-        yield ()
-        return
-    for rest in _box(n - 1, h):
-        for c in range(-h, h + 1):
-            yield rest + (c,)
 
 
 def _is_torsion(field: NumberField, x: NFElement) -> bool:
@@ -214,8 +190,8 @@ def _saturate(field: NumberField, units, primes):
     while changed:
         changed = False
         for p in primes:
-            for exps in _box(len(units), p - 1):
-                if all(e == 0 for e in exps) or any(e < 0 for e in exps):
+            for exps in product(range(p), repeat=len(units)):
+                if not any(exps):
                     continue
                 cand = field.one
                 for u, e in zip(units, exps):
@@ -268,7 +244,7 @@ def pth_root(x: NFElement, p: int) -> NFElement | None:
 
 def _pth_root_totally_real(x: NFElement, p: int) -> NFElement | None:
     field = x.field
-    emb = _embeddings(field)
+    emb = field.embeddings
     signs = emb.element_signs(x)
     if p % 2 == 0 and any(s < 0 for s in signs):
         return None
@@ -293,7 +269,7 @@ def _pth_root_totally_real(x: NFElement, p: int) -> NFElement | None:
         if p % 2:
             patterns = [tuple(1 if s >= 0 else -1 for s in signs)]
         else:
-            patterns = [(1,) + rest for rest in _sign_patterns(n - 1)]
+            patterns = [(1,) + rest for rest in la.product_first_fastest([(1, -1)] * (n - 1))]
         for pat in patterns:
             roots = [s * m for s, m in zip(pat, mags)]
             sol = mpmath.lu_solve(A, mpmath.matrix(roots))
@@ -302,15 +278,6 @@ def _pth_root_totally_real(x: NFElement, p: int) -> NFElement | None:
             if cand**p == x:
                 return cand
     return None
-
-
-def _sign_patterns(k):
-    if k == 0:
-        yield ()
-        return
-    for rest in _sign_patterns(k - 1):
-        yield (1,) + rest
-        yield (-1,) + rest
 
 
 def _mid(iv):
@@ -364,12 +331,6 @@ def _elements_of_norm_imag(field: NumberField, n: int):
         if e not in uniq:
             uniq.append(e)
     return uniq
-
-
-def u_mod_p_dim(field: NumberField, p: int) -> int:
-    ub = unit_group(field, saturate_at=(p,) if p not in (2, 3, 5) else (2, 3, 5))
-    r1, r2 = field.signature
-    return r1 + r2 - 1 + ub.delta_p(p)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +456,7 @@ def _principal_bounded(field: NumberField, lat) -> NFElement | None:
     logs; search that box exactly."""
     ub = unit_group(field)
     n = lattice_norm(lat)
-    emb = _embeddings(field)
+    emb = field.embeddings
     with mpmath.workdps(30):
         spread = mpmath.mpf(0)
         for u in ub.fundamental_units:
@@ -505,7 +466,7 @@ def _principal_bounded(field: NumberField, lat) -> NFElement | None:
     coord_bound = int(B * field.degree * 4) + 2
     coord_bound = min(coord_bound, 60)
     cols = list(zip(*lat))
-    for vec in _box(field.degree, coord_bound):
+    for vec in product(range(-coord_bound, coord_bound + 1), repeat=field.degree):
         if all(v == 0 for v in vec):
             continue
         coords = [sum(vec[j] * cols[j][i] for j in range(field.degree))
@@ -528,31 +489,26 @@ class ClassGroupData:
     relation_matrix: list[list[int]]  # rows = relations on generating_primes
     relation_elements: list[NFElement]  # generator of prod P^row
     certified: bool
-    # SNF decomposition of the cokernel: class coords of a generator vector.
-    _U: list[list[int]] = dfield(default_factory=list)
-    _diag: list[int] = dfield(default_factory=list)
+    pres: la.Presentation  # the cokernel of relation_matrix
 
     def class_coords(self, exps: list[int]) -> tuple[int, ...]:
         """Coordinates of the class of prod P_i^exps[i] in the invariant
         factor decomposition."""
-        if not self.generating_primes:
-            return ()
-        y = la.mat_vec(self._U, exps)
-        return tuple(y[i] % d for i, d in enumerate(self._diag) if d > 1)
+        return self.pres.coords(exps)
 
     def p_rank(self, p: int) -> int:
         return self.group.p_rank(p)
 
 
 def class_group(field: NumberField, effort: int | None = None) -> ClassGroupData:
-    if getattr(field, "_class_cache", None) is not None:
+    if field._class_cache is not None:
         return field._class_cache
     mb = field.minkowski_bound()
     if effort is not None and effort < mb:
         raise ValueError(f"effort {effort} below Minkowski bound {mb}")
     gens = [P for P in field.primes_of_norm_up_to(mb)]
     if not gens:
-        data = ClassGroupData(field, la.FinAbGroup(), [], [], [], True)
+        data = ClassGroupData(field, la.FinAbGroup(), [], [], [], True, la.present([], 0))
         field._class_cache = data
         return data
     k = len(gens)
@@ -589,76 +545,35 @@ def class_group(field: NumberField, effort: int | None = None) -> ClassGroupData
             elements.append(field.elt(q))
     certified = False
     for _ in range(64):
-        group, U, diag = _cokernel(relations, k)
-        new_rel = _find_principal_class(field, gens, group, U, diag)
+        pres = la.present(relations, k)
+        new_rel = _find_principal_class(field, gens, pres)
         if new_rel is None:
             certified = True
             break
         relations.append(new_rel[0])
         elements.append(new_rel[1])
-    data = ClassGroupData(field, group, gens, relations, elements, certified, U, diag)
+    data = ClassGroupData(field, pres.group, gens, relations, elements, certified, pres)
     field._class_cache = data
     return data
 
 
-def _cokernel(relations, k):
-    m = [row[:] for row in relations]
-    mt = la.transpose(m)
-    d, u, v = la.smith_normal_form(mt)
-    diag = [d[i][i] if i < len(d) and i < len(d[0]) else 0 for i in range(k)]
-    if any(x == 0 for x in diag):
-        raise CertificationError("relations do not yet present a finite group")
-    group = la.FinAbGroup(tuple(sorted(x for x in diag if x > 1)))
-    return group, u, diag
-
-
-def _find_principal_class(field, gens, group, U, diag):
+def _find_principal_class(field, gens, pres: la.Presentation):
     """Search the nonzero classes of the computed cokernel for one whose
     representative ideal is principal; return (relation_row, generator)."""
-    k = len(gens)
-    Uinv = _int_inverse(U)
-    nontrivial = [i for i, d in enumerate(diag) if d > 1]
-    for coords in _group_elements([diag[i] for i in nontrivial]):
-        if all(c == 0 for c in coords):
+    nontrivial = [i for i, d in enumerate(pres.diag) if d > 1]
+    exponent = max(pres.diag)
+    for coords in la.product_first_fastest([range(pres.diag[i]) for i in nontrivial]):
+        if not any(coords):
             continue
-        y = [0] * k
+        y = [0] * len(gens)
         for c, i in zip(coords, nontrivial):
             y[i] = c
-        exps = la.mat_vec(Uinv, y)
-        exps = [e % _exp_mod(diag) for e in exps]
+        exps = [e % exponent for e in la.mat_vec(pres.U_inv, y)]
         lat = _ideal_power_product(field, gens, exps)
         g = principal_generator(field, lat)
         if g is not None:
             return exps, g
     return None
-
-
-def _exp_mod(diag):
-    m = 1
-    for d in diag:
-        if d > 1:
-            m = m * d // math.gcd(m, d)
-    return max(m, 1)
-
-
-def _group_elements(orders):
-    if not orders:
-        yield ()
-        return
-    for rest in _group_elements(orders[1:]):
-        for c in range(orders[0]):
-            yield (c,) + rest
-
-
-def _int_inverse(U):
-    n = len(U)
-    cols = []
-    for j in range(n):
-        e = [int(i == j) for i in range(n)]
-        sol = la.solve_integer(U, e)
-        assert sol is not None
-        cols.append(sol)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def _ideal_power_product(field, gens, exps):

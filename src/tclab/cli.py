@@ -546,3 +546,7 @@ def run(argv=None) -> int:
 
 def main():  # console entry point
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -124,10 +124,7 @@ def _to_mpf(fr: Fraction, rounding: str):
 def interval_det_sign(mat) -> int:
     """Sign of the determinant of a matrix of mpmath intervals; 0 means
     the enclosure straddles zero (caller should refine and retry)."""
-    d = mpmath.iv.mpf(1)
-    rows = [list(r) for r in mat]
-    n = len(rows)
-    d = _iv_det(rows, n)
+    d = _iv_det([list(r) for r in mat])
     if d.a > 0:
         return 1
     if d.b < 0:
@@ -135,13 +132,13 @@ def interval_det_sign(mat) -> int:
     return 0
 
 
-def _iv_det(rows, n):
-    if n == 1:
+def _iv_det(rows):
+    if len(rows) == 1:
         return rows[0][0]
     total = mpmath.iv.mpf(0)
-    for j in range(n):
+    for j in range(len(rows)):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _iv_det(minor, n - 1)
+        term = rows[0][j] * _iv_det(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
 
@@ -153,7 +150,7 @@ def certified_log_rank(field, units, need_rank: int) -> bool:
     found."""
     if need_rank == 0:
         return True
-    emb = field._embeddings()
+    emb = field.embeddings
     eps = Fraction(1, 2**40)
     for _ in range(8):
         try:

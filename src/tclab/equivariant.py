@@ -9,10 +9,9 @@ and tensor constructions reduce to plain linear algebra over F_p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import intlinalg as la
-from .classunit import _int_inverse, class_group, unit_group
+from .classunit import class_group, unit_group
 from .numberfield import (
     FieldError,
     NFElement,
@@ -21,7 +20,8 @@ from .numberfield import (
     ideal_sum_contains_one,
     lattice_mul,
 )
-from .rayclass import RayClassData, _present
+from .polys import poly_eval, prime_factors
+from .rayclass import RayClassData, kernel_presentation
 from .selmer import SelmerBasis, _certify_independence, power_residue_class
 
 
@@ -31,18 +31,11 @@ class Automorphism:
     def __init__(self, field: NumberField, image: NFElement):
         self.field = field
         self.image = field.elt(image)
-        check = field.zero
-        for c in reversed(field.min_poly):
-            check = check * self.image + field.elt(int(c))
-        if not check.is_zero():
+        if not poly_eval(field.min_poly, self.image).is_zero():
             raise FieldError("image is not a root of the minimal polynomial")
 
     def __call__(self, x: NFElement) -> NFElement:
-        x = self.field.elt(x)
-        acc = self.field.zero
-        for c in reversed(x.power_coords()):
-            acc = acc * self.image + self.field.elt(c)
-        return acc
+        return poly_eval(self.field.elt(x).power_coords(), self.image)
 
     def __eq__(self, other):
         return isinstance(other, Automorphism) and self.image == other.image
@@ -103,7 +96,7 @@ class GaloisLayer:
 
     def ramified_rational_primes(self) -> list[int]:
         out = []
-        for q in _disc_primes(self.L_field):
+        for q in prime_factors(abs(self.L_field.disc)):
             eL = max(P.e for P in self.L_field.factor_prime(q))
             eK = max(P.e for P in self.K_field.factor_prime(q)) if self.K_field.degree > 1 else 1
             if eL > eK:
@@ -111,20 +104,11 @@ class GaloisLayer:
         return out
 
 
-def _disc_primes(field: NumberField) -> list[int]:
-    from .selmer import _rational_factors
-
-    return _rational_factors(abs(field.disc))
-
-
 def make_layer(K_field: NumberField, L_field: NumberField, embedding,
                gamma_images: list) -> GaloisLayer:
     emb = L_field.elt(embedding)
     # The embedding must send K's generator to a root of K's polynomial.
-    check = L_field.zero
-    for c in reversed(K_field.min_poly):
-        check = check * emb + L_field.elt(int(c))
-    if not check.is_zero():
+    if not poly_eval(K_field.min_poly, emb).is_zero():
         raise FieldError("embedding does not satisfy K's minimal polynomial")
     gens = [Automorphism(L_field, img) for img in gamma_images]
     for g in gens:
@@ -182,10 +166,7 @@ def gamma_module(p: int, mats: list[list[list[int]]], labels=None, order: int | 
 
 
 def _mat_mul_fp(a: la.FpMatrix, b: la.FpMatrix) -> la.FpMatrix:
-    p = a.p
-    ent = [[sum(a.entries[i][k] * b.entries[k][j] for k in range(a.cols)) % p
-            for j in range(b.cols)] for i in range(a.rows)]
-    return la.FpMatrix(a.rows, b.cols, ent, p)
+    return la.FpMatrix.from_rows(la.mat_mul(a.entries, b.entries), a.p, b.cols)
 
 
 def _closure(mats: list[la.FpMatrix], p: int, dim: int) -> list[la.FpMatrix]:
@@ -335,10 +316,10 @@ def class_module(layer: GaloisLayer, p: int) -> GammaModule:
     generating primes."""
     L = layer.L_field
     cls = class_group(L)
-    tor = [i for i, d in enumerate(cls._diag) if d > 1 and d % p == 0]
+    pres = cls.pres
+    tor = pres.p_indices(p)
     if not tor:
         return trivial_module(p, 0, len(layer.gamma_gens), layer.order)
-    Uinv = _int_inverse(cls._U)
     k = len(cls.generating_primes)
     mats = []
     for gamma in layer.gamma_gens:
@@ -346,15 +327,13 @@ def class_module(layer: GaloisLayer, p: int) -> GammaModule:
                 for P in cls.generating_primes]
         cols = []
         for i in tor:
-            d = cls._diag[i]
-            w = [(d // p) * Uinv[r][i] for r in range(k)]
             wp = [0] * k
-            for r in range(k):
-                wp[perm[r]] += w[r]
-            y = la.mat_vec(cls._U, wp)
+            for r, w in enumerate(pres.generator(i)):
+                wp[perm[r]] += (pres.diag[i] // p) * w
+            y = la.mat_vec(pres.U, wp)
             col = []
             for t in tor:
-                dt = cls._diag[t]
+                dt = pres.diag[t]
                 c = y[t] % dt
                 if c % (dt // p) != 0:  # pragma: no cover
                     raise FieldError("image left the p-torsion subgroup")
@@ -387,17 +366,6 @@ def _crt_lift(field, primes, j, target):
     return field.elt(target) * a + b
 
 
-def _lift_residue(P: PrimeIdeal, r) -> NFElement:
-    K = P.field
-    if K.degree == 1:
-        return K.elt(int(r[0]) if r else 0)
-    gen = K.theta if P.gen_kind == "theta" else K._factor_generator()[2][0]
-    acc = K.zero
-    for c in reversed(tuple(r)):
-        acc = acc * gen + K.elt(int(c))
-    return acc
-
-
 def rayclass_action_matrix(layer: GaloisLayer, rcd: RayClassData,
                            gamma: Automorphism) -> list[list[int]]:
     """Integer matrix of gamma on the ray class presentation generators
@@ -406,7 +374,7 @@ def rayclass_action_matrix(layer: GaloisLayer, rcd: RayClassData,
     n = rcd.n_gens
     cols = []
     for j, rg in enumerate(rcd.res_gens):
-        target = _lift_residue(rg.prime, rg.base)
+        target = rg.prime.lift(rg.base)
         primes = [g.prime for g in rcd.res_gens] + [
             P for P in rcd.modulus if all(P is not g.prime for g in rcd.res_gens)]
         pos = next(i for i, P in enumerate(primes) if P is rg.prime)
@@ -424,27 +392,29 @@ def rayclass_action_matrix(layer: GaloisLayer, rcd: RayClassData,
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
+def _action_mod_p(pres: la.Presentation, p: int, image) -> la.FpMatrix:
+    """F_p matrix on G/pG of the endomorphism of the presented group G that
+    sends a generator-exponent vector v to image(v)."""
+    pos = pres.p_indices(p)
+    cols = []
+    for i in pos:
+        y = la.mat_vec(pres.U, image(pres.generator(i)))
+        cols.append([y[t] % p for t in pos])
+    return la.FpMatrix.from_rows(la.transpose(cols), p, cols=len(pos))
+
+
 def rayclass_module(layer: GaloisLayer, rcd: RayClassData) -> GammaModule:
     """RCG p-part tensored with F_p as a Gamma-module."""
     if not layer.is_stable(rcd.modulus):
         raise FieldError("modulus is not Gamma-stable")
     p = rcd.p
-    pos = [i for i, d in enumerate(rcd._diag) if d > 1 and d % p == 0]
+    pos = rcd.pres.p_indices(p)
     if not pos:
         return trivial_module(p, 0, len(layer.gamma_gens), layer.order)
-    Uinv = _int_inverse(rcd._U)
-    n = rcd.n_gens
     mats = []
     for gamma in layer.gamma_gens:
         A = rayclass_action_matrix(layer, rcd, gamma)
-        cols = []
-        for i in pos:
-            v = [Uinv[r][i] for r in range(n)]
-            img = la.mat_vec(A, v)
-            y = la.mat_vec(rcd._U, img)
-            cols.append([y[t] % p for t in pos])
-        ent = [[cols[j][i] for j in range(len(pos))] for i in range(len(pos))]
-        mats.append(la.FpMatrix.from_rows(ent, p, cols=len(pos)))
+        mats.append(_action_mod_p(rcd.pres, p, lambda v: la.mat_vec(A, v)))
     return GammaModule(len(pos), p, mats, [f"r{i + 1}" for i in pos], layer.order)
 
 
@@ -454,24 +424,11 @@ def kernel_module(layer: GaloisLayer, big: RayClassData, small: RayClassData) ->
     if not (layer.is_stable(big.modulus) and layer.is_stable(small.modulus)):
         raise FieldError("moduli are not Gamma-stable")
     p = big.p
-    small_labels = {P.label for P in small.modulus}
-    extra = [i for i, g in enumerate(big.res_gens)
-             if g.prime.label not in small_labels]
-    if not extra:
-        return trivial_module(p, 0, len(layer.gamma_gens), layer.order)
-    orders = big.coord_orders
-    t = len(extra)
-    W = [list(big.coords(_unit_vec(big.n_gens, i))) for i in extra]  # t rows
-    r = len(orders)
-    stacked = [[W[j][i] for j in range(t)] + [orders[i] if c == i else 0 for c in range(r)]
-               for i in range(r)]
-    kerlat = la.integer_kernel(stacked)
-    rel_rows = [vec[:t] for vec in kerlat]
-    groupK, UK, diagK = _present(rel_rows, t)
-    pos = [i for i, d in enumerate(diagK) if d > 1 and d % p == 0]
+    extra, lattice, pres = kernel_presentation(big, small)
+    pos = pres.p_indices(p)
     if not pos:
         return trivial_module(p, 0, len(layer.gamma_gens), layer.order)
-    UKinv = _int_inverse(UK)
+    t = len(extra)
     mats = []
     for gamma in layer.gamma_gens:
         A = rayclass_action_matrix(layer, big, gamma)
@@ -479,39 +436,14 @@ def kernel_module(layer: GaloisLayer, big: RayClassData, small: RayClassData) ->
         # kernel coordinates: solve W e + D y = coords(image).
         img_in_K = []
         for i in extra:
-            v = la.mat_vec(A, _unit_vec(big.n_gens, i))
-            target = list(big.coords(v))
-            solve_m = [[W[j][row] for j in range(t)] + [orders[row] if c == row else 0 for c in range(r)]
-                       for row in range(r)]
-            sol = la.solve_integer(solve_m, target)
+            v = [row[i] for row in A]
+            sol = la.solve_integer(lattice, list(big.coords(v)))
             if sol is None:  # pragma: no cover
                 raise FieldError("gamma image left the kernel")
             img_in_K.append(sol[:t])
-        cols = []
-        for i in pos:
-            v = [UKinv[rr][i] for rr in range(t)]
-            img = [sum(img_in_K[j][rr] * v[j] for j in range(t)) for rr in range(t)]
-            y = la.mat_vec(UK, img)
-            cols.append([y[q] % p for q in pos])
-        ent = [[cols[j][i] for j in range(len(pos))] for i in range(len(pos))]
-        mats.append(la.FpMatrix.from_rows(ent, p, cols=len(pos)))
+        images = la.transpose(img_in_K)  # column j: image of kernel generator j
+        mats.append(_action_mod_p(pres, p, lambda v: la.mat_vec(images, v)))
     return GammaModule(len(pos), p, mats, [f"k{i + 1}" for i in pos], layer.order)
-
-
-def _unit_vec(n, i):
-    v = [0] * n
-    v[i] = 1
-    return v
-
-
-def induced_action(layer: GaloisLayer, carrier) -> GammaModule:
-    """Dispatch on carrier type: SelmerBasis, RayClassData, or the
-    strings handled by units_module/class_module via (kind, p) pairs."""
-    if isinstance(carrier, SelmerBasis):
-        return selmer_module(layer, carrier)
-    if isinstance(carrier, RayClassData):
-        return rayclass_module(layer, carrier)
-    raise TypeError(f"no induced action for {type(carrier).__name__}")
 
 
 def descent_check(layer: GaloisLayer, T_rational: list[int], p: int) -> dict:

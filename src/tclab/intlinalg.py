@@ -8,6 +8,8 @@ unimodular so results can be certified exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import product
 
 
 Matrix = list[list[int]]
@@ -108,9 +110,6 @@ class FinAbGroup:
 
     def p_rank(self, p: int) -> int:
         return sum(1 for d in self.invariant_factors if d % p == 0)
-
-    def p_part(self) -> "FinAbGroup":
-        raise TypeError("p_part needs a prime; use p_primary(p)")
 
     def p_primary(self, p: int) -> "FinAbGroup":
         facs = []
@@ -217,26 +216,68 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return a, u, v
 
 
-def snf_cokernel(m: Matrix, n_generators: int | None = None) -> FinAbGroup:
-    """Cokernel Z^cols / (row span of m), m read as a relation matrix.
+@dataclass
+class Presentation:
+    """Z^n modulo a lattice of relations, in Smith normal form.
 
-    Rows are relations among n_generators abstract generators (defaults to
-    the column count).  A zero column contributes a Z factor, which is
-    rejected here: callers in this package always present finite groups.
+    The class of an exponent vector x has invariant-factor coordinates
+    (U x)_i modulo diag[i]; the factors with diag[i] == 1 are trivial.
+    Column i of U^-1 is the exponent vector of the i-th factor's
+    generator.
     """
-    cols = len(m[0]) if m else (n_generators or 0)
-    if n_generators is None:
-        n_generators = cols
-    if not m:
-        if n_generators:
-            raise ValueError("free cokernel is not a finite abelian group")
-        return FinAbGroup()
-    d, _, _ = smith_normal_form(m)
-    rank = sum(1 for i in range(min(len(d), cols)) if d[i][i])
-    if rank < cols:
-        raise ValueError("relation matrix does not present a finite group")
-    facs = sorted(d[i][i] for i in range(cols) if d[i][i] > 1)
-    return FinAbGroup(tuple(facs))
+
+    group: FinAbGroup
+    U: Matrix
+    diag: list[int]
+
+    @cached_property
+    def U_inv(self) -> Matrix:
+        return [[int(x) for x in row] for row in frac_inv(self.U)]
+
+    @property
+    def orders(self) -> tuple[int, ...]:
+        return tuple(d for d in self.diag if d > 1)
+
+    def coords(self, vec: list[int]) -> tuple[int, ...]:
+        """Coordinates of the class of vec on the nontrivial factors."""
+        y = mat_vec(self.U, vec)
+        return tuple(y[i] % d for i, d in enumerate(self.diag) if d > 1)
+
+    def p_indices(self, p: int) -> list[int]:
+        """Indices of the factors whose order is divisible by p."""
+        return [i for i, d in enumerate(self.diag) if d % p == 0]
+
+    def generator(self, i: int) -> list[int]:
+        return [row[i] for row in self.U_inv]
+
+
+def present(relations: Matrix, n: int) -> Presentation:
+    """Z^n modulo the row span of relations (rows of length n).
+
+    Raises ValueError unless the quotient is finite.
+    """
+    if n == 0:
+        return Presentation(FinAbGroup(), [], [])
+    d, u, _ = smith_normal_form(transpose(relations))
+    diag = [d[i][i] if i < len(d) and i < len(d[0]) else 0 for i in range(n)]
+    if 0 in diag:
+        raise ValueError("relations do not present a finite group")
+    return Presentation(FinAbGroup(tuple(sorted(x for x in diag if x > 1))), u, diag)
+
+
+# ---------------------------------------------------------------------------
+# Enumeration
+
+
+def shell(n: int, h: int):
+    """Vectors in Z^n with max |entry| == h, in itertools.product order."""
+    return (v for v in product(range(-h, h + 1), repeat=n) if max(map(abs, v)) == h)
+
+
+def product_first_fastest(ranges):
+    """itertools.product of the ranges, with the first coordinate varying
+    fastest."""
+    return (t[::-1] for t in product(*reversed(ranges)))
 
 
 def hnf_column(m: Matrix) -> Matrix:

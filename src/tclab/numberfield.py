@@ -11,12 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
 
 import sympy
 
 from . import intlinalg as la
 from . import polys
+from .embeddings import RealEmbeddings
 from .polys import ResidueField, gfp_factor, gfp_gcd, gfp_trim
 
 
@@ -194,6 +196,13 @@ class NumberField:
         self._mult_table = self._build_mult_table()
         self._factor_gen_cache = None
         self._prime_cache: dict[int, tuple] = {}
+        # Filled by classunit.unit_group and classunit.class_group.
+        self._unit_cache = None
+        self._class_cache = None
+
+    @cached_property
+    def embeddings(self) -> RealEmbeddings:
+        return RealEmbeddings(self)
 
     # -- construction helpers ------------------------------------------------
 
@@ -225,8 +234,9 @@ class NumberField:
         # Closure under multiplication is checked in _build_mult_table.
 
     def _check_maximality(self):
-        for q in _small_prime_squares_dividing(self.disc_poly):
-            if not dedekind_is_maximal(self.min_poly, q):
+        d = abs(self.disc_poly)
+        for q in polys.prime_factors(d):
+            if d % (q * q) == 0 and not dedekind_is_maximal(self.min_poly, q):
                 raise FieldError(
                     f"Z[theta] is not maximal at {q}; supply an integral basis"
                 )
@@ -343,12 +353,11 @@ class NumberField:
         if self._factor_gen_cache is not None:
             return self._factor_gen_cache
         n = self.degree
-        for coords in _coord_candidates(n, 3):
+        for coords in chain.from_iterable(la.shell(n, h) for h in (1, 2, 3)):
             cand = self.elt(coords)
             mp = cand.minimal_poly()
             if len(mp) != n + 1:
                 continue
-            ints = polys.poly_trim([c for c in mp])
             if any(Fraction(c).denominator != 1 for c in mp):
                 continue
             mp_int = tuple(int(c) for c in mp)
@@ -406,37 +415,6 @@ class NumberField:
         return f"NumberField({self.label}, {list(self.min_poly)})"
 
 
-def _coord_candidates(n, height):
-    for h in range(1, height + 1):
-        for vec in _boxes(n, h):
-            if max(abs(v) for v in vec) == h:
-                yield vec
-
-
-def _boxes(n, h):
-    if n == 0:
-        yield ()
-        return
-    for rest in _boxes(n - 1, h):
-        for c in range(-h, h + 1):
-            yield rest + (c,)
-
-
-def _small_prime_squares_dividing(d: int):
-    d = abs(d)
-    out = []
-    q = 2
-    while q * q <= d:
-        if d % (q * q) == 0:
-            out.append(q)
-            while d % q == 0:
-                d //= q
-        elif d % q == 0:
-            d //= q
-        q += 1
-    return out
-
-
 def dedekind_is_maximal(f, q: int) -> bool:
     """Dedekind's criterion: is Z[theta] maximal at q?"""
     fq = gfp_trim(f, q)
@@ -474,6 +452,13 @@ def _primes_up_to(bound: int) -> tuple[int, ...]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return tuple(i for i in range(bound + 1) if sieve[i])
+
+
+def next_prime(n: int) -> int:
+    n += 1
+    while not is_prime(n):
+        n += 1
+    return n
 
 
 def is_prime(n: int) -> bool:
@@ -519,7 +504,6 @@ class PrimeIdeal:
         self.norm = q**f_deg
         self.residue_field = ResidueField(q, gpoly)
         self._lattice = None
-        self._power_lattices: dict[int, list] = None
 
     @property
     def label(self) -> str:
@@ -527,14 +511,16 @@ class PrimeIdeal:
 
     def second_generator(self) -> NFElement:
         """The element g(gen) of the two-element representation (q, g(gen))."""
+        if self.field.degree == 1:
+            return self.field.elt(self.q)
+        return self.lift(self.gpoly)
+
+    def lift(self, coeffs) -> NFElement:
+        """The element sum_i coeffs[i] gen^i, gen the generator whose
+        minimal polynomial factors q; lifts a residue coefficient tuple."""
         K = self.field
-        if K.degree == 1:
-            return K.elt(self.q)
         gen = K.theta if self.gen_kind == "theta" else K._factor_generator()[2][0]
-        acc = K.zero
-        for c in reversed(self.gpoly):
-            acc = acc * gen + K.elt(int(c))
-        return acc
+        return K.elt(polys.poly_eval(tuple(coeffs), gen))
 
     def _gen_coords(self, x: NFElement):
         """Coordinates of x in the power basis of the factoring generator."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 
-from . import intlinalg as la
 from .equivariant import (
     GaloisLayer,
     GammaModule,
@@ -20,7 +19,7 @@ from .equivariant import (
     selmer_module,
     tensor,
 )
-from .numberfield import FieldError, NFElement, NumberField, PrimeIdeal, is_prime
+from .numberfield import FieldError, NFElement, NumberField, PrimeIdeal, next_prime
 from .rayclass import ray_class_p_part, rcg_surjection_kernel
 from .selmer import power_residue_class, selmer_basis, crosscheck_rusb
 from .classunit import pth_root
@@ -172,7 +171,7 @@ def find_preserving_primes(field: NumberField, S: list[PrimeIdeal], p: int,
     witnesses = {}
     q = 1
     while len(found) < count and q < norm_bound:
-        q = _next_prime(q)
+        q = next_prime(q)
         if q == p:
             continue
         for P in field.factor_prime(q):
@@ -194,13 +193,6 @@ def find_preserving_primes(field: NumberField, S: list[PrimeIdeal], p: int,
         verified = sb2.dim == sb.dim and sorted(sb2.kernel_vectors) == sorted(sb.kernel_vectors)
     return PreservingSet(field, list(S), p, found, witnesses,
                          max(0, count - len(found)), verified)
-
-
-def _next_prime(n: int) -> int:
-    n += 1
-    while not is_prime(n):
-        n += 1
-    return n
 
 
 def frobenius_order(x: NFElement, P: PrimeIdeal, p: int) -> int:
@@ -241,7 +233,7 @@ def witness_nonvanishing(field: NumberField, x: NFElement, p: int,
     cands = []
     q = 1
     while q < bound:
-        q = _next_prime(q)
+        q = next_prime(q)
         if q == p:
             continue
         for P in field.factor_prime(q):

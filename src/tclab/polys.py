@@ -7,7 +7,7 @@ polynomial arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import product
 
 Poly = tuple  # coefficients, ascending degree
 
@@ -47,10 +47,6 @@ def poly_mul(f: Poly, g: Poly) -> Poly:
     return poly_trim(out)
 
 
-def poly_scale(f: Poly, c) -> Poly:
-    return poly_trim([a * c for a in f])
-
-
 def poly_eval(f: Poly, x):
     acc = 0
     for c in reversed(f):
@@ -58,45 +54,19 @@ def poly_eval(f: Poly, x):
     return acc
 
 
-def poly_divmod_exact(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """Division with remainder over Q (coefficients become Fractions)."""
-    f = [Fraction(c) for c in f]
-    g = [Fraction(c) for c in g]
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    while len(f) >= len(g) and any(f):
-        while f and f[-1] == 0:
-            f.pop()
-        if len(f) < len(g):
-            break
-        c = f[-1] / g[-1]
-        d = len(f) - len(g)
-        q[d] = c
-        for i, gc in enumerate(g):
-            f[d + i] -= c * gc
-        f.pop()
-    return poly_trim(q), poly_trim(f)
-
-
-def poly_derivative(f: Poly) -> Poly:
-    return poly_trim([i * c for i, c in enumerate(f)][1:])
-
-
-def poly_content_free(f: Poly) -> Poly:
-    """Scale a rational polynomial to a primitive integer polynomial."""
-    from math import gcd, lcm
-
-    fr = [Fraction(c) for c in f]
-    if not fr:
-        return ()
-    den = lcm(*(c.denominator for c in fr))
-    ints = [int(c * den) for c in fr]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    g = g or 1
-    return tuple(c // g for c in ints)
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending (trial division)."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +252,8 @@ def _equal_degree_split(f, d, q):
 def _candidates(n, q):
     # x + c, then higher-degree shifts; deterministic enumeration.
     for deg in range(1, n + 1):
-        for tail in _tuples(deg, q):
+        for tail in product(range(q), repeat=deg):
             yield gfp_trim(tail + (1,), q)
-
-
-def _tuples(k, q):
-    if k == 0:
-        yield ()
-        return
-    for rest in _tuples(k - 1, q):
-        for c in range(q):
-            yield rest + (c,)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +272,7 @@ class ResidueField:
         self.modulus = gfp_monic(modulus, q)
         self.deg = poly_deg(self.modulus)
         self.order = q**self.deg
+        self._subgroup_gens: dict[int, Poly] = {}  # memo of subgroup_generator
 
     def elt(self, coeffs) -> Poly:
         return gfp_mod(tuple(coeffs), self.modulus, self.q)
@@ -346,13 +308,15 @@ class ResidueField:
 
     def elements(self):
         """All field elements in a fixed lexicographic-by-degree order."""
-        for tup in _tuples(self.deg, self.q):
+        for tup in product(range(self.q), repeat=self.deg):
             yield gfp_trim(tup, self.q)
 
     def subgroup_generator(self, m: int):
         """Fixed generator of the order-m subgroup of the multiplicative
         group (m must divide order - 1): first element in enumeration order
         whose (order-1)/m power has exact order m."""
+        if m in self._subgroup_gens:
+            return self._subgroup_gens[m]
         assert (self.order - 1) % m == 0
         e = (self.order - 1) // m
         for a in self.elements():
@@ -360,13 +324,14 @@ class ResidueField:
                 continue
             z = self.pow(a, e)
             if self._order_is(z, m):
+                self._subgroup_gens[m] = z
                 return z
         raise RuntimeError("no subgroup generator found")  # pragma: no cover
 
     def _order_is(self, z, m: int) -> bool:
         if self.pow(z, m) != self.one:
             return False
-        for r in _prime_factors(m):
+        for r in prime_factors(m):
             if self.pow(z, m // r) == self.one:
                 return False
         return True
@@ -380,17 +345,3 @@ class ResidueField:
                 return k
             acc = self.mul(acc, base)
         raise ValueError("element not in the cyclic subgroup")
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out

@@ -11,7 +11,6 @@ exactly the p-primary part of the ray class group.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import intlinalg as la
@@ -58,8 +57,7 @@ class RayClassData:
     relation_rows: list[list[int]]
     group: la.FinAbGroup  # full cokernel (p-primary part is the RCG's)
     p_group: la.FinAbGroup
-    _U: list[list[int]]
-    _diag: list[int]
+    pres: la.Presentation  # the cokernel of relation_rows
 
     @property
     def n_gens(self) -> int:
@@ -67,12 +65,11 @@ class RayClassData:
 
     def coords(self, vec: list[int]) -> tuple[int, ...]:
         """Invariant-factor coordinates of a generator-exponent vector."""
-        y = la.mat_vec(self._U, vec)
-        return tuple(y[i] % d for i, d in enumerate(self._diag) if d > 1)
+        return self.pres.coords(vec)
 
     @property
     def coord_orders(self) -> tuple[int, ...]:
-        return tuple(d for d in self._diag if d > 1)
+        return self.pres.orders
 
     def principal_class(self, x: NFElement) -> list[int]:
         """Generator-exponent vector of the class of the principal ideal
@@ -83,12 +80,6 @@ class RayClassData:
         vec = [g.dlog(x) for g in self.res_gens]
         vec += [0] * len(self.class_data.generating_primes)
         return vec
-
-    def gen_index_of_prime(self, P: PrimeIdeal) -> int:
-        for i, g in enumerate(self.res_gens):
-            if g.prime is P:
-                return i
-        raise KeyError(P.label)
 
 
 def ray_class_p_part(field: NumberField, modulus: list[PrimeIdeal], p: int) -> RayClassData:
@@ -123,27 +114,19 @@ def ray_class_p_part(field: NumberField, modulus: list[PrimeIdeal], p: int) -> R
         rows.append([g.dlog(u) for g in res_gens] + [0] * k)
     for rel, gamma in zip(cls.relation_matrix, cls.relation_elements):
         rows.append([-g.dlog(gamma) for g in res_gens] + list(rel))
-    group, U, diag = _present(rows, s + k)
+    pres = la.present(rows, s + k)
     return RayClassData(field, p, list(modulus), res_gens, cls, rows,
-                        group, group.p_primary(p), U, diag)
+                        pres.group, pres.group.p_primary(p), pres)
 
 
-def _present(rows, n):
-    if n == 0:
-        return la.FinAbGroup(), [], []
-    mt = la.transpose([r[:] for r in rows])
-    d, u, v = la.smith_normal_form(mt)
-    diag = [d[i][i] if i < len(d) and i < len(d[0]) else 0 for i in range(n)]
-    if any(x == 0 for x in diag):
-        raise FieldError("presentation does not define a finite group")
-    group = la.FinAbGroup(tuple(sorted(x for x in diag if x > 1)))
-    return group, u, diag
-
-
-def rcg_surjection_kernel(big: RayClassData, small: RayClassData) -> la.FinAbGroup:
-    """Structure of ker(RCG_V ->> RCG_T) restricted to p-primary parts,
-    where small's modulus is a subset of big's.  The kernel is generated
-    by the residue generators at the extra primes, and is a p-group."""
+def kernel_presentation(big: RayClassData, small: RayClassData):
+    """ker(RCG_V ->> RCG_T) as a subgroup of big's cokernel, where small's
+    modulus is a subset of big's.  The kernel is generated by the residue
+    generators at the extra primes.  Returns (extra, lattice, pres):
+    extra indexes those generators in big.res_gens, the integer kernel of
+    lattice = [W | diag(orders)] (W's column j holding the coordinates of
+    the j-th extra generator) gives the relations among them, and pres
+    presents the kernel on them."""
     if big.field is not small.field or big.p != small.p:
         raise ValueError("mismatched ray class data")
     small_labels = {P.label for P in small.modulus}
@@ -152,23 +135,22 @@ def rcg_surjection_kernel(big: RayClassData, small: RayClassData) -> la.FinAbGro
     extra = [i for i, g in enumerate(big.res_gens)
              if g.prime.label not in small_labels]
     orders = big.coord_orders
-    if not extra or not orders:
-        return la.FinAbGroup()
-    cols = []
-    for i in extra:
-        vec = [0] * big.n_gens
-        vec[i] = 1
-        cols.append(list(big.coords(vec)))
-    # Subgroup generated by cols inside prod Z/orders: its presentation is
-    # Z^t modulo {e : W e = 0 mod orders}.
-    t = len(cols)
-    r = len(orders)
-    stacked = [[cols[j][i] for j in range(t)] + [orders[i] if c == i else 0 for c in range(r)]
+    t, r = len(extra), len(orders)
+    W = [big.coords([int(j == i) for j in range(big.n_gens)]) for i in extra]
+    lattice = [[W[j][i] for j in range(t)] + [orders[i] if c == i else 0 for c in range(r)]
                for i in range(r)]
-    ker = la.integer_kernel(stacked)
-    rel_rows = [vec[:t] for vec in ker]
-    sub = la.snf_cokernel(rel_rows, t)
+    # With no orders the big group is trivial and every e in Z^t is a relation.
+    rel_rows = [vec[:t] for vec in la.integer_kernel(lattice)] if r else la.identity(t)
+    return extra, lattice, la.present(rel_rows, t)
+
+
+def rcg_surjection_kernel(big: RayClassData, small: RayClassData) -> la.FinAbGroup:
+    """Structure of ker(RCG_V ->> RCG_T) restricted to p-primary parts,
+    where small's modulus is a subset of big's; a p-group."""
+    extra, _, pres = kernel_presentation(big, small)
+    if not extra:
+        return la.FinAbGroup()
     expected = big.group.order() // small.group.order()
-    if sub.order() != expected:
+    if pres.group.order() != expected:
         raise FieldError("kernel order mismatch; presentations inconsistent")
-    return sub.p_primary(big.p)
+    return pres.group.p_primary(big.p)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from . import intlinalg as la
 from .classunit import class_group, pth_root, solve_relation_element, unit_group
-from .numberfield import FieldError, NFElement, NumberField, PrimeIdeal
+from .numberfield import FieldError, NFElement, NumberField, PrimeIdeal, next_prime
+from .polys import prime_factors
 from .rayclass import ray_class_p_part
 
 
@@ -27,12 +28,7 @@ def power_residue_class(x: NFElement, P: PrimeIdeal, p: int) -> int:
     x = P.field.elt(x)
     den = x.denominator()
     num = x * den
-
-    if not hasattr(P, "_chi_base"):
-        P._chi_base = {}
-    if p not in P._chi_base:
-        P._chi_base[p] = rf.subgroup_generator(p)
-    z = P._chi_base[p]
+    z = rf.subgroup_generator(p)
 
     def chi(y) -> int:
         r = P.residue(y)
@@ -82,26 +78,12 @@ class SelmerBasis:
 
 def _support(field: NumberField, x: NFElement):
     nrm = x.norm()
-    qs = set(_rational_factors(abs(nrm.numerator)))
-    qs |= set(_rational_factors(nrm.denominator))
-    qs |= set(_rational_factors(x.denominator()))
+    qs = set(prime_factors(abs(nrm.numerator)))
+    qs |= set(prime_factors(nrm.denominator))
+    qs |= set(prime_factors(x.denominator()))
     out = []
     for q in sorted(qs):
         out.extend(field.factor_prime(q))
-    return out
-
-
-def _rational_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
     return out
 
 
@@ -119,18 +101,13 @@ def v_empty_generators(field: NumberField, p: int):
     if ub.delta_p(p):
         gens.append(ub.torsion_gen)
         labels.append("zeta")
-    if cls._diag:
-        from .classunit import _int_inverse
-
-        Uinv = _int_inverse(cls._U)
-        for i, d in enumerate(cls._diag):
-            if d > 1 and d % p == 0:
-                w = [Uinv[r][i] for r in range(len(Uinv))]
-                alpha = solve_relation_element(cls, [d * wi for wi in w])
-                if alpha is None:  # pragma: no cover
-                    raise FieldError("class relation lattice inconsistent")
-                gens.append(alpha)
-                labels.append(f"cl{i + 1}")
+    for i in cls.pres.p_indices(p):
+        d = cls.pres.diag[i]
+        alpha = solve_relation_element(cls, [d * w for w in cls.pres.generator(i)])
+        if alpha is None:  # pragma: no cover
+            raise FieldError("class relation lattice inconsistent")
+        gens.append(alpha)
+        labels.append(f"cl{i + 1}")
     return gens, labels, (ub, cls)
 
 
@@ -177,7 +154,7 @@ def _certify_independence(field, gens, S, p, aux_bound):
     rank = 0
     q = 2
     while q < aux_bound:
-        q = _next_prime(q)
+        q = next_prime(q)
         if q == p:
             continue
         for P in field.factor_prime(q):
@@ -199,15 +176,6 @@ def _certify_independence(field, gens, S, p, aux_bound):
             if rank == len(gens):
                 return True, aux
     return False, aux
-
-
-def _next_prime(n: int) -> int:
-    from .numberfield import is_prime
-
-    n += 1
-    while not is_prime(n):
-        n += 1
-    return n
 
 
 @dataclass

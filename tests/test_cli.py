@@ -4,6 +4,8 @@ import pytest
 
 from tclab import cli
 
+from conftest import fresh_python
+
 
 def run_capture(capsys, argv):
     code = cli.run(argv)
@@ -117,6 +119,12 @@ def test_reproduce_json_roundtrip(capsys):
     assert rep["results"]["rcg_3_parts"] == ["0", "Z/3", "Z/27"]
     # rendering the same report twice is byte-identical
     assert cli.emit_table(rep) == cli.emit_table(json.loads(out))
+
+
+def test_module_entry_point():
+    proc = fresh_python("-m", "tclab.cli", "--json", "reproduce", "example1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["match"]
 
 
 def test_sandwich_twisted_config(capsys):

@@ -122,6 +122,16 @@ def test_kernel_module_golden(layer5):
     assert m.mats[0].entries[0][0] % 3 == 2
 
 
+def test_kernel_module_trivial_big_group():
+    # RCG_{3} of Q is trivial at p = 2, but 3 carries a residue generator.
+    layer = eq.make_layer(Q, Q, [0], [])
+    big = rc.ray_class_p_part(Q, [Q.factor_prime(3)[0]], 2)
+    small = rc.ray_class_p_part(Q, [], 2)
+    assert big.group.is_trivial and big.res_gens
+    assert rc.rcg_surjection_kernel(big, small).is_trivial
+    assert eq.kernel_module(layer, big, small).dim == 0
+
+
 def test_descent_trivial_coefficients(layer5):
     out = eq.descent_check(layer5, [5, 7], 3)
     assert out["agree"]

@@ -1,8 +1,10 @@
 import random
+from itertools import chain, product
 
 import pytest
 
 from tclab import intlinalg as la
+from tclab import polys
 
 
 def random_matrix(rng, rows, cols, bound=30):
@@ -38,13 +40,26 @@ def test_snf_properties_random():
 
 def test_cokernel_order_matches_det():
     rng = random.Random(7)
+    cases = []
     for _ in range(40):
         n = rng.randint(1, 4)
-        m = random_matrix(rng, n, n, 9)
+        cases.append(random_matrix(rng, n, n, 9))
+    # Presentations with trivial factors and with a generator killed outright.
+    cases += [[[2, 0], [0, 1]], [[1, 2], [0, 4]], [[1]], [[3, 0, 0], [0, 9, 0], [0, 0, 1]]]
+    for m in cases:
+        n = len(m)
         dt = la.det(m)
-        g = la.snf_cokernel(m, n)
-        if dt != 0:
-            assert g.order() == abs(dt)
+        if dt == 0:
+            continue
+        pres = la.present(m, n)
+        assert pres.group.order() == abs(dt)
+        assert la.mat_mul(pres.U, pres.U_inv) == la.identity(n)
+        nontrivial = [i for i, d in enumerate(pres.diag) if d > 1]
+        assert pres.orders == tuple(pres.diag[i] for i in nontrivial)
+        for i in range(n):
+            assert pres.coords(pres.generator(i)) == tuple(int(i == j) for j in nontrivial)
+        for row in m:
+            assert not any(pres.coords(row))
 
 
 def test_integer_kernel():
@@ -91,3 +106,72 @@ def test_fp_solve():
     x = la.fp_solve(m, [1, 0])
     assert x is not None
     assert [(r[0] * x[0] + r[1] * x[1]) % 5 for r in m.entries] == [1, 0]
+
+
+# Recursive enumerators the package used before itertools; the order they
+# fix decides which principal generator is found first, so it must hold.
+
+def _ref_box(n, h):
+    if n == 0:
+        yield ()
+        return
+    for rest in _ref_box(n - 1, h):
+        for c in range(-h, h + 1):
+            yield rest + (c,)
+
+
+def _ref_shell(n, h):
+    for vec in _ref_box(n, h):
+        if max(abs(v) for v in vec) == h:
+            yield vec
+
+
+def _ref_tuples(k, q):
+    if k == 0:
+        yield ()
+        return
+    for rest in _ref_tuples(k - 1, q):
+        for c in range(q):
+            yield rest + (c,)
+
+
+def _ref_group_elements(orders):
+    if not orders:
+        yield ()
+        return
+    for rest in _ref_group_elements(orders[1:]):
+        for c in range(orders[0]):
+            yield (c,) + rest
+
+
+def _ref_sign_patterns(k):
+    if k == 0:
+        yield ()
+        return
+    for rest in _ref_sign_patterns(k - 1):
+        yield (1,) + rest
+        yield (-1,) + rest
+
+
+def test_enumeration_orders_match_reference():
+    for n in range(4):
+        for h in range(1, 4):
+            assert list(product(range(-h, h + 1), repeat=n)) == list(_ref_box(n, h))
+            if n:
+                assert list(la.shell(n, h)) == list(_ref_shell(n, h))
+            # The unit saturation search: nonnegative exponent vectors.
+            assert (list(product(range(h + 1), repeat=n))
+                    == [v for v in _ref_box(n, h) if not any(e < 0 for e in v)])
+        if n:
+            coord_candidates = chain.from_iterable(la.shell(n, h) for h in (1, 2, 3))
+            assert list(coord_candidates) == [v for h in (1, 2, 3) for v in _ref_shell(n, h)]
+        for q in (2, 3):
+            assert list(product(range(q), repeat=n)) == list(_ref_tuples(n, q))
+            assert list(polys._candidates(n, q)) == [
+                polys.gfp_trim(t + (1,), q) for d in range(1, n + 1) for t in _ref_tuples(d, q)]
+        assert list(la.product_first_fastest([(1, -1)] * n)) == list(_ref_sign_patterns(n))
+    for orders in ([], [2], [3, 2], [2, 3, 4], [3, 3, 3]):
+        assert (list(la.product_first_fastest([range(d) for d in orders]))
+                == list(_ref_group_elements(orders)))
+    rf = polys.ResidueField(3, (2, 0, 1))
+    assert list(rf.elements()) == [polys.gfp_trim(t, 3) for t in _ref_tuples(2, 3)]

@@ -10,7 +10,7 @@ from tclab import polys
 from tclab.embeddings import RealEmbeddings, certified_log_rank
 from tclab.numberfield import NumberField
 
-from conftest import quadratic_field
+from conftest import fresh_python, quadratic_field
 
 
 def test_gfp_factor_splits():
@@ -68,3 +68,15 @@ def test_certified_log_rank_cubic():
     L = NumberField((-1, -2, 1, 1), label="zeta7plus")
     ub = unit_group(L)
     assert certified_log_rank(L, ub.fundamental_units, 2)
+
+
+def test_certified_log_rank_without_classunit():
+    # A fresh interpreter: the embeddings must not depend on which tclab
+    # modules happen to be imported already.
+    code = ("from tclab.numberfield import NumberField\n"
+            "from tclab.embeddings import certified_log_rank\n"
+            "K = NumberField([-1, -1, 1])\n"
+            "print(certified_log_rank(K, [K.elt([0, 1])], 1))\n")
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
