@@ -69,8 +69,7 @@ class UnitRankError(RuntimeError):
         self.achieved = achieved
 
 
-def unit_group(field: NumberField, height_bound: int | None = None,
-               saturate_at: tuple[int, ...] = (2, 3, 5)) -> UnitBasis:
+def unit_group(field: NumberField, saturate_at: tuple[int, ...] = (2, 3, 5)) -> UnitBasis:
     cached = field._unit_cache
     if cached is not None and set(saturate_at) <= set(cached.saturated_at):
         return cached
@@ -80,12 +79,10 @@ def unit_group(field: NumberField, height_bound: int | None = None,
     if rank == 0:
         ub = UnitBasis(field, w, tgen, [], tuple(saturate_at), True)
     elif field.degree == 2 and r1 == 2:
-        height_bound = height_bound or 10**6
-        u = _real_quadratic_fundamental(field, height_bound)
+        u = _real_quadratic_fundamental(field)
         ub = UnitBasis(field, w, tgen, [u], tuple(saturate_at), True)
     else:
-        height_bound = height_bound or 10**4
-        units = _unit_system_by_enumeration(field, rank, height_bound)
+        units = _unit_system_by_enumeration(field, rank)
         units = _saturate(field, units, saturate_at)
         witness = certified_log_rank(field, units, rank)
         if not witness:
@@ -123,13 +120,13 @@ def _element_of_order(field: NumberField, n: int) -> NFElement:
     raise RuntimeError(f"order-{n} torsion not found")  # pragma: no cover
 
 
-def _real_quadratic_fundamental(field: NumberField, bound: int) -> NFElement:
+def _real_quadratic_fundamental(field: NumberField) -> NFElement:
     """Fundamental unit (x + y sqrt(D))/2, found as the solution of
-    x^2 - D y^2 = +-4 with minimal y, then minimal x."""
+    x^2 - D y^2 = +-4 with minimal y <= 10^6, then minimal x."""
     D = field.disc
     omega = field.elt([0, 1])
     t = int(omega.trace())
-    for y in range(1, bound + 1):
+    for y in range(1, 10**6 + 1):
         for target in (-4, 4):
             xx = D * y * y + target
             if xx <= 0:
@@ -145,11 +142,11 @@ def _real_quadratic_fundamental(field: NumberField, bound: int) -> NFElement:
     raise UnitRankError(1, 0)
 
 
-def _unit_system_by_enumeration(field: NumberField, rank: int, bound: int):
+def _unit_system_by_enumeration(field: NumberField, rank: int):
     found: list[NFElement] = []
     units: list[NFElement] = []
     h = 1
-    while h <= min(bound, 64):
+    while h <= 64:
         for coords in la.shell(field.degree, h):
             x = field.elt(coords)
             if abs(x.norm()) != 1:
@@ -500,12 +497,10 @@ class ClassGroupData:
         return self.group.p_rank(p)
 
 
-def class_group(field: NumberField, effort: int | None = None) -> ClassGroupData:
+def class_group(field: NumberField) -> ClassGroupData:
     if field._class_cache is not None:
         return field._class_cache
     mb = field.minkowski_bound()
-    if effort is not None and effort < mb:
-        raise ValueError(f"effort {effort} below Minkowski bound {mb}")
     gens = [P for P in field.primes_of_norm_up_to(mb)]
     if not gens:
         data = ClassGroupData(field, la.FinAbGroup(), [], [], [], True, la.present([], 0))

@@ -10,6 +10,7 @@ so every sign decision is rigorous.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath
 import sympy
@@ -112,13 +113,11 @@ def log_abs_interval(iv):
     if lo <= 0 <= hi:
         raise ValueError("interval straddles zero")
     a, b = (lo, hi) if lo > 0 else (-hi, -lo)
-    m = mpmath.iv.mpf([_to_mpf(a, rounding="down"), _to_mpf(b, rounding="up")])
-    return mpmath.iv.log(m)
-
-
-def _to_mpf(fr: Fraction, rounding: str):
-    with mpmath.workprec(mpmath.mp.prec):
-        return mpmath.mpf(fr.numerator) / mpmath.mpf(fr.denominator)
+    # Interval division rounds outward: take the lower end of a's
+    # enclosure and the upper end of b's.
+    a = mpmath.iv.mpf(a.numerator) / a.denominator
+    b = mpmath.iv.mpf(b.numerator) / b.denominator
+    return mpmath.iv.log(mpmath.iv.mpf([a.a, b.b]))
 
 
 def interval_det_sign(mat) -> int:
@@ -152,24 +151,28 @@ def certified_log_rank(field, units, need_rank: int) -> bool:
         return True
     emb = field.embeddings
     eps = Fraction(1, 2**40)
-    for _ in range(8):
-        try:
-            logmat = []
-            for u in units:
-                ivs = emb.element_intervals(u, eps)
-                logmat.append([log_abs_interval(iv) for iv in ivs])
-        except ValueError:
+    # Interval arithmetic reads the precision of the mpmath.iv context,
+    # which mpmath.workprec (the mp context's) leaves alone.
+    prec = mpmath.iv.prec
+    try:
+        for _ in range(8):
+            try:
+                logmat = []
+                for u in units:
+                    ivs = emb.element_intervals(u, eps)
+                    logmat.append([log_abs_interval(iv) for iv in ivs])
+            except ValueError:
+                eps /= 2**40
+                continue
+            # Any need_rank x need_rank minor with nonzero determinant will
+            # do; try the leading columns first, then all column subsets.
+            ncols = len(logmat[0])
+            for colset in combinations(range(ncols), need_rank):
+                sub = [[row[c] for c in colset] for row in logmat]
+                if interval_det_sign(sub) != 0:
+                    return True
             eps /= 2**40
-            continue
-        # Any need_rank x need_rank minor with nonzero determinant will do;
-        # try the leading columns first, then all column subsets.
-        from itertools import combinations
-
-        ncols = len(logmat[0])
-        for colset in combinations(range(ncols), need_rank):
-            sub = [[row[c] for c in colset] for row in logmat]
-            if interval_det_sign(sub) != 0:
-                return True
-        eps /= 2**40
-        mpmath.mp.prec = max(mpmath.mp.prec, 200)
+            mpmath.iv.prec = max(prec, 200)
+    finally:
+        mpmath.iv.prec = prec
     return False

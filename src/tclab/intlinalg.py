@@ -1,13 +1,15 @@
-"""Exact linear algebra over Z and F_p.
+"""Exact linear algebra over Z, F_p and Q.
 
 Everything here works on small dense matrices represented as lists of
-lists of Python ints.  No floating point anywhere; transforms are kept
-unimodular so results can be certified exactly.
+lists of Python ints, or of Fractions over Q.  No floating point anywhere;
+transforms are kept unimodular so results can be certified exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
@@ -339,13 +341,12 @@ def solve_integer(a: Matrix, b: list[int]) -> list[int] | None:
     return mat_vec(v, y)
 
 
-def integer_kernel(a: Matrix) -> list[list[int]]:
-    """Basis of the integer kernel {x : a @ x = 0}."""
+def integer_kernel(a: Matrix, cols: int) -> list[list[int]]:
+    """Basis of the integer kernel {x in Z^cols : a @ x = 0}."""
     if not a:
-        return []
+        return identity(cols)
     d, _, v = smith_normal_form(a)
-    rows, cols = len(a), len(a[0])
-    rank = sum(1 for i in range(min(rows, cols)) if d[i][i])
+    rank = sum(1 for i in range(min(len(a), cols)) if d[i][i])
     return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
 
 
@@ -375,109 +376,130 @@ class FpMatrix:
 
 def fp_rref(m: FpMatrix) -> tuple[FpMatrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    a = m.copy()
-    p = a.p
-    pivots = []
-    r = 0
-    for c in range(a.cols):
-        pr = next((i for i in range(r, a.rows) if a.entries[i][c]), None)
-        if pr is None:
-            continue
-        a.entries[r], a.entries[pr] = a.entries[pr], a.entries[r]
-        inv = pow(a.entries[r][c], -1, p)
-        a.entries[r] = [(x * inv) % p for x in a.entries[r]]
-        for i in range(a.rows):
-            if i != r and a.entries[i][c]:
-                f = a.entries[i][c]
-                a.entries[i] = [(x - f * y) % p for x, y in zip(a.entries[i], a.entries[r])]
-        pivots.append(c)
-        r += 1
-        if r == a.rows:
-            break
-    return a, pivots
+    rows, pivots = _rref(m.entries, m.cols, m.p)
+    return FpMatrix(m.rows, m.cols, rows, m.p), pivots
 
 
 def fp_rank(m: FpMatrix) -> int:
-    return len(fp_rref(m)[1])
+    return len(_rref(m.entries, m.cols, m.p)[1])
 
 
 def fp_kernel(m: FpMatrix) -> list[list[int]]:
     """Basis of the right kernel of m over F_p."""
-    rref, pivots = fp_rref(m)
-    p = m.p
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * m.cols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-rref.entries[r][fc]) % p
-        basis.append(vec)
-    return basis
+    return _kernel(m.entries, m.cols, m.p)
 
 
 def fp_solve(m: FpMatrix, b: list[int]) -> list[int] | None:
     """One solution of m @ x = b over F_p, or None."""
-    aug = FpMatrix.from_rows(
-        [row + [bv % m.p] for row, bv in zip(m.entries, b)], m.p, m.cols + 1
-    )
-    rref, pivots = fp_rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [0] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = rref.entries[r][m.cols]
-    return x
+    return _solve(m.entries, b, m.cols, m.p)
+
+
+def fp_inverse(m: FpMatrix) -> FpMatrix:
+    """Inverse over F_p; ZeroDivisionError if m is singular."""
+    return FpMatrix(m.rows, m.cols, _inverse(m.entries, m.p), m.p)
 
 
 # ---------------------------------------------------------------------------
-# Small exact helpers over Q (Fractions), used for basis validation and
-# norms.  Plain Gaussian elimination; inputs are tiny.
+# Matrices over Q, given as rows of ints or Fractions; results are Fractions.
 
 
-def frac_det(m) -> "Fraction":
-    from fractions import Fraction
-
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det_val = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det_val = -det_val
-        det_val *= a[k][k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(k + 1, n):
-            f = a[i][k]
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return det_val
+def frac_det(m) -> Fraction:
+    """Determinant over Q: the Bareiss det of m with each row's
+    denominators cleared, divided by the product of those denominators."""
+    scale = 1
+    rows = []
+    for row in m:
+        d = math.lcm(*(x.denominator for x in row))
+        scale *= d
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+    return Fraction(det(rows), scale)
 
 
 def frac_inv(m):
-    from fractions import Fraction
-
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [row[n:] for row in a]
+    """Inverse over Q; ZeroDivisionError if m is singular."""
+    return _inverse(m)
 
 
 def frac_solve(m, b):
-    inv = frac_inv(m)
-    return [sum(inv[i][j] * b[j] for j in range(len(b))) for i in range(len(inv))]
+    """One solution of m @ x = b over Q; ZeroDivisionError if there is none."""
+    x = _solve(m, b, len(m))
+    if x is None:
+        raise ZeroDivisionError("singular matrix")
+    return x
+
+
+def frac_kernel(m, cols: int):
+    """Basis of the right kernel over Q of the matrix m with cols columns."""
+    return _kernel(m, cols)
+
+
+# ---------------------------------------------------------------------------
+# The one elimination behind every F_p and Q entry above.
+
+
+def _rref(rows, ncols: int, p: int | None = None):
+    """Gauss-Jordan elimination over F_p, or over Q when p is None, with
+    pivots taken in the first ncols columns (rows may be longer, e.g. an
+    augmented block).  Each column's pivot is the first nonzero entry at
+    or below the current row.  Returns (reduced rows, pivot columns)."""
+    if p is None:
+        a = [[Fraction(x) for x in row] for row in rows]
+    else:
+        a = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(a):
+            break
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        if p is None:
+            inv = 1 / a[r][c]
+            a[r] = [x * inv for x in a[r]]
+        else:
+            inv = pow(a[r][c], -1, p)
+            a[r] = [x * inv % p for x in a[r]]
+        for i, row in enumerate(a):
+            f = row[c]
+            if f and i != r:
+                if p is None:
+                    a[i] = [x - f * y for x, y in zip(row, a[r])]
+                else:
+                    a[i] = [(x - f * y) % p for x, y in zip(row, a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def _kernel(rows, ncols: int, p: int | None = None):
+    """One kernel vector per free column: 1 there, minus the reduced
+    entries at the pivot columns, 0 elsewhere."""
+    a, pivots = _rref(rows, ncols, p)
+    zero = Fraction(0) if p is None else 0
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [zero] * ncols
+        v[fc] = zero + 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -a[r][fc] if p is None else -a[r][fc] % p
+        basis.append(v)
+    return basis
+
+
+def _solve(rows, b, ncols: int, p: int | None = None):
+    """The solution with free coordinates 0: the kernel vector of
+    [rows | -b] that is 1 in the last column, if there is one."""
+    ker = _kernel([list(row) + [-y] for row, y in zip(rows, b)], ncols + 1, p)
+    return next((v[:ncols] for v in ker if v[ncols]), None)
+
+
+def _inverse(rows, p: int | None = None):
+    n = len(rows)
+    a, pivots = _rref([list(row) + [int(i == j) for j in range(n)]
+                       for i, row in enumerate(rows)], n, p)
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular matrix")
+    return [row[n:] for row in a]

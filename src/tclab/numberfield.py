@@ -26,11 +26,6 @@ class FieldError(ValueError):
     pass
 
 
-def _sympy_poly(coeffs):
-    x = sympy.Symbol("x")
-    return sympy.Poly(list(reversed(coeffs)), x)
-
-
 @dataclass(frozen=True)
 class NFElement:
     field: "NumberField"
@@ -93,9 +88,6 @@ class NFElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
-
     def power_coords(self) -> tuple[Fraction, ...]:
         """Coordinates in the power basis 1, theta, ..., theta^(n-1)."""
         B = self.field._basis_rows
@@ -110,54 +102,16 @@ class NFElement:
     def minimal_poly(self) -> tuple:
         """Monic minimal polynomial over Q, ascending coefficients."""
         K = self.field
-        n = K.degree
         pows = [K.one]
-        for _ in range(n):
+        for _ in range(K.degree):
             pows.append(pows[-1] * self)
-        rows = [[Fraction(p.coords[j]) for p in pows] for j in range(n)]
-        for deg in range(1, n + 1):
-            sub = [row[: deg + 1] for row in rows]
-            ker = _frac_kernel(sub)
-            if ker:
-                v = ker[0]
-                lead = v[deg]
-                return tuple(c / lead for c in v)
-        raise RuntimeError("minimal polynomial not found")  # pragma: no cover
+        # The first power that depends on the lower ones is the first free
+        # column, so the first kernel vector is the monic relation.
+        v = la.frac_kernel(la.transpose([p.coords for p in pows]), K.degree + 1)[0]
+        return tuple(v[: max(i for i, c in enumerate(v) if c) + 1])
 
     def __repr__(self):
         return f"NFElement({list(self.coords)})"
-
-
-def _frac_kernel(rows):
-    """Kernel basis of a Fraction matrix given by rows."""
-    if not rows:
-        return []
-    m = [list(r) for r in rows]
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        out.append(v)
-    return out
 
 
 class NumberField:
@@ -173,7 +127,7 @@ class NumberField:
         self.degree = len(coeffs) - 1
         if self.degree > 6:
             raise FieldError("fields of degree > 6 are out of scope")
-        sp = _sympy_poly(coeffs)
+        sp = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"))
         if self.degree > 1 and not sp.is_irreducible:
             raise FieldError(f"polynomial {list(coeffs)} is reducible over Q")
         self.disc_poly = int(sympy.discriminant(sp.as_expr())) if self.degree > 1 else 1
@@ -216,14 +170,11 @@ class NumberField:
         if len(rows) != n or any(len(r) != n for r in rows):
             raise FieldError("integral basis must be a square matrix of size degree")
         self._basis_rows = rows
-        try:
-            self._basis_inv = la.frac_inv(rows)
-        except ZeroDivisionError:
-            raise FieldError("integral basis rows are linearly dependent") from None
-        # Index of Z[theta] in the claimed order.
         d = la.frac_det(rows)
         if d == 0:
             raise FieldError("integral basis rows are linearly dependent")
+        self._basis_inv = la.frac_inv(rows)
+        # Index of Z[theta] in the claimed order.
         idx = Fraction(1) / abs(d)
         if idx.denominator != 1:
             raise FieldError("integral basis does not contain Z[theta] with integral index")
@@ -320,14 +271,15 @@ class NumberField:
     def _mult_matrix(self, a: NFElement):
         """Matrix of multiplication by a on the integral basis (columns)."""
         n = self.degree
-        cols = []
-        for j in range(n):
-            bj = NFElement(self, tuple(self._basis_rows_coords(j)))
-            cols.append((a * bj).coords)
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-    def _basis_rows_coords(self, j):
-        return [Fraction(int(i == j)) for i in range(self.degree)]
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for i, x in enumerate(a.coords):
+            if x:
+                for j in range(n):
+                    t = self._mult_table[i][j]
+                    for k in range(n):
+                        if t[k]:
+                            m[k][j] += x * t[k]
+        return m
 
     # -- discriminant-scale data ----------------------------------------------
 
@@ -353,23 +305,18 @@ class NumberField:
         if self._factor_gen_cache is not None:
             return self._factor_gen_cache
         n = self.degree
+        # disc(minpoly(cand)) = det(P)^2 disc(K) for P the basis coordinates
+        # of 1, cand, ..., cand^(n-1), so Z[cand] is the whole order iff
+        # |det P| = 1.
         for coords in chain.from_iterable(la.shell(n, h) for h in (1, 2, 3)):
             cand = self.elt(coords)
-            mp = cand.minimal_poly()
-            if len(mp) != n + 1:
-                continue
-            if any(Fraction(c).denominator != 1 for c in mp):
-                continue
-            mp_int = tuple(int(c) for c in mp)
-            d = int(sympy.discriminant(_sympy_poly(mp_int).as_expr()))
-            if d == self.disc:
-                # Coordinates of x in Z[cand]: change of basis matrix.
-                pows = [self.one]
-                for _ in range(n - 1):
-                    pows.append(pows[-1] * cand)
-                P = [[p.coords[j] for j in range(n)] for p in pows]
-                Pinv = la.frac_inv(P)
-                self._factor_gen_cache = ("aux", mp_int, (cand, Pinv))
+            pows = [self.one]
+            for _ in range(n - 1):
+                pows.append(pows[-1] * cand)
+            P = [list(p.coords) for p in pows]
+            if abs(la.frac_det(P)) == 1:
+                mp_int = tuple(int(c) for c in cand.minimal_poly())
+                self._factor_gen_cache = ("aux", mp_int, (cand, la.frac_inv(P)))
                 return self._factor_gen_cache
         raise FieldError(
             "no monogenic generator found; cannot factor primes dividing the index"
@@ -580,17 +527,9 @@ class PrimeIdeal:
 def _ideal_lattice(field, q, alpha):
     """HNF column basis of the ideal (q, alpha)."""
     n = field.degree
-    gens = []
-    for j in range(n):
-        e = [0] * n
-        e[j] = q
-        gens.append(e)
-    for j in range(n):
-        bj = NFElement(field, tuple(field._basis_rows_coords(j)))
-        prod = alpha * bj
-        assert prod.is_integral()
-        gens.append([int(c) for c in prod.coords])
-    m = [[gens[k][i] for k in range(len(gens))] for i in range(n)]
+    prod = field._mult_matrix(alpha)
+    assert all(c.denominator == 1 for row in prod for c in row)
+    m = [[q * int(i == j) for j in range(n)] + [int(c) for c in prod[i]] for i in range(n)]
     return la.hnf_column(m)
 
 

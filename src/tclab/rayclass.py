@@ -139,8 +139,7 @@ def kernel_presentation(big: RayClassData, small: RayClassData):
     W = [big.coords([int(j == i) for j in range(big.n_gens)]) for i in extra]
     lattice = [[W[j][i] for j in range(t)] + [orders[i] if c == i else 0 for c in range(r)]
                for i in range(r)]
-    # With no orders the big group is trivial and every e in Z^t is a relation.
-    rel_rows = [vec[:t] for vec in la.integer_kernel(lattice)] if r else la.identity(t)
+    rel_rows = [vec[:t] for vec in la.integer_kernel(lattice, t + r)]
     return extra, lattice, la.present(rel_rows, t)
 
 

@@ -111,8 +111,7 @@ def v_empty_generators(field: NumberField, p: int):
     return gens, labels, (ub, cls)
 
 
-def selmer_basis(field: NumberField, S: list[PrimeIdeal], p: int,
-                 aux_bound: int = 10**4) -> SelmerBasis:
+def selmer_basis(field: NumberField, S: list[PrimeIdeal], p: int) -> SelmerBasis:
     for P in S:
         if P.q == p:
             raise FieldError(f"{P.label} is wild at {p}")
@@ -127,23 +126,20 @@ def selmer_basis(field: NumberField, S: list[PrimeIdeal], p: int,
         rows.append([power_residue_class(g, P, p) for P in cond_primes])
     local = la.FpMatrix.from_rows(rows, p, cols=len(cond_primes))
     # Left kernel: exponent vectors e with e . local = 0.
-    tr = la.FpMatrix.from_rows(
-        [[rows[i][j] for i in range(len(gens))] for j in range(len(cond_primes))],
-        p, cols=len(gens))
-    kernel = la.fp_kernel(tr)
+    kernel = la.fp_kernel(la.FpMatrix.from_rows(la.transpose(rows), p, cols=len(gens)))
     sel_gens = []
     for vec in kernel:
         x = field.one
         for g, e in zip(gens, vec):
             x = x * g**e
         sel_gens.append(x)
-    certified, aux = _certify_independence(field, gens, S, p, aux_bound)
+    certified, aux = _certify_independence(field, gens, S, p)
     certified = certified and cls.certified and ub.regulator_nonzero_witness
     return SelmerBasis(field, list(S), p, sel_gens, local, gens, labels,
                        kernel, certified, aux)
 
 
-def _certify_independence(field, gens, S, p, aux_bound):
+def _certify_independence(field, gens, S, p):
     """Auxiliary tame primes whose power-residue matrix on the given
     generators has full rank certify independence mod K^{xp}."""
     if not gens:
@@ -153,7 +149,7 @@ def _certify_independence(field, gens, S, p, aux_bound):
     aux = []
     rank = 0
     q = 2
-    while q < aux_bound:
+    while q < 10**4:
         q = next_prime(q)
         if q == p:
             continue
@@ -165,10 +161,7 @@ def _certify_independence(field, gens, S, p, aux_bound):
             except FieldError:
                 continue
             trial = cols + [col]
-            m = la.FpMatrix.from_rows(
-                [[trial[j][i] for j in range(len(trial))] for i in range(len(gens))],
-                p, cols=len(trial))
-            r = la.fp_rank(m)
+            r = la.fp_rank(la.FpMatrix.from_rows(la.transpose(trial), p, cols=len(trial)))
             if r > rank:
                 cols.append(col)
                 aux.append(P)

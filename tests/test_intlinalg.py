@@ -1,5 +1,6 @@
 import random
-from itertools import chain, product
+from fractions import Fraction
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -68,9 +69,11 @@ def test_integer_kernel():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 5)
         m = random_matrix(rng, rows, cols, 10)
-        for v in la.integer_kernel(m):
+        for v in la.integer_kernel(m, cols):
             assert any(v)
             assert la.mat_vec(m, v) == [0] * rows
+    # No rows: the kernel is all of Z^t.
+    assert la.integer_kernel([], 3) == la.identity(3)
 
 
 def test_solve_integer():
@@ -106,6 +109,56 @@ def test_fp_solve():
     x = la.fp_solve(m, [1, 0])
     assert x is not None
     assert [(r[0] * x[0] + r[1] * x[1]) % 5 for r in m.entries] == [1, 0]
+
+
+def _rank_by_minors(m, cols):
+    return max((k for k in range(1, min(len(m), cols) + 1)
+                for rs in combinations(m, k) for cs in combinations(range(cols), k)
+                if la.frac_det([[row[c] for c in cs] for row in rs])), default=0)
+
+
+def test_q_and_fp_inverse_random():
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        m = random_matrix(rng, n, n, 9)
+        assert la.frac_det(m) == la.det(m)
+        q = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in m]
+        if rng.random() < 0.3 and n > 1:
+            q[-1] = [a + b for a, b in zip(q[0], q[-2])]
+        d = la.frac_det(q)
+        if d == 0:
+            with pytest.raises(ZeroDivisionError):
+                la.frac_inv(q)
+            continue
+        inv = la.frac_inv(q)
+        assert la.mat_mul(inv, q) == la.identity(n)
+        assert la.frac_det(inv) * d == 1
+        b = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+        assert la.mat_vec(q, la.frac_solve(q, b)) == b
+    for _ in range(60):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        q = [[Fraction(x, rng.randint(1, 4)) for x in row]
+             for row in random_matrix(rng, rows, cols, 5)]
+        if rows > 2 and rng.random() < 0.5:
+            q[-1] = [a - 2 * b for a, b in zip(q[0], q[1])]
+        ker = la.frac_kernel(q, cols)
+        assert _rank_by_minors(q, cols) + len(ker) == cols
+        for v in ker:
+            assert la.mat_vec(q, v) == [0] * rows
+    assert la.frac_kernel([], 2) == [[1, 0], [0, 1]]
+    for p in (2, 3, 7):
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            m = la.FpMatrix.from_rows(random_matrix(rng, n, n, 20), p, n)
+            if la.fp_rank(m) < n:
+                with pytest.raises(ZeroDivisionError):
+                    la.fp_inverse(m)
+                continue
+            inv = la.fp_inverse(m)
+            for x, y in ((inv, m), (m, inv)):
+                prod = la.mat_mul(x.entries, y.entries)
+                assert [[e % p for e in row] for row in prod] == la.identity(n)
 
 
 # Recursive enumerators the package used before itertools; the order they

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 try:
@@ -7,7 +9,7 @@ except ImportError:  # pragma: no cover
     HAVE_HYP = False
 
 from tclab import polys
-from tclab.embeddings import RealEmbeddings, certified_log_rank
+from tclab.embeddings import RealEmbeddings, certified_log_rank, log_abs_interval
 from tclab.numberfield import NumberField
 
 from conftest import fresh_python, quadratic_field
@@ -68,6 +70,15 @@ def test_certified_log_rank_cubic():
     L = NumberField((-1, -2, 1, 1), label="zeta7plus")
     ub = unit_group(L)
     assert certified_log_rank(L, ub.fundamental_units, 2)
+
+
+def test_log_abs_interval_rounds_outward():
+    # |x| = 1 + 2^-60 rounds to 1.0 in double precision, but log|x| > 0
+    # must stay inside the enclosure.
+    a = Fraction(2**60 + 1, 2**60)
+    for iv in ((a, a), (-a, -a)):
+        enc = log_abs_interval(iv)
+        assert enc.a <= 0 < enc.b
 
 
 def test_certified_log_rank_without_classunit():
