@@ -121,25 +121,16 @@ def _element_of_order(field: NumberField, n: int) -> NFElement:
 
 
 def _real_quadratic_fundamental(field: NumberField) -> NFElement:
-    """Fundamental unit (x + y sqrt(D))/2, found as the solution of
-    x^2 - D y^2 = +-4 with minimal y <= 10^6, then minimal x."""
-    D = field.disc
-    omega = field.elt([0, 1])
-    t = int(omega.trace())
-    for y in range(1, 10**6 + 1):
-        for target in (-4, 4):
-            xx = D * y * y + target
-            if xx <= 0:
-                continue
-            x = math.isqrt(xx)
-            if x * x != xx:
-                continue
-            # sqrt(D) = 2*omega - t, so u = (x - y*t)/2 + y*omega.
-            assert (x - y * t) % 2 == 0
-            u = field.elt([(x - y * t) // 2, y])
-            assert abs(u.norm()) == 1
-            return u
-    raise UnitRankError(1, 0)
+    """Fundamental unit (x + y sqrt(D))/2 with x, y > 0: the first unit
+    other than +-1 on the reduction cycle of O (Cohen, GTM 138, Alg. 5.7.2)."""
+    u = next(g for g in _cycle_generators(field, la.identity(2))
+             if g not in (field.one, -field.one))
+    # u = a + b omega = (x + y sqrt(D))/2 with x = 2a + bt, y = b, where
+    # t = Tr(omega); +-u and its conjugate only flip the signs of x and y.
+    t = int(field.elt([0, 1]).trace())
+    a, b = u.coords
+    x, y = abs(2 * a + b * t), abs(b)
+    return field.elt([(x - y * t) / 2, y])
 
 
 def _unit_system_by_enumeration(field: NumberField, rank: int):
@@ -214,16 +205,8 @@ def pth_root(x: NFElement, p: int) -> NFElement | None:
         raise FieldError("p-th root of zero")
     if field.degree == 1:
         val = x.coords[0]
-
-        def _iroot(m: int):
-            r = round(m ** (1 / p)) if m else 0
-            for c in (r - 1, r, r + 1):
-                if c >= 0 and c**p == m:
-                    return c
-            return None
-
-        num = _iroot(abs(val.numerator))
-        den = _iroot(val.denominator)
+        num = _iroot(abs(val.numerator), p)
+        den = _iroot(val.denominator, p)
         if num is None or den is None:
             return None
         for s in (1, -1) if p % 2 else (1,):
@@ -239,6 +222,21 @@ def pth_root(x: NFElement, p: int) -> NFElement | None:
     raise NotImplementedError("p-th roots for mixed-signature fields")
 
 
+def _iroot(m: int, k: int) -> int | None:
+    """The integer k-th root of m >= 0 if m is a k-th power, else None."""
+    if m < 2:
+        return m
+    # Newton's iteration from above, starting at 2^ceil(bits/k) >= m^(1/k),
+    # decreases to floor(m^(1/k)).
+    r = 1 << -(-m.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r**k == m else None
+
+
 def _pth_root_totally_real(x: NFElement, p: int) -> NFElement | None:
     field = x.field
     emb = field.embeddings
@@ -247,19 +245,22 @@ def _pth_root_totally_real(x: NFElement, p: int) -> NFElement | None:
         return None
     den = x.denominator()
     n = field.degree
-    with mpmath.workdps(60):
-        ivs = emb.element_intervals(x, Fraction(1, 2**80))
+    # A p-th root moves by at most d^(1/p) when its argument moves by d,
+    # so enclosing each conjugate of x to within (2^8 den)^-p puts den
+    # times the root's coordinates within rounding distance.  The
+    # coefficients of x, below 2^bits, magnify the error of each theta_i.
+    bits = max(abs(c.numerator).bit_length() + c.denominator.bit_length()
+               for c in x.power_coords())
+    prec = max(80, bits + p * (den.bit_length() + 8))
+    with mpmath.workdps(max(60, prec // 3)):
+        ivs = emb.element_intervals(x, Fraction(1, 2**prec))
         mags = [mpmath.root(abs(_mid(iv)), p) for iv in ivs]
-        basis_vals = []
-        for iv in emb.intervals:
-            tv = _mid(iv)
-            row = []
-            for j in range(n):
-                pc = field.elt([int(j == t) for t in range(n)]).power_coords()
-                row.append(sum(mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) * tv**k
-                               for k, c in enumerate(pc)))
-            basis_vals.append(row)
-        A = mpmath.matrix(basis_vals)
+        # A[i][j] = sigma_i(basis element j), whose power coordinates are
+        # row j of the basis matrix.
+        A = mpmath.matrix([[sum(mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) * tv**k
+                                for k, c in enumerate(row))
+                            for row in field._basis_rows]
+                           for tv in map(_mid, emb.intervals)])
         # For odd p the root tracks the sign of x at each embedding; for
         # even p any sign pattern is possible, so try them all (up to a
         # global sign).  The final equality check is exact either way.
@@ -270,8 +271,7 @@ def _pth_root_totally_real(x: NFElement, p: int) -> NFElement | None:
         for pat in patterns:
             roots = [s * m for s, m in zip(pat, mags)]
             sol = mpmath.lu_solve(A, mpmath.matrix(roots))
-            cand_coords = [Fraction(round(float(sol[i]) * den), den) for i in range(n)]
-            cand = field.elt(cand_coords)
+            cand = field.elt([Fraction(int(mpmath.nint(sol[i] * den)), den) for i in range(n)])
             if cand**p == x:
                 return cand
     return None
@@ -283,23 +283,32 @@ def _mid(iv):
 
 
 def _pth_root_imag_quadratic(x: NFElement, p: int) -> NFElement | None:
+    """The root with the least omega-coordinate (then the greatest
+    1-coordinate) among the p-th roots of x, or None."""
     field = x.field
     den = x.denominator()
     y = x * (den**p)
-    nrm = y.norm()
-    m = round(float(nrm) ** (1 / p))
-    cand_norm = None
-    for c in (m - 1, m, m + 1):
-        if c >= 0 and Fraction(c) ** p == nrm:
-            cand_norm = c
-    if cand_norm is None:
+    if _iroot(int(y.norm()), p) is None:
         return None
-    for cand in _elements_of_norm_imag(field, cand_norm):
-        if cand**p == y:
-            return cand / den
-        if p % 2 == 0 and (-cand) ** p == y:
-            return cand / den
-    return None
+    # Under the complex embedding, a + b omega is a + b (t + i sqrt|D|)/2
+    # with t = Tr(omega).  Every root of y lies among the p complex roots
+    # of sigma(y); each is rounded to integral coordinates and checked
+    # exactly.  Working precision covers the size of sigma(y).
+    t = int(field.elt([0, 1]).trace())
+    a, b = (int(c) for c in y.coords)
+    with mpmath.workprec((abs(a) + abs(b)).bit_length() + field.disc.bit_length() + 64):
+        sq = mpmath.sqrt(-field.disc)
+        z0 = mpmath.root(mpmath.mpc(a + b * mpmath.mpf(t) / 2, b * sq / 2), p)
+        roots = []
+        for k in range(p):
+            z = z0 * mpmath.expjpi(mpmath.mpf(2 * k) / p)
+            v = int(mpmath.nint(2 * z.imag / sq))
+            cand = field.elt([int(mpmath.nint(z.real - mpmath.mpf(v * t) / 2)), v])
+            if cand**p == y:
+                roots.append(cand)
+    if not roots:
+        return None
+    return min(roots, key=lambda z: (z.coords[1], -z.coords[0])) / den
 
 
 def _elements_of_norm_imag(field: NumberField, n: int):
@@ -364,7 +373,7 @@ def principal_generator(field: NumberField, lat) -> NFElement | None:
     if field.degree == 2:
         if field.disc < 0:
             return _principal_imag(field, lat)
-        return _principal_real(field, lat)
+        return next(_cycle_generators(field, lat), None)
     return _principal_bounded(field, lat)
 
 
@@ -376,44 +385,28 @@ def _principal_imag(field: NumberField, lat) -> NFElement | None:
     return None
 
 
-def _principal_real(field: NumberField, lat) -> NFElement | None:
-    """Indefinite form reduction cycle with transform tracking: the ideal
-    is principal iff its form cycle contains a form with leading
-    coefficient +-1, and the tracked SL2(Z) transform recovers a
-    generator."""
-    a, b, c = ideal_form(field, lat)
-    D = b * b - 4 * a * c
-    assert D == field.disc
+def _cycle_generators(field: NumberField, lat):
+    """Generators of a real quadratic ideal lattice, read off its form's
+    reduction cycle.  The tracked SL2(Z) transform m carries the ideal
+    form f to f o m, so at each form with leading coefficient +-1 the
+    first column (s, t) of m gives s v1 + t v2 of norm +-N(I): a
+    generator.  The ideal is principal iff one turns up before a reduced
+    form repeats, which ends the walk."""
+    form = ideal_form(field, lat)
+    D = field.disc
+    assert form[1] ** 2 - 4 * form[0] * form[2] == D
     v1 = field.elt([Fraction(lat[i][0]) for i in range(2)])
     v2 = field.elt([Fraction(lat[i][1]) for i in range(2)])
-    nI = lattice_norm(lat)
-
-    def gen_from(s, t):
-        x = v1 * s + v2 * t
-        if abs(x.norm()) == nI:
-            return x
-        return None
-
-    if abs(a) == 1:
-        g = gen_from(1, 0)
-        if g is not None:
-            return g
-    # Transform columns track images of (1,0) and (0,1).
     m = [[1, 0], [0, 1]]
     seen = set()
-    form = (a, b, c)
-    for _ in range(8 * (math.isqrt(D) + 2) * 8):
-        form, m = _rho(form, m, D)
+    while True:
         if abs(form[0]) == 1:
-            g = gen_from(m[0][0], m[1][0])
-            if g is not None:
-                return g
-        key = form
+            yield v1 * m[0][0] + v2 * m[1][0]
         if _is_reduced(form, D):
-            if key in seen:
-                return None
-            seen.add(key)
-    raise RuntimeError("form cycle did not close")  # pragma: no cover
+            if form in seen:
+                return
+            seen.add(form)
+        form, m = _rho(form, m, D)
 
 
 def _is_reduced(form, D):
@@ -426,25 +419,13 @@ def _rho(form, m, D):
     a, b, c = form
     s = math.isqrt(D)
     ac = abs(c)
-    if ac > s:
-        lo = -ac
-    else:
-        lo = s - 2 * ac
+    lo = -ac if ac > s else s - 2 * ac
     # r = -b + 2*c*k with lo < r <= lo + 2|c|
-    r = -b % (2 * ac)
-    r += lo - (lo % (2 * ac))
-    while r <= lo:
-        r += 2 * ac
-    while r > lo + 2 * ac:
-        r -= 2 * ac
+    r = lo + 1 + (-b - lo - 1) % (2 * ac)
     k = (b + r) // (2 * c)
     new = (c, r, (r * r - D) // (4 * c))
     # rho corresponds to right-multiplication by [[0, -1], [1, k]].
-    nm = [
-        [m[0][1], -m[0][0] + k * m[0][1]],
-        [m[1][1], -m[1][0] + k * m[1][1]],
-    ]
-    return new, nm
+    return new, [[row[1], k * row[1] - row[0]] for row in m]
 
 
 def _principal_bounded(field: NumberField, lat) -> NFElement | None:

@@ -2,8 +2,9 @@
 
 Everything is computed into a JSON-serializable report first; the table
 renderer only reads the report, so table and JSON output can never
-disagree.  Exit codes: 0 success, 1 internal failure, 2 precondition
-refusal, 64 usage.
+disagree.  Exit codes: 0 success, 1 internal failure, 2 refusal (a
+precondition, an input out of scope, or a search budget exhausted), 64
+usage.  Refusals and failures write a JSON error with its kind to stderr.
 """
 
 from __future__ import annotations
@@ -516,6 +517,17 @@ def build_parser() -> _Parser:
     return ap
 
 
+def _error_kind(exc: Exception) -> tuple[str, int]:
+    """The JSON error kind and exit code of an exception from a command."""
+    if isinstance(exc, (FieldError, FieldFileError, ValueError)):
+        return "precondition", 2
+    if isinstance(exc, NotImplementedError):
+        return "out_of_scope", 2
+    if isinstance(exc, (classunit.UnitRankError, classunit.CertificationError)):
+        return "budget", 2
+    return "internal", 1
+
+
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -527,16 +539,18 @@ def run(argv=None) -> int:
         seed = int(os.environ["TCLAB_SEED"])
     try:
         report = args.fn(args, seed)
-    except (FieldError, FieldFileError, ValueError) as exc:
-        refusal = {"schema": SCHEMA, "command": args.command,
-                   "error": {"kind": "precondition", "reason": str(exc)}}
-        print(json.dumps(refusal, sort_keys=True), file=sys.stderr)
-        return 2
     except CommandFailure as exc:
         out = json.dumps(exc.report, sort_keys=True, indent=2, default=str)
         print(out if args.json else emit_table(exc.report))
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # every library failure leaves as a JSON error
+        kind, code = _error_kind(exc)
+        reason = str(exc) if code == 2 else f"{type(exc).__name__}: {exc}"
+        refusal = {"schema": SCHEMA, "command": args.command,
+                   "error": {"kind": kind, "reason": reason}}
+        print(json.dumps(refusal, sort_keys=True), file=sys.stderr)
+        return code
     if args.json:
         print(json.dumps(report, sort_keys=True, indent=2, default=str))
     else:

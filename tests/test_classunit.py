@@ -1,7 +1,11 @@
+import math
+
 import pytest
 
 from tclab import classunit as cu
-from tclab.numberfield import NumberField, Q
+from tclab import intlinalg as la
+from tclab.numberfield import NumberField, Q, lattice_mul, lattice_norm
+from tclab.selmer import is_exceptional
 
 from conftest import quadratic_field
 
@@ -48,12 +52,42 @@ def test_fundamental_unit_sqrt5():
     assert abs(u.trace()) == 1
 
 
-@pytest.mark.parametrize("n,norm_of_unit", [(2, -1), (3, 1), (7, 1), (10, -1)])
+# The least solutions of x^2 - D y^2 = +-4 for n >= 151 have y > 10^6.
+@pytest.mark.parametrize("n,norm_of_unit", [(2, -1), (3, 1), (7, 1), (10, -1), (151, 1),
+                                            (331, 1), (991, 1), (2089, -1), (3299, 1)])
 def test_real_quadratic_units(n, norm_of_unit):
     ub = cu.unit_group(quadratic_field(n))
     assert ub.rank == 1
     assert ub.fundamental_units[0].norm() == norm_of_unit
     assert ub.torsion_order == 2
+
+
+def _cf_fundamental_unit(d):
+    """Coordinates (a, b) of the fundamental unit a + b omega > 1 of Q(sqrt d)
+    in the basis 1, omega of quadratic_field(d), from the first convergent
+    h/k of the continued fraction of omega with N(h - k omega) = +-1."""
+    if d % 4 == 1:
+        m = (d - 1) // 4  # omega = (1 + sqrt d)/2, a root of x^2 - x - m
+        P, Q_, norm = 1, 2, lambda h, k: h * h - h * k - m * k * k
+    else:
+        P, Q_, norm = 0, 1, lambda h, k: h * h - d * k * k
+    h0, h, k0, k = 0, 1, 1, 0
+    while True:
+        a = (P + math.isqrt(d)) // Q_
+        h0, h, k0, k = h, a * h + h0, k, a * k + k0
+        if abs(norm(h, k)) == 1:
+            # h - k omega is small; its conjugate is the unit > 1.
+            return (h - k, k) if d % 4 == 1 else (h, k)
+        P = a * Q_ - P
+        Q_ = (d - P * P) // Q_
+
+
+def test_real_quadratic_units_match_continued_fraction():
+    for d in range(2, 1001):
+        if any(d % (q * q) == 0 for q in range(2, math.isqrt(d) + 1)):
+            continue
+        u = cu.unit_group(quadratic_field(d)).fundamental_units[0]
+        assert tuple(u.coords) == _cf_fundamental_unit(d), d
 
 
 def test_imaginary_quadratic_torsion():
@@ -76,6 +110,8 @@ def test_pth_root_rational():
     assert cu.pth_root(Q.elt([-27]), 3) == Q.elt([-3])
     assert cu.pth_root(Q.elt([4]), 2) == Q.elt([2]) or cu.pth_root(Q.elt([4]), 2) == Q.elt([-2])
     assert cu.pth_root(Q.elt([10]), 2) is None
+    assert cu.pth_root(Q.elt(3**201), 3) == Q.elt(3**67)
+    assert cu.pth_root(Q.elt(3**201 + 1), 3) is None
 
 
 def test_pth_root_quadratic():
@@ -89,6 +125,12 @@ def test_pth_root_quadratic():
     cube = u * u * u
     r3 = cu.pth_root(cube, 3)
     assert r3 is not None and r3 * r3 * r3 == cube
+    # Powers of a unit with ten-digit coordinates.
+    u = cu.unit_group(quadratic_field(151)).fundamental_units[0]
+    for p, e in ((2, 6), (3, 3), (5, 5)):
+        r = cu.pth_root(u**e, p)
+        assert r is not None and r**p == u**e
+    assert cu.pth_root(u**5, 2) is None
 
 
 def test_pth_root_imaginary():
@@ -100,6 +142,30 @@ def test_pth_root_imaginary():
     r2 = cu.pth_root(i * 2, 2)
     assert r2 is not None and r2 * r2 == i * 2
     assert cu.pth_root(K.elt([1, 1]), 2) is None
+    # Norms beyond float precision and float range.
+    for x in (K.elt([12345678901, 98765432101]), K.elt([3**300, 3**300])):
+        r = cu.pth_root(x * x, 2)
+        assert r is not None and r * r == x * x
+    assert cu.pth_root(K.elt([3**300, 3**300]) ** 2 * 3, 2) is None
+
+
+def test_iroot():
+    for k in (2, 3, 5):
+        assert cu._iroot(0, k) == 0 and cu._iroot(1, k) == 1
+        for r in (2, 3, 10, 12345, 10**50 + 7):
+            # r^k +- 1 lie strictly between consecutive k-th powers.
+            assert cu._iroot(r**k, k) == r
+            assert cu._iroot(r**k - 1, k) is None
+            assert cu._iroot(r**k + 1, k) is None
+
+
+def test_exceptional_with_large_unit():
+    # The fundamental unit of Q(sqrt 33331) has hundreds of digits, so the
+    # sign and root refinement must follow its size.
+    K = quadratic_field(33331)
+    assert len(str(cu.unit_group(K).fundamental_units[0].coords[1])) > 100
+    rep = is_exceptional(K, [])
+    assert rep.condition_b and abs((rep.witness_b**4 * -4).norm()) == 1
 
 
 def test_delta_p():
@@ -130,6 +196,21 @@ def test_principal_generator_real():
     assert data.group.order() == 3
     P3 = K.prime(3, 1)
     assert cu.principal_generator(K, P3.lattice()) is None
+    # Every generator found lies in its ideal and has |N| = N(I).
+    for n, h in ((79, 3), (229, 3), (10, 2)):
+        K = quadratic_field(n)
+        assert cu.class_group(K).group.order() == h
+        found = 0
+        for P in K.primes_of_norm_up_to(30):
+            lat = P.lattice()
+            for _ in range(h):
+                g = cu.principal_generator(K, lat)
+                if g is not None:
+                    found += 1
+                    assert la.solve_integer(lat, [int(c) for c in g.coords]) is not None
+                    assert abs(g.norm()) == lattice_norm(lat)
+                lat = lattice_mul(K, lat, P.lattice())
+        assert found >= 5
 
 
 def test_solve_relation_element():

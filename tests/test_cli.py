@@ -98,6 +98,32 @@ def test_bad_field_file_is_precondition(capsys, tmp_path):
     assert "monic" in rep["error"]["reason"]
 
 
+def test_out_of_scope_exit_code(capsys, tmp_path):
+    f = tmp_path / "cbrt2.field"
+    f.write_text("poly -2 0 0 1\n")
+    code, out, err = run_capture(capsys, ["units", "--field", str(f)])
+    assert code == 2 and out == ""
+    rep = json.loads(err.strip())
+    assert rep["error"]["kind"] == "out_of_scope"
+    assert "mixed-signature" in rep["error"]["reason"]
+
+
+@pytest.mark.parametrize("exc,kind,code", [
+    (cli.classunit.UnitRankError(1, 0), "budget", 2),
+    (cli.classunit.CertificationError("cap"), "budget", 2),
+    (cli.sm.CrosscheckError("routes differ"), "internal", 1),
+    (KeyError("x"), "internal", 1),
+])
+def test_library_errors_map_to_json(capsys, monkeypatch, exc, kind, code):
+    def fail(args, seed):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_field", fail)
+    rc, out, err = run_capture(capsys, ["field", "--field", "q.field"])
+    assert rc == code and out == ""
+    rep = json.loads(err.strip())
+    assert rep["command"] == "field" and rep["error"]["kind"] == kind
+
+
 def test_seed_echoed(capsys, monkeypatch):
     monkeypatch.setenv("TCLAB_SEED", "42")
     code, out, _ = run_capture(capsys, ["--json", "field", "--field", "q.field"])
