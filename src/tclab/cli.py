@@ -182,7 +182,7 @@ def cmd_field(args, seed):
         "degree": K.degree,
         "poly": [str(c) for c in K.min_poly],
         "discriminant": int(K.disc),
-        "signature": list(K.signature),
+        "signature": [str(r) for r in K.signature],
         "minkowski_bound": K.minkowski_bound(),
     }
     return _report("field", {"field": args.field}, res, t0, seed)
@@ -255,6 +255,8 @@ def cmd_rusb(args, seed):
     K = _load_field(args.field)
     S = parse_prime_set(K, args.S)
     rep = sm.crosscheck_rusb(K, S, args.p)
+    # Counts that come from the signature print as strings, as in `field`.
+    rep["h1_route_dim"], rep["r"] = str(rep["h1_route_dim"]), str(rep["r"])
     rep["provenance"] = {
         "selmer_dim": "explicit V_S generators and local kernel",
         "h1_route_dim": "ray class p-rank formula",

@@ -1,10 +1,10 @@
 """Real embeddings with certified rational intervals.
 
-Roots of the defining polynomial are isolated by Sturm sequences (via
-sympy, which returns rational isolating intervals) and refined by exact
-bisection.  Logs and determinants for unit-lattice certification go
-through mpmath interval arithmetic, whose endpoints are dyadic rationals,
-so every sign decision is rigorous.
+Roots of the defining polynomial are isolated by its Sturm sequence
+(`polys.real_root_intervals`, which returns rational isolating intervals)
+and refined by exact bisection.  Logs and determinants for unit-lattice
+certification go through mpmath interval arithmetic, whose endpoints are
+dyadic rationals, so every sign decision is rigorous.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import mpmath
-import sympy
 
-from .polys import poly_eval
+from .polys import poly_eval, real_root_intervals
 
 
 class RealEmbeddings:
@@ -23,17 +22,14 @@ class RealEmbeddings:
 
     def __init__(self, field):
         self.field = field
-        x = sympy.Symbol("x")
-        poly = sympy.Poly(list(reversed(field.min_poly)), x)
-        self.intervals: list[tuple[Fraction, Fraction]] = []
         if field.degree == 1:
             c = Fraction(-field.min_poly[0])
             self.intervals = [(c, c)]
             return
-        for (lo, hi), _ in poly.intervals():
-            lo, hi = Fraction(sympy.Rational(lo)), Fraction(sympy.Rational(hi))
-            self.intervals.append(self._refine((lo, hi), Fraction(1, 2**20)))
-        self.intervals.sort()
+        # An irreducible polynomial of degree >= 2 has no rational root, so
+        # no endpoint is a root and each interval brackets a sign change.
+        self.intervals = [self._refine(iv, Fraction(1, 2**20))
+                          for iv in real_root_intervals(field.min_poly)]
         assert len(self.intervals) == field.signature[0]
 
     def _sign_at(self, x: Fraction) -> int:

@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 
-import sympy
-
 from . import intlinalg as la
 from . import polys
 from .embeddings import RealEmbeddings
@@ -127,11 +125,10 @@ class NumberField:
         self.degree = len(coeffs) - 1
         if self.degree > 6:
             raise FieldError("fields of degree > 6 are out of scope")
-        sp = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"))
-        if self.degree > 1 and not sp.is_irreducible:
+        if not polys.is_irreducible(coeffs):
             raise FieldError(f"polynomial {list(coeffs)} is reducible over Q")
-        self.disc_poly = int(sympy.discriminant(sp.as_expr())) if self.degree > 1 else 1
-        r1 = sp.count_roots() if self.degree > 1 else 1
+        self.disc_poly = polys.discriminant(coeffs)
+        r1 = polys.count_real_roots(coeffs)
         self.signature = (r1, (self.degree - r1) // 2)
         self.label = label or f"deg{self.degree}field"
 

@@ -1,13 +1,20 @@
 """Polynomial utilities: exact arithmetic over Z/Q and factorization mod q.
 
-Polynomials are coefficient tuples in ascending degree order.  A tiny
-residue-field type F_{q^f} = F_q[t]/(g) sits here too, since it is just
-polynomial arithmetic.
+Polynomials are coefficient tuples in ascending degree order.  Over Q
+there are discriminants (resultants as Sylvester determinants), Sturm
+sequences for counting and isolating real roots, and an irreducibility
+test from factorization patterns mod q (Cohen, GTM 138, 3.3 and 4.1).  A
+tiny residue-field type F_{q^f} = F_q[t]/(g) sits here too, since it is
+just polynomial arithmetic.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import product
+
+from .intlinalg import det
 
 Poly = tuple  # coefficients, ascending degree
 
@@ -67,6 +74,158 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Discriminants, real roots and irreducibility over Q
+
+
+def poly_deriv(f: Poly) -> Poly:
+    return poly_trim([i * c for i, c in enumerate(f)][1:])
+
+
+def resultant(f: Poly, g: Poly) -> int:
+    """Res(f, g) of integer polynomials: the determinant of their
+    Sylvester matrix."""
+    n, m = poly_deg(f), poly_deg(g)
+    rows = [[0] * i + list(reversed(f)) + [0] * (m - 1 - i) for i in range(m)]
+    rows += [[0] * i + list(reversed(g)) + [0] * (n - 1 - i) for i in range(n)]
+    return det(rows)
+
+
+def discriminant(f: Poly) -> int:
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') for monic f in Z[x] of degree n."""
+    n = poly_deg(f)
+    return (-1) ** (n * (n - 1) // 2) * resultant(f, poly_deriv(f))
+
+
+def _rem(f: Poly, g: Poly) -> Poly:
+    """Remainder of f by g over Q."""
+    r = [Fraction(c) for c in f]
+    while len(r) >= len(g):
+        c = r[-1] / g[-1]
+        shift = len(r) - len(g)
+        for i, gc in enumerate(g):
+            r[shift + i] -= c * gc
+        r = list(poly_trim(r[:-1]))
+    return tuple(r)
+
+
+def _primitive(f: Poly) -> Poly:
+    """The positive rational multiple of f with coprime integer
+    coefficients; a positive factor leaves every sign alone."""
+    den = math.lcm(*(Fraction(c).denominator for c in f))
+    g = tuple(int(c * den) for c in f)
+    content = math.gcd(*g)
+    return tuple(c // content for c in g)
+
+
+def sturm_sequence(f: Poly) -> list[Poly]:
+    """f, f', then negated remainders down to gcd(f, f'), each scaled to
+    a primitive integer polynomial by a positive factor."""
+    seq = [tuple(f), poly_deriv(f)]
+    while True:
+        r = _rem(seq[-2], seq[-1])
+        if not r:
+            return seq
+        seq.append(_primitive(poly_neg(r)))
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _variations(signs) -> int:
+    signs = [s for s in signs if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _variations_at(seq, x) -> int:
+    return _variations(_sign(poly_eval(p, x)) for p in seq)
+
+
+def count_real_roots(f: Poly) -> int:
+    """Number of distinct real roots of f: the sign variations of its
+    Sturm sequence at -infinity minus those at +infinity."""
+    seq = sturm_sequence(f)
+    at_minus = _variations(_sign(p[-1]) * (-1) ** poly_deg(p) for p in seq)
+    return at_minus - _variations(_sign(p[-1]) for p in seq)
+
+
+def real_root_intervals(f: Poly, width=None) -> list[tuple[Fraction, Fraction]]:
+    """Rational intervals (lo, hi], ascending, each holding exactly one
+    real root of the squarefree polynomial f, and narrower than width
+    when it is given.
+
+    All roots lie in (-B, B] for the Cauchy bound B = 1 + max |a_i / a_n|;
+    that interval is bisected, and the Sturm count V(lo) - V(hi) gives
+    the number of roots in each half-open piece, also when an endpoint is
+    itself a root.
+    """
+    seq = sturm_sequence(f)
+    bound = 1 + max(abs(Fraction(c, f[-1])) for c in f[:-1])
+    lo, hi = -bound, bound
+    stack = [(lo, hi, _variations_at(seq, lo), _variations_at(seq, hi))]
+    out = []
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        if vlo - vhi == 1 and (width is None or hi - lo < width):
+            out.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        vmid = _variations_at(seq, mid)
+        stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+    return sorted(out)
+
+
+# Primes q not dividing disc(f) whose factorization patterns is_irreducible
+# reads before it gives up and asks sympy.
+_PATTERN_PRIMES = 30
+
+
+def is_irreducible(f: Poly) -> bool:
+    """Whether the monic integer polynomial f of degree <= 6 is
+    irreducible over Q.
+
+    Degree <= 3: f is reducible exactly when it has a rational root, and
+    a rational root of a monic integer polynomial is an integer.  Degree
+    4-6: a factor of degree d over Q reduces to a product of irreducible
+    factors mod q, so d is a sum of some of the factor degrees of f mod q
+    for every prime q not dividing disc(f).  When no d in 1..n-1 is such
+    a sum for all the primes read, f is irreducible.  Some polynomials
+    (x^4 + 1, x^4 - 10x^2 + 1, and every reducible one) leave a d at every
+    q; only these reach sympy, imported here so that nothing else pays
+    for it.
+    """
+    n = poly_deg(f)
+    if n <= 1:
+        return n == 1
+    disc = discriminant(f)
+    if disc == 0:
+        return False  # f has a repeated factor
+    if n <= 3:
+        # Each interval is narrower than 1, so floor(hi) is the only
+        # integer it can hold.
+        return all(hi // 1 <= lo or poly_eval(f, hi // 1)
+                   for lo, hi in real_root_intervals(f, width=1))
+    possible = set(range(1, n))
+    q, tried = 1, 0
+    while tried < _PATTERN_PRIMES:
+        q += 1
+        if prime_factors(q) != [q] or disc % q == 0:
+            continue
+        tried += 1
+        sums = {0}
+        for g, _ in gfp_factor(f, q):
+            sums |= {s + poly_deg(g) for s in sums}
+        possible &= sums
+        if not possible:
+            return True
+    import sympy
+
+    return sympy.Poly(list(reversed(f)), sympy.Symbol("x")).is_irreducible
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,18 @@ def test_bad_field_file_is_precondition(capsys, tmp_path):
     assert "monic" in rep["error"]["reason"]
 
 
+@pytest.mark.parametrize("poly", ["-4 0 1", "-1 0 0 1", "4 0 0 0 1",
+                                  "2 0 3 0 1", "1 0 0 0 0 0 1"])
+def test_reducible_field_file_is_precondition(capsys, tmp_path, poly):
+    f = tmp_path / "reducible.field"
+    f.write_text(f"poly {poly}\n")
+    code, out, err = run_capture(capsys, ["--json", "field", "--field", str(f)])
+    assert code == 2 and out == ""
+    rep = json.loads(err.strip())
+    assert rep["error"]["kind"] == "precondition"
+    assert "reducible" in rep["error"]["reason"]
+
+
 def test_out_of_scope_exit_code(capsys, tmp_path):
     f = tmp_path / "cbrt2.field"
     f.write_text("poly -2 0 0 1\n")
@@ -151,6 +163,20 @@ def test_module_entry_point():
     proc = fresh_python("-m", "tclab.cli", "--json", "reproduce", "example1")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["match"]
+
+
+def test_reproduce_leaves_sympy_unloaded():
+    # sympy costs more start-up time than both examples' arithmetic; only
+    # the rare irreducibility fallback in polys may import it.
+    code = ("import contextlib, io, sys\n"
+            "from tclab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.run(['--json', 'reproduce', ex])\n"
+            "             for ex in ('example1', 'example2')]\n"
+            "print(codes, 'sympy' in sys.modules)\n")
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0] False\n"
 
 
 def test_sandwich_twisted_config(capsys):

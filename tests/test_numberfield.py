@@ -102,6 +102,7 @@ def test_cubic_field():
     L = NumberField((-1, -2, 1, 1), label="zeta7plus")
     assert L.degree == 3
     assert L.signature == (3, 0)
+    assert all(type(r) is int for r in L.signature)
     assert L.disc == 49
     assert len(L.factor_prime(13)) == 3
     assert len(L.factor_prime(3)) == 1
@@ -115,3 +116,15 @@ def test_quadratic_corpus_consistent():
         for i, c in enumerate(K.min_poly):
             acc = acc + (t ** i) * c
         assert acc.is_zero()
+
+
+@pytest.mark.parametrize("f", [
+    (-4, 0, 1),           # (x - 2)(x + 2)
+    (-1, 0, 0, 1),        # (x - 1)(x^2 + x + 1)
+    (4, 0, 0, 0, 1),      # (x^2 - 2x + 2)(x^2 + 2x + 2)
+    (2, 0, 3, 0, 1),      # (x^2 + 1)(x^2 + 2)
+    (1, 0, 0, 0, 0, 0, 1),  # (x^2 + 1)(x^4 - x^2 + 1)
+])
+def test_reducible_polynomial_is_refused(f):
+    with pytest.raises(FieldError, match="reducible"):
+        NumberField(f)

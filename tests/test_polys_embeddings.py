@@ -1,6 +1,9 @@
+import random
+import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -42,6 +45,97 @@ def test_residue_field_dlog():
     g = F.subgroup_generator(10)
     for k in (0, 1, 5, 7):
         assert F.dlog(F.pow(g, k), g, 10) == k
+
+
+# Monic integer polynomials of degree 2-6 with |a_i| <= 20; sympy is the
+# oracle for the exact routines in polys that replace it at run time.
+def _sample(count=150):
+    rng = random.Random(20261018)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        out.append(tuple(rng.randint(-20, 20) for _ in range(n)) + (1,))
+    return out
+
+
+SAMPLE = _sample()
+X = sympy.Symbol("x")
+
+
+def sympy_poly(f):
+    return sympy.Poly(list(reversed(f)), X)
+
+
+def test_discriminant_matches_sympy():
+    for f in SAMPLE:
+        assert polys.discriminant(f) == sympy.discriminant(sympy_poly(f).as_expr(), X), f
+
+
+def test_count_real_roots_matches_sympy():
+    for f in SAMPLE:
+        assert polys.count_real_roots(f) == sympy_poly(f).count_roots(), f
+
+
+def test_is_irreducible_matches_sympy():
+    for f in SAMPLE:
+        assert polys.is_irreducible(f) == sympy_poly(f).is_irreducible, f
+
+
+def _sturm_count(seq, lo, hi):
+    def variations(x):
+        signs = [v for v in (polys.poly_eval(p, x) for p in seq) if v]
+        return sum(a * b < 0 for a, b in zip(signs, signs[1:]))
+    return variations(lo) - variations(hi)
+
+
+def test_real_root_intervals_isolate():
+    for f in SAMPLE:
+        if not polys.is_irreducible(f):
+            continue
+        seq = polys.sturm_sequence(f)
+        ivs = polys.real_root_intervals(f)
+        assert len(ivs) == polys.count_real_roots(f), f
+        for lo, hi in ivs:
+            assert polys.poly_eval(f, lo) * polys.poly_eval(f, hi) < 0, f
+            assert _sturm_count(seq, lo, hi) == 1, f
+        assert all(a[1] <= b[0] for a, b in zip(ivs, ivs[1:])), f
+
+
+@pytest.mark.parametrize("f,expected", [
+    ((1, 0, 0, 0, 1), True),           # x^4 + 1
+    ((1, 0, -10, 0, 1), True),         # x^4 - 10x^2 + 1
+    ((4, 0, 0, 0, 1), False),          # x^4 + 4
+    ((1, 0, 0, 0, 0, 0, 1), False),    # x^6 + 1
+])
+def test_is_irreducible_fallback(monkeypatch, f, expected):
+    assert polys.is_irreducible(f) == expected
+    # Every pattern mod q leaves a factor degree open, so the answer must
+    # come from sympy.
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    with pytest.raises(ImportError):
+        polys.is_irreducible(f)
+
+
+@pytest.mark.parametrize("f", [
+    (1, -2, 1),                 # (x - 1)^2
+    (1, -1, -1, 1),             # (x - 1)^2 (x + 1)
+    (1, 0, 2, 0, 1),            # (x^2 + 1)^2
+    (1, 0, 3, 0, 3, 0, 1),      # (x^2 + 1)^3
+])
+def test_is_irreducible_repeated_factor(f):
+    assert polys.discriminant(f) == 0
+    assert not polys.is_irreducible(f)
+
+
+@pytest.mark.parametrize("f,expected", [
+    ((-(10**40), 0, 1), False),                   # x^2 - 10^40
+    ((-(10**40) - 1, 0, 1), True),
+    ((-(10**20), 1, -(10**20), 1), False),        # (x - 10^20)(x^2 + 1)
+    ((-(10**20) - 1, 1, -(10**20), 1), True),
+])
+def test_is_irreducible_large_constant(f, expected):
+    # The integer-root test must not enumerate divisors of a_0.
+    assert polys.is_irreducible(f) == expected
 
 
 if HAVE_HYP:
