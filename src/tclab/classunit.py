@@ -74,6 +74,12 @@ def unit_group(field: NumberField, saturate_at: tuple[int, ...] = (2, 3, 5)) -> 
     if cached is not None and set(saturate_at) <= set(cached.saturated_at):
         return cached
     r1, r2 = field.signature
+    if r2 and field.degree >= 3:
+        # Neither the torsion nor the p-th roots that saturation needs are
+        # computed at complex places beyond imaginary quadratic fields.
+        raise NotImplementedError(
+            f"unit groups of degree-{field.degree} fields with complex places "
+            f"(mixed-signature or totally complex) are out of scope")
     rank = r1 + r2 - 1
     w, tgen = _torsion(field)
     if rank == 0:
@@ -98,14 +104,12 @@ def _torsion(field: NumberField) -> tuple[int, NFElement]:
     minus_one = field.elt(-1)
     if field.signature[0] > 0:
         return 2, minus_one
-    # Imaginary quadratic: cyclotomic torsion only for disc -3, -4.
-    if field.degree == 2:
-        if field.disc == -4:
-            i = _element_of_order(field, 4)
-            return 4, i
-        if field.disc == -3:
-            z = _element_of_order(field, 6)
-            return 6, z
+    # Imaginary quadratic (unit_group refuses the other fields with complex
+    # places): cyclotomic torsion only for disc -3, -4.
+    if field.disc == -4:
+        return 4, _element_of_order(field, 4)
+    if field.disc == -3:
+        return 6, _element_of_order(field, 6)
     return 2, minus_one
 
 
@@ -203,17 +207,6 @@ def pth_root(x: NFElement, p: int) -> NFElement | None:
     field = x.field
     if x.is_zero():
         raise FieldError("p-th root of zero")
-    if field.degree == 1:
-        val = x.coords[0]
-        num = _iroot(abs(val.numerator), p)
-        den = _iroot(val.denominator, p)
-        if num is None or den is None:
-            return None
-        for s in (1, -1) if p % 2 else (1,):
-            cand = Fraction(s * num, den)
-            if cand**p == val:
-                return field.elt(cand)
-        return None
     r1, r2 = field.signature
     if r2 == 0:
         return _pth_root_totally_real(x, p)

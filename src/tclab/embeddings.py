@@ -22,12 +22,8 @@ class RealEmbeddings:
 
     def __init__(self, field):
         self.field = field
-        if field.degree == 1:
-            c = Fraction(-field.min_poly[0])
-            self.intervals = [(c, c)]
-            return
-        # An irreducible polynomial of degree >= 2 has no rational root, so
-        # no endpoint is a root and each interval brackets a sign change.
+        # _refine collapses an interval onto a rational root (the root of a
+        # degree-1 polynomial) when an endpoint or a midpoint hits it.
         self.intervals = [self._refine(iv, Fraction(1, 2**20))
                           for iv in real_root_intervals(field.min_poly)]
         assert len(self.intervals) == field.signature[0]

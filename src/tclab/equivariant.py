@@ -48,8 +48,6 @@ class Automorphism:
         return Automorphism(self.field, self(other.image))
 
     def prime_image(self, P: PrimeIdeal) -> PrimeIdeal:
-        if self.field.degree == 1:
-            return P
         g = self.second_gen_image(P)
         cands = [Q for Q in self.field.factor_prime(P.q) if not Q.is_unit_at(g)]
         if len(cands) != 1:  # pragma: no cover
@@ -98,7 +96,7 @@ class GaloisLayer:
         out = []
         for q in prime_factors(abs(self.L_field.disc)):
             eL = max(P.e for P in self.L_field.factor_prime(q))
-            eK = max(P.e for P in self.K_field.factor_prime(q)) if self.K_field.degree > 1 else 1
+            eK = max(P.e for P in self.K_field.factor_prime(q))
             if eL > eK:
                 out.append(q)
         return out
@@ -128,7 +126,7 @@ def make_layer(K_field: NumberField, L_field: NumberField, embedding,
         frontier = nxt
         if len(elements) > 24:  # pragma: no cover
             raise FieldError("automorphism set does not close at desk scale")
-    n = L_field.degree // max(K_field.degree, 1)
+    n = L_field.degree // K_field.degree
     if len(elements) != n:
         raise FieldError(f"expected a group of order {n}, closed at {len(elements)}")
     return GaloisLayer(K_field, L_field, emb, gens, elements)

@@ -69,7 +69,7 @@ class NFElement:
 
     def inverse(self) -> "NFElement":
         m = self.field._mult_matrix(self)
-        sol = la.frac_solve(m, self.field._one_coords)
+        sol = la.frac_solve(m, list(self.field.one.coords))
         return NFElement(self.field, tuple(sol))
 
     def __truediv__(self, other):
@@ -132,20 +132,14 @@ class NumberField:
         self.signature = (r1, (self.degree - r1) // 2)
         self.label = label or f"deg{self.degree}field"
 
+        rows = la.identity(self.degree) if integral_basis is None else integral_basis
+        self._set_basis([[Fraction(c) for c in row] for row in rows])
         if integral_basis is None:
-            self._set_power_basis()
             self._check_maximality()
-            self.disc = self.disc_poly
-            self.index = 1
-        else:
-            self._set_basis([[Fraction(c) for c in row] for row in integral_basis])
-        self._one_coords = self._power_to_basis([Fraction(1)] + [Fraction(0)] * (self.degree - 1))
-        if self._one_coords != [Fraction(1)] + [Fraction(0)] * (self.degree - 1):
-            raise FieldError("integral basis must start with 1")
-        self.one = NFElement(self, tuple(self._one_coords))
-        self.zero = NFElement(self, tuple(Fraction(0) for _ in range(self.degree)))
+        # The basis starts with 1, so 1 has coordinates e_0.
+        self.one = self.elt(1)
+        self.zero = self.elt(0)
         self._mult_table = self._build_mult_table()
-        self._factor_gen_cache = None
         self._prime_cache: dict[int, tuple] = {}
         # Filled by classunit.unit_group and classunit.class_group.
         self._unit_cache = None
@@ -156,11 +150,6 @@ class NumberField:
         return RealEmbeddings(self)
 
     # -- construction helpers ------------------------------------------------
-
-    def _set_power_basis(self):
-        n = self.degree
-        self._basis_rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        self._basis_inv = [row[:] for row in self._basis_rows]
 
     def _set_basis(self, rows):
         n = self.degree
@@ -179,6 +168,8 @@ class NumberField:
         if self.disc_poly % (self.index**2) != 0:
             raise FieldError("integral basis discriminant does not divide disc(f)")
         self.disc = self.disc_poly // (self.index**2)
+        if rows[0] != [1] + [0] * (n - 1):
+            raise FieldError("integral basis must start with 1")
         # Closure under multiplication is checked in _build_mult_table.
 
     def _check_maximality(self):
@@ -234,8 +225,7 @@ class NumberField:
                 raise FieldError("element belongs to a different field")
             return value
         if isinstance(value, (int, Fraction)):
-            coords = [Fraction(value) * c for c in self._one_coords]
-            return NFElement(self, tuple(coords))
+            return NFElement(self, (Fraction(value),) + (Fraction(0),) * (self.degree - 1))
         coords = tuple(Fraction(c) for c in value)
         if len(coords) != self.degree:
             raise FieldError("wrong coordinate length")
@@ -294,13 +284,12 @@ class NumberField:
 
     # -- prime factorization ---------------------------------------------------
 
+    @cached_property
     def _factor_generator(self):
-        """An element gen with Z[gen] equal to the full order, used to
-        factor primes dividing the index.  None if the search fails."""
-        if self.index == 1:
-            return ("theta", self.min_poly, None)
-        if self._factor_gen_cache is not None:
-            return self._factor_gen_cache
+        """(gen, minimal polynomial of gen, matrix from basis coordinates to
+        gen-power coordinates) for an element gen with Z[gen] equal to the
+        full order, used to factor primes dividing the index.  Raises
+        FieldError if the search fails."""
         n = self.degree
         # disc(minpoly(cand)) = det(P)^2 disc(K) for P the basis coordinates
         # of 1, cand, ..., cand^(n-1), so Z[cand] is the whole order iff
@@ -313,8 +302,7 @@ class NumberField:
             P = [list(p.coords) for p in pows]
             if abs(la.frac_det(P)) == 1:
                 mp_int = tuple(int(c) for c in cand.minimal_poly())
-                self._factor_gen_cache = ("aux", mp_int, (cand, la.frac_inv(P)))
-                return self._factor_gen_cache
+                return cand, mp_int, la.frac_inv(P)
         raise FieldError(
             "no monogenic generator found; cannot factor primes dividing the index"
         )
@@ -322,19 +310,13 @@ class NumberField:
     def factor_prime(self, q: int) -> list["PrimeIdeal"]:
         if q in self._prime_cache:
             return list(self._prime_cache[q])
-        if self.degree == 1:
-            prime = PrimeIdeal(self, q, 1, 1, (0, 1), "theta", 1)
-            self._prime_cache[q] = (prime,)
-            return [prime]
         if self.index % q != 0:
-            kind, genpoly, _ = "theta", self.min_poly, None
+            gen, genpoly, to_gen = self.theta, self.min_poly, self._basis_rows
         else:
-            kind, genpoly, _ = self._factor_generator()
-        fmodq = gfp_trim(genpoly, q)
-        factors = gfp_factor(fmodq, q)
-        primes = []
-        for idx, (g, e) in enumerate(factors, start=1):
-            primes.append(PrimeIdeal(self, q, e, polys.poly_deg(g), g, kind, idx))
+            gen, genpoly, to_gen = self._factor_generator
+        factors = gfp_factor(gfp_trim(genpoly, q), q)
+        primes = [PrimeIdeal(self, q, e, polys.poly_deg(g), g, idx, gen, to_gen)
+                  for idx, (g, e) in enumerate(factors, start=1)]
         assert sum(P.e * P.f_deg for P in primes) == self.degree
         self._prime_cache[q] = tuple(primes)
         return primes
@@ -434,17 +416,19 @@ def is_prime(n: int) -> bool:
 
 class PrimeIdeal:
     """A prime of the field above the rational prime q, represented by the
-    pair (q, g(gen)) where g is a monic irreducible factor of gen's
-    minimal polynomial mod q."""
+    pair (q, g(gen)) where gen generates the order locally at q (theta
+    when q does not divide the index) and g is a monic irreducible factor
+    of gen's minimal polynomial mod q."""
 
-    def __init__(self, field, q, e, f_deg, gpoly, gen_kind, index):
+    def __init__(self, field, q, e, f_deg, gpoly, index, gen, to_gen):
         self.field = field
         self.q = q
         self.e = e
         self.f_deg = f_deg
         self.gpoly = gpoly  # over F_q, ascending coefficients
-        self.gen_kind = gen_kind  # "theta" or "aux"
         self.index = index  # 1-based position in the deterministic ordering
+        self.gen = gen
+        self.to_gen = to_gen  # basis coordinates -> gen-power coordinates
         self.norm = q**f_deg
         self.residue_field = ResidueField(q, gpoly)
         self._lattice = None
@@ -455,39 +439,26 @@ class PrimeIdeal:
 
     def second_generator(self) -> NFElement:
         """The element g(gen) of the two-element representation (q, g(gen))."""
-        if self.field.degree == 1:
-            return self.field.elt(self.q)
         return self.lift(self.gpoly)
 
     def lift(self, coeffs) -> NFElement:
-        """The element sum_i coeffs[i] gen^i, gen the generator whose
-        minimal polynomial factors q; lifts a residue coefficient tuple."""
-        K = self.field
-        gen = K.theta if self.gen_kind == "theta" else K._factor_generator()[2][0]
-        return K.elt(polys.poly_eval(tuple(coeffs), gen))
-
-    def _gen_coords(self, x: NFElement):
-        """Coordinates of x in the power basis of the factoring generator."""
-        K = self.field
-        if self.gen_kind == "theta":
-            return x.power_coords()
-        _, _, (cand, Pinv) = K._factor_generator()
-        n = K.degree
-        return tuple(
-            sum(x.coords[i] * Pinv[i][j] for i in range(n)) for j in range(n)
-        )
+        """The element sum_i coeffs[i] gen^i; lifts a residue coefficient
+        tuple."""
+        return self.field.elt(polys.poly_eval(tuple(coeffs), self.gen))
 
     def residue(self, x: NFElement):
         """Image of x in the residue field; requires x integral at q
-        (coordinate denominators coprime to q)."""
-        rf = self.residue_field
-        coords = self._gen_coords(self.field.elt(x))
+        (gen-power coordinate denominators coprime to q)."""
+        x = self.field.elt(x)
+        T = self.to_gen
+        n = self.field.degree
         lifted = []
-        for c in coords:
+        for j in range(n):
+            c = sum(x.coords[i] * T[i][j] for i in range(n))
             if c.denominator % self.q == 0:
                 raise FieldError(f"element is not integral at {self.label}")
             lifted.append(c.numerator * pow(c.denominator, -1, self.q) % self.q)
-        return rf.elt(lifted)
+        return self.residue_field.elt(lifted)
 
     def is_unit_at(self, x: NFElement) -> bool:
         x = self.field.elt(x)

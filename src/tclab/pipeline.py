@@ -211,13 +211,9 @@ def frobenius_order(x: NFElement, P: PrimeIdeal, p: int) -> int:
     # x generates a subgroup of the small residue field.
     e = ((pow(N, k) - 1) // p) % (N - 1)
     rf = P.residue_field
-    x = P.field.elt(x)
-    den = x.denominator()
-    r = P.residue(x * den)
+    r = P.residue(x)
     if rf.is_zero(r):
         raise FieldError(f"{P.label} divides the Kummer generator")
-    if den > 1:
-        r = rf.mul(r, rf.inv(P.residue(P.field.elt(den))))
     val = rf.pow(r, e)
     return 1 if val == rf.one else p
 

@@ -25,22 +25,10 @@ def power_residue_class(x: NFElement, P: PrimeIdeal, p: int) -> int:
     if (P.norm - 1) % p != 0:
         raise FieldError(f"{P.label} has norm not 1 mod {p}")
     rf = P.residue_field
-    x = P.field.elt(x)
-    den = x.denominator()
-    num = x * den
-    z = rf.subgroup_generator(p)
-
-    def chi(y) -> int:
-        r = P.residue(y)
-        if rf.is_zero(r):
-            raise FieldError(f"element not coprime to {P.label}")
-        t = rf.pow(r, (P.norm - 1) // p)
-        return rf.dlog(t, z, p)
-
-    val = chi(num)
-    if den != 1:
-        val = (val - chi(P.field.elt(den))) % p
-    return val
+    r = P.residue(x)
+    if rf.is_zero(r):
+        raise FieldError(f"element not coprime to {P.label}")
+    return rf.dlog(rf.pow(r, (P.norm - 1) // p), rf.subgroup_generator(p), p)
 
 
 @dataclass
@@ -269,10 +257,7 @@ def is_exceptional(field: NumberField, S: list[PrimeIdeal]) -> ExceptionalityRep
 
 def _unit_minus_four_fourth(field: NumberField):
     """Does O_K^* meet -4 K^4?  Equivalent to -u/4 being a fourth power
-    for some unit u taken over a transversal of U/U^4.  Rational case is
-    settled by absolute values: |-4 a^4| = 4a^4 is never 1."""
-    if field.degree == 1:
-        return False, None
+    for some unit u taken over a transversal of U/U^4."""
     ub = unit_group(field)
     reps = [field.one]
     for u in ub.fundamental_units:

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -112,6 +114,29 @@ def test_pth_root_rational():
     assert cu.pth_root(Q.elt([10]), 2) is None
     assert cu.pth_root(Q.elt(3**201), 3) == Q.elt(3**67)
     assert cu.pth_root(Q.elt(3**201 + 1), 3) is None
+
+
+def test_pth_root_rational_matches_integer_roots():
+    # Q takes the general totally real path; the oracle is the exact integer
+    # root of numerator and denominator: the positive root for even p, the
+    # root of the same sign for odd p.
+    rng = random.Random(2027)
+    for p in (2, 3, 5, 7):
+        for _ in range(40):
+            if rng.random() < 0.5:
+                num = rng.randint(1, 10 ** rng.randint(1, 60 // p)) ** p
+                den = rng.randint(1, 10 ** rng.randint(1, 30 // p)) ** p
+            else:
+                num = rng.randint(1, 10 ** rng.randint(1, 60))
+                den = rng.randint(1, 10 ** rng.randint(1, 30))
+            x = Fraction(rng.choice((1, -1)) * num, den)
+            r_num = cu._iroot(abs(x.numerator), p)
+            r_den = cu._iroot(x.denominator, p)
+            if r_num is None or r_den is None or (x < 0 and p % 2 == 0):
+                expected = None
+            else:
+                expected = Q.elt(Fraction(r_num if x > 0 else -r_num, r_den))
+            assert cu.pth_root(Q.elt(x), p) == expected
 
 
 def test_pth_root_quadratic():

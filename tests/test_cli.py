@@ -1,4 +1,7 @@
 import json
+import shlex
+import time
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +121,44 @@ def test_out_of_scope_exit_code(capsys, tmp_path):
     rep = json.loads(err.strip())
     assert rep["error"]["kind"] == "out_of_scope"
     assert "mixed-signature" in rep["error"]["reason"]
+
+
+# Totally complex fields of degree 4 (x^3 - 2 is covered above): unit groups
+# are refused before any search, so each case answers at once instead of
+# running for minutes.
+@pytest.mark.parametrize("poly,command,code", [
+    ("1 1 1 1 1", "units", 2),         # Phi_5
+    ("1 0 0 0 1", "units", 2),         # Phi_8
+    ("1 0 0 0 1", "classgroup", 2),    # Phi_8: the prime above 2 needs units
+    ("1 1 1 1 1", "classgroup", 0),    # Phi_5: no prime below the Minkowski bound
+])
+def test_complex_places_scope(capsys, tmp_path, poly, command, code):
+    f = tmp_path / "cx.field"
+    f.write_text(f"poly {poly}\n")
+    start = time.perf_counter()
+    rc, out, err = run_capture(capsys, ["--json", command, "--field", str(f)])
+    assert time.perf_counter() - start < 10
+    assert rc == code
+    if code == 0:
+        assert json.loads(out)["results"]["order"] == 1
+    else:
+        rep = json.loads(err.strip())
+        assert rep["error"]["kind"] == "out_of_scope"
+        assert "mixed-signature" in rep["error"]["reason"]
+
+
+# The --json reports of the README's commands, minus wall_time_s.
+README_REPORTS = json.loads((Path(__file__).parent / "readme_reports.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(README_REPORTS))
+def test_readme_reports_golden(capsys, monkeypatch, command):
+    monkeypatch.delenv("TCLAB_SEED", raising=False)
+    code, out, _ = run_capture(capsys, ["--json", *shlex.split(command)])
+    assert code == 0
+    rep = json.loads(out)
+    del rep["wall_time_s"]
+    assert rep == README_REPORTS[command]
 
 
 @pytest.mark.parametrize("exc,kind,code", [

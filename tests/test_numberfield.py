@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -128,3 +129,31 @@ def test_quadratic_corpus_consistent():
 def test_reducible_polynomial_is_refused(f):
     with pytest.raises(FieldError, match="reducible"):
         NumberField(f)
+
+
+INDEX_FIELDS = [
+    # x^3 - 4x - 8: Z[theta] has index 8 in O = Z[1, theta/2, theta^2/4].
+    ((-8, -4, 0, 1), [[1, 0, 0], [0, Fraction(1, 2), 0], [0, 0, Fraction(1, 4)]], 8),
+    # Q(sqrt 5) and Q(sqrt -7) with O = Z[(1 + theta)/2], index 2.
+    ((-5, 0, 1), [[1, 0], [Fraction(1, 2), Fraction(1, 2)]], 2),
+    ((7, 0, 1), [[1, 0], [Fraction(1, 2), Fraction(1, 2)]], 2),
+]
+
+
+@pytest.mark.parametrize("poly,basis,index", INDEX_FIELDS, ids=["cubic8", "sqrt5", "sqrt-7"])
+def test_primes_dividing_the_index(poly, basis, index):
+    K = NumberField(poly, integral_basis=basis)
+    assert K.index == index
+    rng = random.Random(index)
+    for q in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]:
+        primes = K.factor_prime(q)
+        assert sum(P.e * P.f_deg for P in primes) == K.degree
+        for P in primes:
+            assert P.valuation(K.elt(q)) == P.e
+            rf = P.residue_field
+            for _ in range(6):
+                x = K.elt([rng.randint(-30, 30) for _ in range(K.degree)])
+                y = K.elt([rng.randint(-30, 30) for _ in range(K.degree)])
+                assert P.residue(x * y) == rf.mul(P.residue(x), P.residue(y))
+                d = x - P.lift(P.residue(x))
+                assert d.is_zero() or P.valuation(d) >= 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tclab import equivariant as eq, pipeline as pl, selmer as sm
-from tclab.numberfield import NumberField, Q
+from tclab.numberfield import FieldError, NumberField, Q, is_prime
 
 from conftest import quadratic_field
 
@@ -119,6 +119,30 @@ def test_witness_nonvanishing_rationals():
     rep = pl.witness_nonvanishing(Q, Q.elt([5]), 2, 100)
     assert rep["label"] == "3_1"
     assert rep["order"] == 2
+
+
+def test_frobenius_order_refuses_a_pole():
+    # v_7(1/7) = -1, so Frobenius at 7 is undefined in Q(zeta_3, 7^(1/3)).
+    x = Q.elt(Fraction(1, 7))
+    with pytest.raises(FieldError, match="not integral at 7_1"):
+        pl.frobenius_order(x, Q.prime(7), 3)
+    assert pl.witness_nonvanishing(Q, x, 3)["label"] == "13_1"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_frobenius_order_euler_criterion(p):
+    # For q = 1 mod p, Frobenius at q splits in Q(zeta_p, x^(1/p)) exactly
+    # when x is a p-th power mod q: x^((q-1)/p) = 1 mod q.
+    rng = random.Random(p)
+    for q in (q for q in range(3, 300) if q % p == 1 and is_prime(q)):
+        P = Q.prime(q)
+        for _ in range(6):
+            num = rng.choice((1, -1)) * rng.randint(1, 10**8)
+            den = rng.choice((1, rng.randint(2, 10**4)))
+            if num % q == 0 or den % q == 0:
+                continue
+            split = pow(num * pow(den, -1, q), (q - 1) // p, q) == 1
+            assert pl.frobenius_order(Q.elt(Fraction(num, den)), P, p) == (1 if split else p)
 
 
 def test_witness_rejects_pth_power():
