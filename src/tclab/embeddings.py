@@ -22,8 +22,9 @@ class RealEmbeddings:
 
     def __init__(self, field):
         self.field = field
-        # _refine collapses an interval onto a rational root (the root of a
-        # degree-1 polynomial) when an endpoint or a midpoint hits it.
+        # A degree-1 polynomial's rational root is bracketed like any other
+        # root; its interval is a point only if an endpoint or a midpoint
+        # hits the root exactly.
         self.intervals = [self._refine(iv, Fraction(1, 2**20))
                           for iv in real_root_intervals(field.min_poly)]
         assert len(self.intervals) == field.signature[0]

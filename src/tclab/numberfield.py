@@ -202,15 +202,22 @@ class NumberField:
             if x:
                 for j, y in enumerate(b):
                     prod[i + j] += x * y
-        # Reduce modulo f: theta^n = -(c_0 + ... + c_{n-1} theta^{n-1}).
+        return self._reduce_power(prod)
+
+    def _reduce_power(self, vec):
+        """Reduce a power-basis coordinate list of any length modulo
+        min_poly to its n coordinates."""
+        n = self.degree
+        vec = list(vec) + [Fraction(0)] * (n - len(vec))
+        # theta^n = -(c_0 + ... + c_{n-1} theta^{n-1}).
         f = self.min_poly
-        for k in range(2 * n - 2, n - 1, -1):
-            c = prod[k]
+        for k in range(len(vec) - 1, n - 1, -1):
+            c = vec[k]
             if c:
-                prod[k] = Fraction(0)
+                vec[k] = Fraction(0)
                 for j in range(n):
-                    prod[k - n + j] -= c * f[j]
-        return prod[:n]
+                    vec[k - n + j] -= c * f[j]
+        return vec[:n]
 
     def _power_to_basis(self, vec):
         inv = self._basis_inv
@@ -232,8 +239,10 @@ class NumberField:
         return NFElement(self, coords)
 
     def from_power(self, vec) -> NFElement:
-        vec = list(vec) + [0] * (self.degree - len(vec))
-        return NFElement(self, tuple(self._power_to_basis([Fraction(v) for v in vec])))
+        """The element sum_i vec[i] theta^i; vec may be longer than the
+        degree (in degree 1, theta is the rational -min_poly[0])."""
+        vec = self._reduce_power([Fraction(v) for v in vec])
+        return NFElement(self, tuple(self._power_to_basis(vec)))
 
     @property
     def theta(self) -> NFElement:
@@ -456,7 +465,7 @@ class PrimeIdeal:
         for j in range(n):
             c = sum(x.coords[i] * T[i][j] for i in range(n))
             if c.denominator % self.q == 0:
-                raise FieldError(f"element is not integral at {self.label}")
+                raise FieldError(f"element is not integral at {self.q}")
             lifted.append(c.numerator * pow(c.denominator, -1, self.q) % self.q)
         return self.residue_field.elt(lifted)
 

@@ -447,12 +447,8 @@ class ResidueField:
 
     def pow(self, a, e: int):
         if e < 0:
-            a = self.inv(a)
-            e = -e
+            raise ValueError("negative exponent")
         return gfp_powmod(a, e, self.modulus, self.q)
-
-    def inv(self, a):
-        return self.pow(a, self.order - 2)
 
     @property
     def one(self):

@@ -1,6 +1,5 @@
 import json
 import shlex
-import time
 from pathlib import Path
 
 import pytest
@@ -135,9 +134,7 @@ def test_out_of_scope_exit_code(capsys, tmp_path):
 def test_complex_places_scope(capsys, tmp_path, poly, command, code):
     f = tmp_path / "cx.field"
     f.write_text(f"poly {poly}\n")
-    start = time.perf_counter()
     rc, out, err = run_capture(capsys, ["--json", command, "--field", str(f)])
-    assert time.perf_counter() - start < 10
     assert rc == code
     if code == 0:
         assert json.loads(out)["results"]["order"] == 1

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tclab import intlinalg as la
 from tclab.numberfield import FieldError, Q, NumberField
 
 from conftest import SQUAREFREE, quadratic_field
@@ -157,3 +158,20 @@ def test_primes_dividing_the_index(poly, basis, index):
                 assert P.residue(x * y) == rf.mul(P.residue(x), P.residue(y))
                 d = x - P.lift(P.residue(x))
                 assert d.is_zero() or P.valuation(d) >= 1
+
+
+@pytest.mark.parametrize("f0", [0, 1, -5, 12])
+def test_degree_one_models_of_q(f0):
+    # Q[x]/(x + f0) is Q with theta = -f0; its primes are (q) for every q,
+    # also when q divides f0.
+    K = NumberField((f0, 1))
+    assert K.theta == K.elt(-f0)
+    lo, hi = K.embeddings.intervals[0]
+    assert lo <= -f0 <= hi
+    for q in [2, 3, 5, 7]:
+        (P,) = K.factor_prime(q)
+        assert (P.e, P.f_deg) == (1, 1)
+        assert abs(la.frac_det(P.lattice())) == q
+        assert P.valuation(K.elt(q)) == 1
+        assert P.valuation(K.elt(Fraction(q * q, 11))) == 2
+        assert P.residue(K.elt(Fraction(3, 11))) == P.residue_field.from_int(3 * pow(11, -1, q))

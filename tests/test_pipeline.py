@@ -124,7 +124,7 @@ def test_witness_nonvanishing_rationals():
 def test_frobenius_order_refuses_a_pole():
     # v_7(1/7) = -1, so Frobenius at 7 is undefined in Q(zeta_3, 7^(1/3)).
     x = Q.elt(Fraction(1, 7))
-    with pytest.raises(FieldError, match="not integral at 7_1"):
+    with pytest.raises(FieldError, match="not integral at 7"):
         pl.frobenius_order(x, Q.prime(7), 3)
     assert pl.witness_nonvanishing(Q, x, 3)["label"] == "13_1"
 
