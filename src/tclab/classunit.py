@@ -5,8 +5,12 @@ Minkowski bound.  Relations come from explicit principal generators; the
 result is certified by checking that every nonzero class of the computed
 cokernel is represented by a non-principal ideal.  Principality of an
 ideal in a quadratic field is decided exactly through binary quadratic
-forms (reduction cycles in the indefinite case), so no GRH and no
-floating point enter the certified path.
+forms (reduction cycles in the indefinite case).  In a totally real field
+of degree >= 3 it is decided by enumerating the ideal's points of T2 =
+Tr(x^2) up to a radius that provably holds a generator when there is one:
+Fincke-Pohst over an LLL-reduced basis, with the radius taken from unit
+log enclosures rounded outward.  So no GRH and no floating point enter
+the certified path.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from itertools import product
 import mpmath
 
 from . import intlinalg as la
-from .embeddings import certified_log_rank
+from .embeddings import certified_log_rank, log_abs_interval
 from .numberfield import (
     FieldError,
     NFElement,
@@ -171,9 +175,42 @@ def _pick_independent(field: NumberField, pool, rank: int):
     for u in pool:
         if len(chosen) == rank:
             break
+        if chosen and _proven_dependent(field, chosen, u):
+            continue
         if certified_log_rank(field, chosen + [u], len(chosen) + 1):
             chosen.append(u)
     return chosen
+
+
+def _proven_dependent(field: NumberField, units, u: NFElement) -> bool:
+    """True only if u^d = +-prod u_j^(e_j) holds exactly for some d >= 1.
+    The exponents come from a guess L(u) ~ sum_j c_j L(u_j) on
+    low-precision logs, with each c_j rounded to a fraction of denominator
+    at most 12 and d their common denominator; False leaves the question
+    open."""
+    emb = field.embeddings
+    with mpmath.workdps(20):
+        mids = [[_mid(iv) for iv in emb.element_intervals(x)] for x in units + [u]]
+        if any(m == 0 for row in mids for m in row):
+            return False
+        logs = [[mpmath.log(abs(m)) for m in row] for row in mids]
+        c, _ = mpmath.qr_solve(mpmath.matrix(logs[:-1]).T, mpmath.matrix(logs[-1]))
+        cs = [Fraction(str(x)).limit_denominator(12) for x in c]
+        fit = [sum(mpmath.mpf(cj.numerator) / cj.denominator * row[i]
+                   for cj, row in zip(cs, logs[:-1]))
+               for i in range(len(logs[-1]))]
+        if max(abs(a - b) for a, b in zip(logs[-1], fit)) > mpmath.mpf(10) ** -8:
+            return False
+    d = math.lcm(*(cj.denominator for cj in cs))
+    # u^d prod_(e_j < 0) u_j^(-e_j) = +-prod_(e_j > 0) u_j^(e_j): no inverses.
+    lhs, rhs = u**d, field.one
+    for uj, cj in zip(units, cs):
+        e = int(cj * d)
+        if e < 0:
+            lhs = lhs * uj**-e
+        else:
+            rhs = rhs * uj**e
+    return lhs == rhs or lhs == -rhs
 
 
 def _saturate(field: NumberField, units, primes):
@@ -359,15 +396,18 @@ def _conjugate(x: NFElement) -> NFElement:
 
 
 def principal_generator(field: NumberField, lat) -> NFElement | None:
-    """A generator of the ideal lattice if principal, else None.
-    Exact for quadratic fields; bounded search elsewhere."""
+    """A generator of the ideal lattice if principal, else None.  Exact in
+    every field it accepts: binary quadratic forms in quadratic fields and,
+    in totally real fields of degree >= 3, an enumeration of the ideal's
+    points up to a proven T2 radius, so None proves the ideal is not
+    principal."""
     if field.degree == 1:
         return field.elt(lattice_norm(lat))
     if field.degree == 2:
         if field.disc < 0:
             return _principal_imag(field, lat)
         return next(_cycle_generators(field, lat), None)
-    return _principal_bounded(field, lat)
+    return _principal_by_t2(field, lat)
 
 
 def _principal_imag(field: NumberField, lat) -> NFElement | None:
@@ -421,31 +461,52 @@ def _rho(form, m, D):
     return new, [[row[1], k * row[1] - row[0]] for row in m]
 
 
-def _principal_bounded(field: NumberField, lat) -> NFElement | None:
-    """Bounded generator search for degree > 2 (totally real): any
-    generator can be scaled by units into a box derived from the unit
-    logs; search that box exactly."""
-    ub = unit_group(field)
-    n = lattice_norm(lat)
+def _principal_by_t2(field: NumberField, lat) -> NFElement | None:
+    """A generator of the ideal lattice of a totally real field, or None
+    after an enumeration that proves there is none.
+
+    An element x of the ideal I with |N(x)| = N(I) generates I.  If I =
+    (alpha), multiplying alpha by units moves its log vector by the unit
+    log lattice, so some generator has log vector (log N(I))/n + sum_j c_j
+    L(u_j) with |c_j| <= 1/2, for any independent units u_j, and hence
+    T2 <= R = N(I)^(2/n) sum_i exp(sum_j |log|sigma_i(u_j)||).  The points
+    of I with T2 <= C are enumerated by Fincke-Pohst over an LLL-reduced
+    basis for C = ceil(n N(I)^(2/n)) (no element of norm N(I) has smaller
+    T2, by AM-GM), 4C, ..., and last R itself."""
+    ub = unit_group(field)  # refuses fields with complex places
+    N = lattice_norm(lat)
+    gram, T = la.lll(la.mat_mul(la.mat_mul(la.transpose(lat), field.trace_form), lat))
+    basis = la.mat_mul(lat, T)
+    radius, last = _t2_radii(field, ub.fundamental_units, N)
+    done = 0  # every point with T2 <= done has been tried
+    while True:
+        radius = min(radius, last)
+        for x in la.fincke_pohst(gram, radius):
+            if sum(a * b for a, b in zip(x, la.mat_vec(gram, x))) <= done:
+                continue
+            g = field.elt(la.mat_vec(basis, x))
+            if abs(g.norm()) == N:
+                return g
+        if radius == last:
+            return None
+        done, radius = radius, 4 * radius
+
+
+def _t2_radii(field: NumberField, units, N: int) -> tuple[int, int]:
+    """(ceil(n N^(2/n)), R) for the T2 enumeration of _principal_by_t2, from
+    interval enclosures rounded outward: R bounds the least T2 of a
+    generator of any principal ideal of norm N."""
     emb = field.embeddings
-    with mpmath.workdps(30):
-        spread = mpmath.mpf(0)
-        for u in ub.fundamental_units:
-            ivs = emb.element_intervals(u, Fraction(1, 2**40))
-            spread += max(abs(mpmath.log(abs(mpmath.mpf(float(iv[0]))))) for iv in ivs)
-        B = float(mpmath.exp(spread) * mpmath.root(n, field.degree))
-    coord_bound = int(B * field.degree * 4) + 2
-    coord_bound = min(coord_bound, 60)
-    cols = list(zip(*lat))
-    for vec in product(range(-coord_bound, coord_bound + 1), repeat=field.degree):
-        if all(v == 0 for v in vec):
-            continue
-        coords = [sum(vec[j] * cols[j][i] for j in range(field.degree))
-                  for i in range(field.degree)]
-        x = field.elt(coords)
-        if abs(x.norm()) == n:
-            return x
-    return None
+    n = field.degree
+    logs = []
+    for u in units:
+        emb.element_signs(u)  # refines until no enclosure contains 0
+        logs.append([log_abs_interval(iv) for iv in emb.element_intervals(u)])
+    iv = mpmath.iv
+    spread = sum((iv.exp(sum((abs(row[i]) for row in logs), iv.mpf(0))) for i in range(n)),
+                 iv.mpf(0))
+    scale = iv.exp(iv.log(N) * 2 / n)
+    return tuple(int(mpmath.ceil(mpmath.mpf(r.b))) for r in (scale * n, scale * spread))
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,125 @@ def product_first_fastest(ranges):
     return (t[::-1] for t in product(*reversed(ranges)))
 
 
+def lll(gram: Matrix) -> tuple[Matrix, Matrix]:
+    """Integral LLL reduction (delta = 3/4) of the lattice with positive
+    definite integer Gram matrix gram (Cohen, GTM 138, Alg. 2.6.7).
+
+    Returns (G, T) with T unimodular, G = T^t gram T, and the columns of T
+    the reduced basis in the input coordinates.  Only integers occur: d[i]
+    is the Gram determinant of the first i vectors and lam[k][j] =
+    d[j+1] mu_kj."""
+    n = len(gram)
+    G = mat_copy(gram)
+    T = identity(n)
+    d = [1] + [0] * n
+    lam = zeros(n, n)
+
+    def reduce(k, l):
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
+            return
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        # b_k -= q b_l, on T's columns and on G's row and column k.
+        for row in T:
+            row[k] -= q * row[l]
+        for i in range(n):
+            G[k][i] -= q * G[l][i]
+        G[k][k] -= q * G[k][l]
+        for i in range(n):
+            G[i][k] = G[k][i]
+        lam[k][l] -= q * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        for row in T:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        G[k], G[k - 1] = G[k - 1], G[k]
+        for row in G:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lm = lam[k][k - 1]
+        B = (d[k - 1] * d[k + 1] + lm * lm) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lm * t) // d[k]
+            lam[i][k - 1] = (B * t + lm * lam[i][k]) // d[k + 1]
+        d[k] = B
+
+    if n:
+        d[1] = G[0][0]
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            # Incremental Gram-Schmidt for the new vector b_k.
+            kmax = k
+            for j in range(k + 1):
+                u = G[k][j]
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    if u <= 0:
+                        raise ValueError("Gram matrix is not positive definite")
+                    d[k + 1] = u
+        reduce(k, k - 1)
+        # Lovasz condition d_k d_(k-2) >= (3/4) d_(k-1)^2 - lam^2, times 4.
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return G, T
+
+
+def fincke_pohst(gram: Matrix, bound):
+    """Every nonzero x in Z^n with x^t gram x <= bound, one of each pair
+    +-x (the last nonzero coordinate is positive), for a positive definite
+    integer Gram matrix (Fincke & Pohst, Math. Comp. 44, 1985; Cohen,
+    GTM 138, Alg. 2.7.5).  Exact: the quadratic form is completed into
+    squares over Q, Q(x) = sum_i q_ii (x_i + sum_(j>i) q_ij x_j)^2, and each
+    coordinate runs over the integers its remaining budget allows."""
+    n = len(gram)
+    q = [[Fraction(x) for x in row] for row in gram]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q[j][i] = q[i][j]
+            q[i][j] = q[i][j] / q[i][i]
+        for k in range(i + 1, n):
+            for l in range(k, n):
+                q[k][l] -= q[k][i] * q[i][l]
+    bound = Fraction(bound)
+    x = [0] * n
+
+    def walk(i, budget, above_zero):
+        # Coordinates above i are fixed; above_zero says they are all 0.
+        c = sum((q[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
+        r = budget / q[i][i]
+        s = math.isqrt(math.floor(r))  # s <= sqrt(r) < s + 1
+        lo, hi = math.floor(-c) - s - 1, math.ceil(-c) + s + 1
+        while lo <= hi and (lo + c) ** 2 > r:
+            lo += 1
+        while hi >= lo and (hi + c) ** 2 > r:
+            hi -= 1
+        if above_zero:
+            lo = max(lo, 0)
+        for v in range(lo, hi + 1):
+            x[i] = v
+            if i == 0:
+                if not (above_zero and v == 0):
+                    yield list(x)
+            else:
+                yield from walk(i - 1, budget - q[i][i] * (v + c) ** 2, above_zero and v == 0)
+        x[i] = 0
+
+    if n and bound > 0:
+        yield from walk(n - 1, bound, True)
+
+
 def hnf_column(m: Matrix) -> Matrix:
     """Column-style Hermite normal form of the lattice spanned by the
     columns of m.  Returns an n x r lower-triangular-ish basis with

@@ -149,6 +149,17 @@ class NumberField:
     def embeddings(self) -> RealEmbeddings:
         return RealEmbeddings(self)
 
+    @cached_property
+    def trace_form(self) -> la.Matrix:
+        """The integer matrix Tr(b_i b_j) on the integral basis.  In a
+        totally real field it is the Gram matrix of T2(x) = Tr(x^2), the
+        sum of the squares of the conjugates of x."""
+        n = self.degree
+        table = self._mult_table
+        traces = [sum(table[k][i][i] for i in range(n)) for k in range(n)]
+        return [[int(sum(c * t for c, t in zip(table[i][j], traces))) for j in range(n)]
+                for i in range(n)]
+
     # -- construction helpers ------------------------------------------------
 
     def _set_basis(self, rows):

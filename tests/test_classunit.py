@@ -248,3 +248,76 @@ def test_solve_relation_element():
     if x is not None:
         for i, P in enumerate(data.generating_primes):
             assert P.valuation(x) == target[i]
+
+
+# Totally real cubics x^3 + a x^2 + b x + c as (c, b, a, 1).  Those of disc
+# 81, 229, 148, 321 and 404 have class number 1; the fields of disc 1957,
+# 2597 and 2777 have class groups Z/2, Z/3 and Z/2 (standard tables).
+TRIVIAL_CUBICS = [((1, -3, 0, 1), 81), ((-1, -4, 0, 1), 229), ((-1, -3, 1, 1), 148),
+                  ((-1, -4, 1, 1), 321), ((-1, -5, -1, 1), 404)]
+CUBICS_WITH_CLASSES = [((-1, -8, -2, 1), 1957, "Z/2"), ((-1, -8, 2, 1), 2597, "Z/3"),
+                       ((-9, -13, -2, 1), 2777, "Z/2")]
+
+
+@pytest.mark.parametrize("f,disc", TRIVIAL_CUBICS)
+def test_cubic_class_group_trivial(f, disc):
+    K = NumberField(f)
+    assert K.disc == disc
+    data = cu.class_group(K)
+    assert data.certified and data.group.is_trivial
+
+
+@pytest.mark.parametrize("f,disc,group", CUBICS_WITH_CLASSES)
+def test_cubic_class_groups(f, disc, group):
+    K = NumberField(f)
+    assert K.disc == disc
+    data = cu.class_group(K)
+    assert data.certified and str(data.group) == group
+
+
+def _ideal_of(x):
+    """HNF of the principal ideal x O."""
+    K = x.field
+    return la.hnf_column([[int(c) for c in row] for row in K._mult_matrix(x)])
+
+
+def test_cubic_generators_generate_their_ideals():
+    for f in [f for f, _ in TRIVIAL_CUBICS[:2]] + [f for f, _, _ in CUBICS_WITH_CLASSES]:
+        K = NumberField(f)
+        h = cu.class_group(K).group.order()
+        found = 0
+        for P in K.primes_of_norm_up_to(20):
+            lat = P.lattice()
+            for _ in range(h):
+                g = cu.principal_generator(K, lat)
+                if g is not None:
+                    found += 1
+                    assert _ideal_of(g) == lat
+                lat = lattice_mul(K, lat, P.lattice())
+        assert found >= 3
+
+
+def test_cubic_non_principal_prime():
+    K = NumberField((-1, -8, -2, 1))  # disc 1957, class group Z/2
+    lat = K.prime(2, 1).lattice()
+    assert lattice_norm(lat) == 2
+    assert cu.principal_generator(K, lat) is None
+    square = lattice_mul(K, lat, lat)
+    g = cu.principal_generator(K, square)
+    assert g is not None and _ideal_of(g) == square
+
+
+def test_pick_independent_rejects_a_proven_dependence(monkeypatch):
+    K = NumberField((-1, -2, 1, 1), label="zeta7plus")
+    u1, u2 = cu.unit_group(K).fundamental_units
+    seen = []
+    real = cu.certified_log_rank
+
+    def counting(field, units, need_rank):
+        seen.append(list(units))
+        return real(field, units, need_rank)
+
+    monkeypatch.setattr(cu, "certified_log_rank", counting)
+    dependent = -(u1 * u1)
+    assert cu._pick_independent(K, [u1, dependent, u2], 2) == [u1, u2]
+    assert seen and all(dependent not in units for units in seen)

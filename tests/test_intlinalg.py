@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import chain, combinations, product
@@ -162,7 +163,8 @@ def test_q_and_fp_inverse_random():
 
 
 # Recursive enumerators the package used before itertools; the order they
-# fix decides which principal generator is found first, so it must hold.
+# fix decides which units and which monogenic generator are found first,
+# so it must hold.
 
 def _ref_box(n, h):
     if n == 0:
@@ -228,3 +230,83 @@ def test_enumeration_orders_match_reference():
                 == list(_ref_group_elements(orders)))
     rf = polys.ResidueField(3, (2, 0, 1))
     assert list(rf.elements()) == [polys.gfp_trim(t, 3) for t in _ref_tuples(2, 3)]
+
+
+def _random_gram(rng, n, bound=30):
+    while True:
+        a = random_matrix(rng, n, n, bound)
+        if la.det(a):
+            return la.mat_mul(la.transpose(a), a)
+
+
+def _gram_schmidt(gram):
+    """mu and the squared Gram-Schmidt lengths B over Q (the textbook
+    recursion, independent of the integral bookkeeping inside la.lll)."""
+    n = len(gram)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    B = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (gram[i][j] - sum(mu[j][k] * mu[i][k] * B[k] for k in range(j))) / B[j]
+        B[i] = gram[i][i] - sum(mu[i][k] ** 2 * B[k] for k in range(i))
+    return mu, B
+
+
+def test_lll_random_grams():
+    rng = random.Random(3141)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        gram = _random_gram(rng, n)
+        G, T = la.lll(gram)
+        assert abs(la.det(T)) == 1
+        assert la.mat_mul(la.mat_mul(la.transpose(T), gram), T) == G
+        mu, B = _gram_schmidt(G)
+        for k in range(n):
+            assert all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k))
+            if k:
+                assert B[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * B[k - 1]
+    with pytest.raises(ValueError):
+        la.lll([[1, 2], [2, 4]])
+
+
+def _reference_box(gram, bound):
+    """|x_i| <= sqrt(bound (gram^-1)_ii) holds for every x with x^t gram x <= bound."""
+    inv = la.frac_inv(gram)
+    return [math.isqrt(math.floor(max(bound, 0) * inv[i][i])) + 1 for i in range(len(gram))]
+
+
+def _brute_short_vectors(gram, bound):
+    """Nonzero x with x^t gram x <= bound and last nonzero coordinate > 0,
+    by scanning the reference box."""
+    out = []
+    for x in product(*[range(-b, b + 1) for b in _reference_box(gram, bound)]):
+        nz = [c for c in x if c]
+        if nz and nz[-1] > 0 and sum(a * b for a, b in zip(x, la.mat_vec(gram, x))) <= bound:
+            out.append(x)
+    return sorted(out)
+
+
+def test_fincke_pohst_matches_box_enumeration():
+    rng = random.Random(2718)
+    cases = 0
+    while cases < 60:
+        n = rng.randint(1, 4)
+        gram = _random_gram(rng, n, 6)
+        if rng.random() < 0.5:
+            gram = la.lll(gram)[0]
+        # The minimum of the form, which a unimodular change of basis keeps,
+        # is at most the least diagonal entry of the reduced form.
+        red = la.lll(gram)[0]
+        least = min(sum(a * b for a, b in zip(x, la.mat_vec(red, x)))
+                    for x in _brute_short_vectors(red, min(red[i][i] for i in range(n))))
+        bounds = (0, least - 1, least, Fraction(5, 2) * least, 6 * least + 1)
+        # A skewed form makes the reference box huge; draw another to keep
+        # the brute force quick.
+        if math.prod(2 * b + 1 for b in _reference_box(gram, bounds[-1])) > 20000:
+            continue
+        cases += 1
+        for bound in bounds:
+            got = sorted(tuple(x) for x in la.fincke_pohst(gram, bound))
+            assert got == _brute_short_vectors(gram, bound), (gram, bound)
+            if bound < least:
+                assert got == []
