@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 import mpmath
 
@@ -29,6 +29,7 @@ from .numberfield import (
     NFElement,
     NumberField,
     PrimeIdeal,
+    is_prime,
     lattice_mul,
     lattice_norm,
 )
@@ -162,12 +163,9 @@ def _unit_system_by_enumeration(field: NumberField, rank: int):
 
 
 def _is_torsion(field: NumberField, x: NFElement) -> bool:
-    y = x
-    for _ in range(12):
-        if y == field.one:
-            return True
-        y = y * x
-    return False
+    """Its callers only see totally real fields of degree >= 3, whose roots
+    of unity are +-1 (see _torsion)."""
+    return x == field.one or x == -field.one
 
 
 def _pick_independent(field: NumberField, pool, rank: int):
@@ -219,14 +217,15 @@ def _saturate(field: NumberField, units, primes):
     while changed:
         changed = False
         for p in primes:
+            powers = [[u**e for e in range(p)] for u in units]
             for exps in product(range(p), repeat=len(units)):
                 if not any(exps):
                     continue
                 cand = field.one
-                for u, e in zip(units, exps):
-                    cand = cand * u**e
-                for s in (1, -1):
-                    root = pth_root(field.elt(s) * cand, p)
+                for pw, e in zip(powers, exps):
+                    cand = cand * pw[e]
+                for x in (cand, -cand):
+                    root = pth_root(x, p)
                     if root is not None and not _is_torsion(field, root):
                         i = next(i for i, e in enumerate(exps) if e % p != 0)
                         units[i] = root
@@ -240,16 +239,51 @@ def _saturate(field: NumberField, units, primes):
 
 
 def pth_root(x: NFElement, p: int) -> NFElement | None:
-    """Exact p-th root of x in the field, or None.  x must be nonzero."""
+    """Exact p-th root of x in the field, or None.  x must be nonzero.
+
+    A residue witness answers None first where it can: a prime P of
+    degree 1 above a rational prime q = 1 (mod p) with x mod P = r != 0 and
+    r^((q-1)/p) != 1 (mod q).  A p-th power y^p reduces to s^p with
+    s^(q-1) = 1 there, so the witness proves that x has no p-th root.
+    Without one among the first _WITNESS_TESTS such primes, the root is
+    sought from the embeddings and checked exactly."""
     field = x.field
     if x.is_zero():
         raise FieldError("p-th root of zero")
+    if _residue_witness(x, p):
+        return None
     r1, r2 = field.signature
     if r2 == 0:
         return _pth_root_totally_real(x, p)
     if field.degree == 2 and r1 == 0:
         return _pth_root_imag_quadratic(x, p)
     raise NotImplementedError("p-th roots for mixed-signature fields")
+
+
+_WITNESS_TESTS = 8
+
+
+def _residue_witness(x: NFElement, p: int) -> bool:
+    """True if a prime P of degree 1 shows that x is not a p-th power (see
+    pth_root).  P runs over the primes above q = 1 (mod p) in increasing
+    order, for q dividing neither disc(f) nor the denominator of x, and
+    the search gives up after _WITNESS_TESTS of them."""
+    field = x.field
+    den = x.denominator()
+    num = [c.numerator * (den // c.denominator) for c in x.coords]
+    tests = 0
+    for q in count(p + 1, p):
+        if not is_prime(q) or field.disc_poly % q == 0 or den % q == 0:
+            continue
+        for P in field.factor_prime(q):
+            if P.f_deg != 1:
+                continue
+            r = sum(a * b for a, b in zip(num, P.basis_residues)) * pow(den, -1, q) % q
+            if r and pow(r, (q - 1) // p, q) != 1:
+                return True
+            tests += 1
+            if tests == _WITNESS_TESTS:
+                return False
 
 
 def _iroot(m: int, k: int) -> int | None:

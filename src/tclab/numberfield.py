@@ -9,6 +9,7 @@ integral basis.  Everything is exact.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -77,7 +78,12 @@ class NFElement:
         return self * other.inverse()
 
     def norm(self) -> Fraction:
-        return la.frac_det(self.field._mult_matrix(self))
+        """det(M) / den^n, where den = self.denominator() and M is the
+        integer multiplication matrix of den * self."""
+        den = self.denominator()
+        num = [c.numerator * (den // c.denominator) for c in self.coords]
+        m = [[sum(map(operator.mul, num, c)) for c in row] for row in self.field._int_mult_columns]
+        return Fraction(la.det(m), den**self.field.degree)
 
     def trace(self) -> Fraction:
         m = self.field._mult_matrix(self)
@@ -148,6 +154,16 @@ class NumberField:
     @cached_property
     def embeddings(self) -> RealEmbeddings:
         return RealEmbeddings(self)
+
+    @cached_property
+    def _int_mult_columns(self) -> list[list[tuple[int, ...]]]:
+        """The structure constants as integers (_build_mult_table proves
+        them integral), laid out so that entry [k][j] holds coordinate k of
+        b_i b_j for i = 0, ..., n-1: the multiplication matrix of x has
+        entry (k, j) = sum_i x_i [k][j][i]."""
+        n = self.degree
+        table = self._mult_table
+        return [[tuple(int(table[i][j][k]) for i in range(n)) for j in range(n)] for k in range(n)]
 
     @cached_property
     def trace_form(self) -> la.Matrix:
@@ -479,6 +495,15 @@ class PrimeIdeal:
                 raise FieldError(f"element is not integral at {self.q}")
             lifted.append(c.numerator * pow(c.denominator, -1, self.q) % self.q)
         return self.residue_field.elt(lifted)
+
+    @cached_property
+    def basis_residues(self) -> tuple[int, ...]:
+        """For a prime of degree 1: the integral basis mod P as integers
+        mod q, so that x mod P = sum_i x_i b_i mod q."""
+        assert self.f_deg == 1
+        K = self.field
+        # A residue of degree 1 is () for 0 and (r,) for r != 0.
+        return tuple((self.residue(K.elt(row)) or (0,))[0] for row in la.identity(K.degree))
 
     def is_unit_at(self, x: NFElement) -> bool:
         x = self.field.elt(x)

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from tclab import classunit as cu
@@ -321,3 +322,105 @@ def test_pick_independent_rejects_a_proven_dependence(monkeypatch):
     dependent = -(u1 * u1)
     assert cu._pick_independent(K, [u1, dependent, u2], 2) == [u1, u2]
     assert seen and all(dependent not in units for units in seen)
+
+
+# Totally real fields for the p-th root tests: Q, Q(sqrt 5), and cubics of
+# the benchmark corpus of disc 49 (zeta7plus), 81, 837 and 892.
+ROOT_FIELDS = {
+    "q": lambda: Q,
+    "sqrt5": lambda: quadratic_field(5),
+    "zeta7plus": lambda: NumberField((-1, -2, 1, 1), label="zeta7plus"),
+    "disc81": lambda: NumberField((-1, -3, 0, 1)),
+    "disc837": lambda: NumberField((-1, -6, 0, 1)),
+    "disc892": lambda: NumberField((-2, -7, -2, 1)),
+}
+
+
+def _random_element(K, rng):
+    den = rng.choice((1, 1, 2, 3, 10))
+    return K.elt([Fraction(rng.randint(-9, 9), den) for _ in range(K.degree)])
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_FIELDS))
+def test_residue_witness_is_sound(name):
+    K = ROOT_FIELDS[name]()
+    rng = random.Random(name)
+    for p in (2, 3, 5):
+        witnessed = 0
+        for _ in range(8):
+            y = _random_element(K, rng)
+            if y.is_zero():
+                continue
+            # A p-th power never has a witness, so its root is still found.
+            assert not cu._residue_witness(y**p, p)
+            z = cu.pth_root(y**p, p)
+            assert z is not None and z**p == y**p
+            x = _random_element(K, rng)
+            if not x.is_zero() and cu._residue_witness(x, p):
+                witnessed += 1
+                assert cu._pth_root_totally_real(x, p) is None
+        assert witnessed >= 4
+
+
+def _unit_exponents(K, v, units):
+    """Integers e with v = +-prod u_j^e_j: proposed from the log vectors,
+    then checked exactly."""
+    emb = K.embeddings
+    with mpmath.workdps(30):
+        logs = [[mpmath.log(abs(cu._mid(iv))) for iv in emb.element_intervals(x, Fraction(1, 2**100))]
+                for x in units + [v]]
+        rows = [row[:len(units)] for row in logs]
+        sol = mpmath.lu_solve(mpmath.matrix(rows[:-1]).T, mpmath.matrix(rows[-1]))
+    e = [int(mpmath.nint(c)) for c in sol]
+    prod = K.one
+    for u, k in zip(units, e):
+        prod = prod * u**k
+    assert v in (prod, -prod)
+    return e
+
+
+def test_saturation_still_finds_roots(monkeypatch):
+    K = NumberField((-1, -2, 1, 1), label="zeta7plus")
+    u1, u2 = cu.unit_group(K).fundamental_units
+    entered = []
+    real = cu._pth_root_totally_real
+
+    def counting(x, p):
+        entered.append(p)
+        return real(x, p)
+
+    monkeypatch.setattr(cu, "_pth_root_totally_real", counting)
+    for units in ([u1**2, u2], [u1, u2**3]):
+        saturated = cu._saturate(K, units, (2, 3, 5))
+        # The regulators agree: the exponent matrix on u1, u2 is unimodular.
+        assert abs(la.det([_unit_exponents(K, v, [u1, u2]) for v in saturated])) == 1
+    # The squares and cubes have no witness, so the analytic root found them.
+    assert 2 in entered and 3 in entered
+
+
+# The corpus polynomials of disc 49 and 837 need no analytic root at all.
+# Under theta -> -theta the first becomes x^3 - x^2 - 2x + 1, whose shell
+# units are not 2-saturated: there the analytic root is entered, but only
+# for squares, which it finds.
+@pytest.mark.parametrize("f,corpus", [((-1, -2, 1, 1), True), ((-1, -6, 0, 1), True),
+                                      ((1, -2, -1, 1), False)])
+def test_analytic_root_only_for_pth_powers(monkeypatch, f, corpus):
+    calls, entered = [], []
+    real_root, real_analytic = cu.pth_root, cu._pth_root_totally_real
+
+    def counting_root(x, p):
+        calls.append(p)
+        return real_root(x, p)
+
+    def counting_analytic(x, p):
+        root = real_analytic(x, p)
+        entered.append(root)
+        return root
+
+    monkeypatch.setattr(cu, "pth_root", counting_root)
+    monkeypatch.setattr(cu, "_pth_root_totally_real", counting_analytic)
+    ub = cu.unit_group(NumberField(f), (2, 3, 5))
+    assert ub.rank == 2 and ub.regulator_nonzero_witness
+    assert sorted(set(calls)) == [2, 3, 5]
+    assert all(root is not None for root in entered)
+    assert (not entered) == corpus

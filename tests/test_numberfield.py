@@ -175,3 +175,16 @@ def test_degree_one_models_of_q(f0):
         assert P.valuation(K.elt(q)) == 1
         assert P.valuation(K.elt(Fraction(q * q, 11))) == 2
         assert P.residue(K.elt(Fraction(3, 11))) == P.residue_field.from_int(3 * pow(11, -1, q))
+
+
+@pytest.mark.parametrize("poly,basis", [(f, b) for f, b, _ in INDEX_FIELDS] + [((-1, -2, 1, 1), None)],
+                         ids=["cubic8", "sqrt5", "sqrt-7", "zeta7plus"])
+def test_integer_norm_matches_fraction_determinant(poly, basis):
+    K = NumberField(poly, integral_basis=basis)
+    rng = random.Random(str(poly))
+    for _ in range(30):
+        den = rng.choice((1, 2, 3, 4, 6, 35))
+        x = K.elt([Fraction(rng.randint(-50, 50), den) for _ in range(K.degree)])
+        assert x.norm() == la.frac_det(K._mult_matrix(x))
+        y = K.elt([Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(K.degree)])
+        assert (x * y).norm() == x.norm() * y.norm()
