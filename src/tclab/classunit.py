@@ -270,7 +270,6 @@ def _residue_witness(x: NFElement, p: int) -> bool:
     the search gives up after _WITNESS_TESTS of them."""
     field = x.field
     den = x.denominator()
-    num = [c.numerator * (den // c.denominator) for c in x.coords]
     tests = 0
     for q in count(p + 1, p):
         if not is_prime(q) or field.disc_poly % q == 0 or den % q == 0:
@@ -278,8 +277,9 @@ def _residue_witness(x: NFElement, p: int) -> bool:
         for P in field.factor_prime(q):
             if P.f_deg != 1:
                 continue
-            r = sum(a * b for a, b in zip(num, P.basis_residues)) * pow(den, -1, q) % q
-            if r and pow(r, (q - 1) // p, q) != 1:
+            # A residue of degree 1 is () for 0 and (r,) for r != 0.
+            r = P.residue(x)
+            if r and pow(r[0], (q - 1) // p, q) != 1:
                 return True
             tests += 1
             if tests == _WITNESS_TESTS:

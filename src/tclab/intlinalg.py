@@ -522,15 +522,21 @@ def fp_inverse(m: FpMatrix) -> FpMatrix:
 # Matrices over Q, given as rows of ints or Fractions; results are Fractions.
 
 
+def clear_denominators(row) -> tuple[list[int], int]:
+    """Integers a and d >= 1, the lcm of the denominators, with row = a / d."""
+    d = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
 def frac_det(m) -> Fraction:
     """Determinant over Q: the Bareiss det of m with each row's
     denominators cleared, divided by the product of those denominators."""
     scale = 1
     rows = []
     for row in m:
-        d = math.lcm(*(x.denominator for x in row))
+        a, d = clear_denominators(row)
         scale *= d
-        rows.append([x.numerator * (d // x.denominator) for x in row])
+        rows.append(a)
     return Fraction(det(rows), scale)
 
 

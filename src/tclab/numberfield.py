@@ -80,8 +80,7 @@ class NFElement:
     def norm(self) -> Fraction:
         """det(M) / den^n, where den = self.denominator() and M is the
         integer multiplication matrix of den * self."""
-        den = self.denominator()
-        num = [c.numerator * (den // c.denominator) for c in self.coords]
+        num, den = la.clear_denominators(self.coords)
         m = [[sum(map(operator.mul, num, c)) for c in row] for row in self.field._int_mult_columns]
         return Fraction(la.det(m), den**self.field.degree)
 
@@ -485,25 +484,23 @@ class PrimeIdeal:
     def residue(self, x: NFElement):
         """Image of x in the residue field; requires x integral at q
         (gen-power coordinate denominators coprime to q)."""
-        x = self.field.elt(x)
-        T = self.to_gen
-        n = self.field.degree
+        num, den = la.clear_denominators(self.field.elt(x).coords)
+        cols, d = self._int_to_gen
         lifted = []
-        for j in range(n):
-            c = sum(x.coords[i] * T[i][j] for i in range(n))
+        for col in cols:
+            c = Fraction(sum(map(operator.mul, num, col)), den * d)
             if c.denominator % self.q == 0:
                 raise FieldError(f"element is not integral at {self.q}")
             lifted.append(c.numerator * pow(c.denominator, -1, self.q) % self.q)
         return self.residue_field.elt(lifted)
 
     @cached_property
-    def basis_residues(self) -> tuple[int, ...]:
-        """For a prime of degree 1: the integral basis mod P as integers
-        mod q, so that x mod P = sum_i x_i b_i mod q."""
-        assert self.f_deg == 1
-        K = self.field
-        # A residue of degree 1 is () for 0 and (r,) for r != 0.
-        return tuple((self.residue(K.elt(row)) or (0,))[0] for row in la.identity(K.degree))
+    def _int_to_gen(self) -> tuple[list[tuple[int, ...]], int]:
+        """to_gen as integer columns over one denominator d:
+        to_gen[i][j] = cols[j][i] / d."""
+        n = self.field.degree
+        flat, d = la.clear_denominators([Fraction(t) for row in self.to_gen for t in row])
+        return [tuple(flat[i * n + j] for i in range(n)) for j in range(n)], d
 
     def is_unit_at(self, x: NFElement) -> bool:
         x = self.field.elt(x)

@@ -188,3 +188,25 @@ def test_integer_norm_matches_fraction_determinant(poly, basis):
         assert x.norm() == la.frac_det(K._mult_matrix(x))
         y = K.elt([Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(K.degree)])
         assert (x * y).norm() == x.norm() * y.norm()
+
+
+@pytest.mark.parametrize("poly,basis", [(f, b) for f, b, _ in INDEX_FIELDS] + [((-1, -2, 1, 1), None)],
+                         ids=["cubic8", "sqrt5", "sqrt-7", "zeta7plus"])
+def test_residue_matches_fraction_coordinates(poly, basis):
+    # residue works on integers over one denominator; the reference sums
+    # the Fraction gen-power coordinates and refuses a q in a denominator.
+    K = NumberField(poly, integral_basis=basis)
+    rng = random.Random(repr(poly))
+    n = K.degree
+    for q in [2, 3, 5, 7, 13]:
+        for P in K.factor_prime(q):
+            for _ in range(12):
+                den = rng.choice((1, 2, 3, 4, 5, 6, 35))
+                x = K.elt([Fraction(rng.randint(-50, 50), den) for _ in range(n)])
+                c = [sum(x.coords[i] * P.to_gen[i][j] for i in range(n)) for j in range(n)]
+                if any(t.denominator % q == 0 for t in c):
+                    with pytest.raises(FieldError, match="not integral"):
+                        P.residue(x)
+                else:
+                    expect = P.residue_field.elt([t.numerator * pow(t.denominator, -1, q) for t in c])
+                    assert P.residue(x) == expect
