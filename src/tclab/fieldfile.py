@@ -9,7 +9,11 @@ Format (one directive per line, '#' starts a comment):
 `poly` lists ascending integer coefficients of a monic defining
 polynomial.  `basis` is optional and gives the rows of an integral basis
 in power-basis coordinates (entries are rationals, rows separated by
-'/').  Errors carry the file name and line number.
+'/').  Without it the order is Z[theta].  The order must contain Z[theta],
+be closed under multiplication and be shown maximal: at every prime q
+with q^2 | disc(O), q must not divide [O : Z[theta]] and Dedekind's
+criterion must hold for Z[theta] at q.  NumberField refuses any other
+order with FieldError.  Errors carry the file name and line number.
 """
 
 from __future__ import annotations

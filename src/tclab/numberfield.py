@@ -3,7 +3,8 @@ factorization, residue fields and power-residue classes.
 
 Fields are given by a monic irreducible integer polynomial f of degree
 n <= 6.  Elements carry rational coordinates with respect to a fixed
-integral basis.  Everything is exact.
+integral basis; their arithmetic reads integer multiplication matrices
+built from the basis's integer structure constants.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -69,8 +70,10 @@ class NFElement:
         return hash(self.coords)
 
     def inverse(self) -> "NFElement":
-        m = self.field._mult_matrix(self)
-        sol = la.frac_solve(m, list(self.field.one.coords))
+        """The solution y of (den * self) y = den, the element whose
+        coordinates are den e_0 as the basis starts with 1."""
+        m, den = self.field._mult_matrix(self.coords)
+        sol = la.frac_solve(m, [den] + [0] * (self.field.degree - 1))
         return NFElement(self.field, tuple(sol))
 
     def __truediv__(self, other):
@@ -80,13 +83,12 @@ class NFElement:
     def norm(self) -> Fraction:
         """det(M) / den^n, where den = self.denominator() and M is the
         integer multiplication matrix of den * self."""
-        num, den = la.clear_denominators(self.coords)
-        m = [[sum(map(operator.mul, num, c)) for c in row] for row in self.field._int_mult_columns]
+        m, den = self.field._mult_matrix(self.coords)
         return Fraction(la.det(m), den**self.field.degree)
 
     def trace(self) -> Fraction:
-        m = self.field._mult_matrix(self)
-        return sum(m[i][i] for i in range(len(m)))
+        m, den = self.field._mult_matrix(self.coords)
+        return Fraction(sum(m[i][i] for i in range(len(m))), den)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -139,12 +141,11 @@ class NumberField:
 
         rows = la.identity(self.degree) if integral_basis is None else integral_basis
         self._set_basis([[Fraction(c) for c in row] for row in rows])
-        if integral_basis is None:
-            self._check_maximality()
+        self._structure = self._build_structure()
+        self._check_maximality()
         # The basis starts with 1, so 1 has coordinates e_0.
         self.one = self.elt(1)
         self.zero = self.elt(0)
-        self._mult_table = self._build_mult_table()
         self._prime_cache: dict[int, tuple] = {}
         # Filled by classunit.unit_group and classunit.class_group.
         self._unit_cache = None
@@ -155,24 +156,14 @@ class NumberField:
         return RealEmbeddings(self)
 
     @cached_property
-    def _int_mult_columns(self) -> list[list[tuple[int, ...]]]:
-        """The structure constants as integers (_build_mult_table proves
-        them integral), laid out so that entry [k][j] holds coordinate k of
-        b_i b_j for i = 0, ..., n-1: the multiplication matrix of x has
-        entry (k, j) = sum_i x_i [k][j][i]."""
-        n = self.degree
-        table = self._mult_table
-        return [[tuple(int(table[i][j][k]) for i in range(n)) for j in range(n)] for k in range(n)]
-
-    @cached_property
     def trace_form(self) -> la.Matrix:
         """The integer matrix Tr(b_i b_j) on the integral basis.  In a
         totally real field it is the Gram matrix of T2(x) = Tr(x^2), the
         sum of the squares of the conjugates of x."""
         n = self.degree
-        table = self._mult_table
-        traces = [sum(table[k][i][i] for i in range(n)) for k in range(n)]
-        return [[int(sum(c * t for c, t in zip(table[i][j], traces))) for j in range(n)]
+        table = self._structure
+        traces = [sum(table[j][j][k] for j in range(n)) for k in range(n)]
+        return [[sum(table[k][j][i] * traces[k] for k in range(n)) for j in range(n)]
                 for i in range(n)]
 
     # -- construction helpers ------------------------------------------------
@@ -196,19 +187,29 @@ class NumberField:
         self.disc = self.disc_poly // (self.index**2)
         if rows[0] != [1] + [0] * (n - 1):
             raise FieldError("integral basis must start with 1")
-        # Closure under multiplication is checked in _build_mult_table.
+        # Closure under multiplication is checked in _build_structure.
 
     def _check_maximality(self):
-        d = abs(self.disc_poly)
+        """Accept the order O only where it is shown maximal: at each q with
+        q^2 | disc(O), q must not divide [O : Z[theta]] (so O agrees with
+        Z[theta] at q) and Dedekind's criterion must hold for Z[theta] at q.
+        Where q^2 does not divide disc(O), O is maximal at q."""
+        d = abs(self.disc)
         for q in polys.prime_factors(d):
-            if d % (q * q) == 0 and not dedekind_is_maximal(self.min_poly, q):
-                raise FieldError(
-                    f"Z[theta] is not maximal at {q}; supply an integral basis"
-                )
+            if d % (q * q) != 0 or (self.index % q and dedekind_is_maximal(self.min_poly, q)):
+                continue
+            if self.index == 1:
+                raise FieldError(f"Z[theta] is not maximal at {q}; supply an integral basis")
+            raise FieldError(f"the order of the integral basis (index {self.index} over "
+                             f"Z[theta]) is not shown maximal at {q}")
 
-    def _build_mult_table(self):
+    def _build_structure(self) -> list[list[tuple[int, ...]]]:
+        """The integer structure constants, laid out so that entry [k][j]
+        holds coordinate k of b_i b_j for i = 0, ..., n-1: the
+        multiplication matrix of x has entry (k, j) = sum_i x_i [k][j][i].
+        Refuses a basis whose products leave the lattice it spans."""
         n = self.degree
-        table = [[None] * n for _ in range(n)]
+        table = [[[0] * n for _ in range(n)] for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 prod = self._mul_power(self._basis_rows[i], self._basis_rows[j])
@@ -217,8 +218,9 @@ class NumberField:
                     raise FieldError(
                         f"integral basis not closed under multiplication at b{i}*b{j}"
                     )
-                table[i][j] = table[j][i] = tuple(coords)
-        return table
+                for k, c in enumerate(coords):
+                    table[k][j][i] = table[k][i][j] = int(c)
+        return [[tuple(col) for col in row] for row in table]
 
     def _mul_power(self, a, b):
         """Multiply two power-basis coordinate vectors modulo min_poly."""
@@ -270,38 +272,23 @@ class NumberField:
         vec = self._reduce_power([Fraction(v) for v in vec])
         return NFElement(self, tuple(self._power_to_basis(vec)))
 
-    @property
+    @cached_property
     def theta(self) -> NFElement:
         return self.from_power([0, 1])
 
     def _mul(self, a: NFElement, b: NFElement) -> NFElement:
-        n = self.degree
-        out = [Fraction(0)] * n
-        for i in range(n):
-            x = a.coords[i]
-            if x:
-                for j in range(n):
-                    y = b.coords[j]
-                    if y:
-                        t = self._mult_table[i][j]
-                        xy = x * y
-                        for k in range(n):
-                            if t[k]:
-                                out[k] += xy * t[k]
-        return NFElement(self, tuple(out))
+        m, da = self._mult_matrix(a.coords)
+        nb, db = la.clear_denominators(b.coords)
+        den = da * db
+        return NFElement(self, tuple(Fraction(c, den) for c in la.mat_vec(m, nb)))
 
-    def _mult_matrix(self, a: NFElement):
-        """Matrix of multiplication by a on the integral basis (columns)."""
-        n = self.degree
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for i, x in enumerate(a.coords):
-            if x:
-                for j in range(n):
-                    t = self._mult_table[i][j]
-                    for k in range(n):
-                        if t[k]:
-                            m[k][j] += x * t[k]
-        return m
+    def _mult_matrix(self, coords) -> tuple[la.Matrix, int]:
+        """(M, den) for the element with the given integral-basis
+        coordinates (ints or Fractions): den is the lcm of their
+        denominators and M the integer matrix of multiplication by den
+        times the element, acting on coordinate columns."""
+        num, den = la.clear_denominators(coords)
+        return [[sum(map(operator.mul, num, c)) for c in row] for row in self._structure], den
 
     # -- discriminant-scale data ----------------------------------------------
 
@@ -504,10 +491,7 @@ class PrimeIdeal:
 
     def is_unit_at(self, x: NFElement) -> bool:
         x = self.field.elt(x)
-        den = x.denominator()
-        if den % self.q == 0:
-            return self.valuation(x) == 0
-        return not self.residue_field.is_zero(self.residue(x))
+        return not x.is_zero() and self.valuation(x) == 0
 
     # -- ideal lattice machinery ------------------------------------------
 
@@ -518,89 +502,72 @@ class PrimeIdeal:
             self._lattice = _ideal_lattice(self.field, self.q, self.second_generator())
         return self._lattice
 
+    @cached_property
+    def _anti_uniformizer(self) -> la.Matrix:
+        """The integer multiplication matrix of an element beta of
+        qP^-1 outside qO (Cohen, GTM 138, Alg. 4.8.17).  As P = (q, pi),
+        beta P lies in qO exactly when beta pi does, so beta is a nonzero
+        vector of the F_q kernel of the multiplication matrix of pi.  Then
+        beta / q has valuation -1 at P and is integral at every other
+        prime above q."""
+        m, _ = self.field._mult_matrix(self.second_generator().coords)
+        beta = la.fp_kernel(la.FpMatrix.from_rows(m, self.q))[0]
+        return self.field._mult_matrix(beta)[0]
+
     def valuation(self, x: NFElement) -> int:
-        """v_P(x) for nonzero x (possibly non-integral)."""
+        """v_P(x) for nonzero x (possibly non-integral): with x = num / den,
+        the number of times num <- beta num / q stays integral, minus
+        e v_q(den)."""
         x = self.field.elt(x)
         if x.is_zero():
             raise FieldError("valuation of zero")
-        den = x.denominator()
-        y = x * den
-        v = _lattice_valuation(self.field, self, y)
-        vden = 0
-        d = den
-        while d % self.q == 0:
-            d //= self.q
-            vden += 1
-        return v - self.e * vden
+        num, den = la.clear_denominators(x.coords)
+        q, beta = self.q, self._anti_uniformizer
+        v = 0
+        while True:
+            num = la.mat_vec(beta, num)
+            if any(c % q for c in num):
+                break
+            num = [c // q for c in num]
+            v += 1
+        while den % q == 0:
+            den //= q
+            v -= self.e
+        return v
 
 
 def _ideal_lattice(field, q, alpha):
-    """HNF column basis of the ideal (q, alpha)."""
+    """HNF column basis of the ideal (q, alpha) for integral alpha."""
     n = field.degree
-    prod = field._mult_matrix(alpha)
-    assert all(c.denominator == 1 for row in prod for c in row)
-    m = [[q * int(i == j) for j in range(n)] + [int(c) for c in prod[i]] for i in range(n)]
+    prod, den = field._mult_matrix(alpha.coords)
+    assert den == 1
+    m = [[q * int(i == j) for j in range(n)] + prod[i] for i in range(n)]
     return la.hnf_column(m)
 
 
 def lattice_mul(field, lat1, lat2):
     """Product of two full-rank ideal lattices (HNF column bases)."""
-    n = field.degree
-    cols1 = list(zip(*lat1))
     cols2 = list(zip(*lat2))
     gens = []
-    for c1 in cols1:
-        x = NFElement(field, tuple(Fraction(v) for v in c1))
-        for c2 in cols2:
-            y = NFElement(field, tuple(Fraction(v) for v in c2))
-            gens.append([int(v) for v in (x * y).coords])
-    m = [[g[i] for g in gens] for i in range(n)]
-    return la.hnf_column(m)
-
-
-def lattice_contains(lat, vec) -> bool:
-    sol = la.solve_integer(lat, list(vec))
-    return sol is not None
+    for c1 in zip(*lat1):
+        m, _ = field._mult_matrix(c1)
+        gens += [la.mat_vec(m, c2) for c2 in cols2]
+    return la.hnf_column(la.transpose(gens))
 
 
 def lattice_norm(lat) -> int:
     return abs(la.det(lat))
 
 
-def _lattice_valuation(field, P, y: NFElement) -> int:
-    """Largest k with integral y in P^k, by divide-and-test on lattices."""
-    base = P.lattice()
-    vec = [int(c) for c in y.coords]
-    if not lattice_contains(base, vec):
-        return 0
-    v = 1
-    cur = base
-    while True:
-        cur = lattice_mul(field, cur, base)
-        if not lattice_contains(cur, vec):
-            return v
-        v += 1
-        if v > 4 * 64:  # pragma: no cover - sanity stop
-            raise RuntimeError("runaway valuation")
-
-
 def ideal_sum_contains_one(field, lat1, lat2):
     """If lat1 + lat2 = (1), return (a, b) with a in lat1, b in lat2 and
     a + b = 1, as NFElements; else None."""
-    n = field.degree
-    cols = [list(c) for c in zip(*lat1)] + [list(c) for c in zip(*lat2)]
-    m = [[cols[k][i] for k in range(len(cols))] for i in range(n)]
-    one = [int(c) for c in field.one.coords]
-    sol = la.solve_integer(m, one)
+    m = [r1 + r2 for r1, r2 in zip(lat1, lat2)]
+    sol = la.solve_integer(m, [1] + [0] * (field.degree - 1))
     if sol is None:
         return None
-    k1 = len(lat1[0])
-    a = field.zero
-    for j in range(k1):
-        col = [Fraction(lat1[i][j]) for i in range(n)]
-        a = a + NFElement(field, tuple(Fraction(sol[j]) * c for c in col))
-    b = field.one - a
-    return a, b
+    a = field.elt(la.mat_vec(lat1, sol[: len(lat1[0])]))
+    return a, field.one - a
 
 
 Q = NumberField((0, 1), label="q")

@@ -265,25 +265,21 @@ def gfp_mul(f, g, q):
 
 
 def gfp_divmod(f, g, q):
-    f = [c % q for c in f]
     g = gfp_trim(g, q)
     if not g:
         raise ZeroDivisionError
     inv = pow(g[-1], -1, q)
-    quo = [0] * max(0, len(f) - len(g) + 1)
-    while True:
-        f = [c % q for c in f]
-        while f and f[-1] % q == 0:
-            f.pop()
-        if len(f) < len(g):
-            break
-        c = (f[-1] * inv) % q
-        d = len(f) - len(g)
-        quo[d] = c
-        for i, gc in enumerate(g):
-            f[d + i] = (f[d + i] - c * gc) % q
-        f.pop()
-    return gfp_trim(quo, q), gfp_trim(f, q)
+    dg = len(g) - 1
+    r = [c % q for c in f]
+    quo = [0] * max(0, len(r) - dg)
+    # One pass per quotient coefficient, from the top; each clears r[d + dg].
+    for d in range(len(quo) - 1, -1, -1):
+        c = r[d + dg] * inv % q
+        if c:
+            quo[d] = c
+            for i, gc in enumerate(g):
+                r[d + i] = (r[d + i] - c * gc) % q
+    return gfp_trim(quo, q), gfp_trim(r[:dg], q)
 
 
 def gfp_mod(f, g, q):

@@ -279,7 +279,9 @@ def test_cubic_class_groups(f, disc, group):
 def _ideal_of(x):
     """HNF of the principal ideal x O."""
     K = x.field
-    return la.hnf_column([[int(c) for c in row] for row in K._mult_matrix(x)])
+    m, den = K._mult_matrix(x.coords)
+    assert den == 1
+    return la.hnf_column(m)
 
 
 def test_cubic_generators_generate_their_ideals():

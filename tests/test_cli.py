@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,40 @@ def test_complex_places_scope(capsys, tmp_path, poly, command, code):
         rep = json.loads(err.strip())
         assert rep["error"]["kind"] == "out_of_scope"
         assert "mixed-signature" in rep["error"]["reason"]
+
+
+# A basis directive is accepted only where its order is shown maximal.
+# Z[sqrt 5] (disc 20) fails Dedekind's criterion at 2, and given as
+# Z[sqrt 20 / 2] its index 2 over Z[theta] leaves 2 undecided; the bases of
+# x^3 - 4x - 8 (index 8, disc -23) and Q(sqrt -7) (index 2) pass.
+@pytest.mark.parametrize("text,command", [
+    ("poly -5 0 1\nbasis 1 0 / 0 1\n", "field"),
+    ("poly -5 0 1\nbasis 1 0 / 0 1\n", "units"),
+    ("poly -5 0 1\nbasis 1 0 / 0 1\n", "classgroup"),
+    ("poly -20 0 1\nbasis 1 0 / 0 1/2\n", "field"),
+])
+def test_non_maximal_basis_is_precondition(capsys, tmp_path, text, command):
+    f = tmp_path / "zsqrt5.field"
+    f.write_text(text)
+    start = time.perf_counter()
+    rc, out, err = run_capture(capsys, ["--json", command, "--field", str(f)])
+    assert time.perf_counter() - start < 2
+    assert rc == 2 and out == ""
+    rep = json.loads(err.strip())
+    assert rep["error"]["kind"] == "precondition"
+    assert "maximal at 2" in rep["error"]["reason"]
+
+
+@pytest.mark.parametrize("text,disc", [
+    ("poly -8 -4 0 1\nbasis 1 0 0 / 0 1/2 0 / 0 0 1/4\n", -23),
+    ("poly 7 0 1\nbasis 1 0 / 1/2 1/2\n", -7),
+])
+def test_maximal_basis_is_accepted(capsys, tmp_path, text, disc):
+    f = tmp_path / "basis.field"
+    f.write_text(text)
+    rc, out, _ = run_capture(capsys, ["--json", "field", "--field", str(f)])
+    assert rc == 0
+    assert json.loads(out)["results"]["discriminant"] == disc
 
 
 # The --json reports of the README's commands, minus wall_time_s.

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from tclab import intlinalg as la
-from tclab.numberfield import FieldError, Q, NumberField
+from tclab.numberfield import FieldError, Q, NumberField, lattice_mul
+from tclab.polys import poly_mul
 
 from conftest import SQUAREFREE, quadratic_field
 
@@ -160,6 +161,12 @@ def test_primes_dividing_the_index(poly, basis, index):
                 assert d.is_zero() or P.valuation(d) >= 1
 
 
+# The index fields and zeta7plus (Z[theta] maximal), for checks of the
+# element arithmetic on elements with denominators.
+ARITH_FIELDS = [(f, b) for f, b, _ in INDEX_FIELDS] + [((-1, -2, 1, 1), None)]
+ARITH_IDS = ["cubic8", "sqrt5", "sqrt-7", "zeta7plus"]
+
+
 @pytest.mark.parametrize("f0", [0, 1, -5, 12])
 def test_degree_one_models_of_q(f0):
     # Q[x]/(x + f0) is Q with theta = -f0; its primes are (q) for every q,
@@ -177,21 +184,23 @@ def test_degree_one_models_of_q(f0):
         assert P.residue(K.elt(Fraction(3, 11))) == P.residue_field.from_int(3 * pow(11, -1, q))
 
 
-@pytest.mark.parametrize("poly,basis", [(f, b) for f, b, _ in INDEX_FIELDS] + [((-1, -2, 1, 1), None)],
-                         ids=["cubic8", "sqrt5", "sqrt-7", "zeta7plus"])
+@pytest.mark.parametrize("poly,basis", ARITH_FIELDS, ids=ARITH_IDS)
 def test_integer_norm_matches_fraction_determinant(poly, basis):
     K = NumberField(poly, integral_basis=basis)
     rng = random.Random(str(poly))
     for _ in range(30):
         den = rng.choice((1, 2, 3, 4, 6, 35))
         x = K.elt([Fraction(rng.randint(-50, 50), den) for _ in range(K.degree)])
-        assert x.norm() == la.frac_det(K._mult_matrix(x))
+        # Column j of the reference is x * b_j, multiplied in the power basis.
+        ref = la.transpose([K.from_power(poly_mul(x.power_coords(), b)).coords for b in K._basis_rows])
+        m, d = K._mult_matrix(x.coords)
+        assert [[Fraction(c, d) for c in row] for row in m] == ref
+        assert x.norm() == la.frac_det(ref)
         y = K.elt([Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(K.degree)])
         assert (x * y).norm() == x.norm() * y.norm()
 
 
-@pytest.mark.parametrize("poly,basis", [(f, b) for f, b, _ in INDEX_FIELDS] + [((-1, -2, 1, 1), None)],
-                         ids=["cubic8", "sqrt5", "sqrt-7", "zeta7plus"])
+@pytest.mark.parametrize("poly,basis", ARITH_FIELDS, ids=ARITH_IDS)
 def test_residue_matches_fraction_coordinates(poly, basis):
     # residue works on integers over one denominator; the reference sums
     # the Fraction gen-power coordinates and refuses a q in a denominator.
@@ -210,3 +219,64 @@ def test_residue_matches_fraction_coordinates(poly, basis):
                 else:
                     expect = P.residue_field.elt([t.numerator * pow(t.denominator, -1, q) for t in c])
                     assert P.residue(x) == expect
+
+
+def _random_element(K, rng):
+    den = rng.choice((1, 2, 3, 4, 5, 6, 35))
+    return K.elt([Fraction(rng.randint(-50, 50), den) for _ in range(K.degree)])
+
+
+@pytest.mark.parametrize("poly,basis", ARITH_FIELDS, ids=ARITH_IDS)
+def test_products_and_inverses_match_power_basis(poly, basis):
+    # The integer multiplication matrix against polynomial products mod f.
+    K = NumberField(poly, integral_basis=basis)
+    rng = random.Random(f"mul{poly}")
+    for _ in range(40):
+        x, y = _random_element(K, rng), _random_element(K, rng)
+        assert x * y == K.from_power(poly_mul(x.power_coords(), y.power_coords()))
+        if not x.is_zero():
+            assert x * x.inverse() == 1
+
+
+def _valuation_by_lattices(P, x):
+    """v_P(x) from the definition: the largest k with den x in P^k, found
+    by lattice products and integer membership, minus e v_q(den)."""
+    num, den = la.clear_denominators(x.coords)
+    k, power = 0, P.lattice()
+    while la.solve_integer(power, list(num)) is not None:
+        k += 1
+        power = lattice_mul(P.field, power, P.lattice())
+    while den % P.q == 0:
+        den //= P.q
+        k -= P.e
+    return k
+
+
+def _rational_valuation(r, q):
+    v, num, den = 0, r.numerator, r.denominator
+    while num % q == 0:
+        num //= q
+        v += 1
+    while den % q == 0:
+        den //= q
+        v -= 1
+    return v
+
+
+@pytest.mark.parametrize("poly,basis", ARITH_FIELDS, ids=ARITH_IDS)
+def test_valuation_matches_lattice_membership_and_norm(poly, basis):
+    K = NumberField(poly, integral_basis=basis)
+    rng = random.Random(f"val{poly}")
+    for q in [2, 3, 5, 7, 11, 13]:
+        primes = K.factor_prime(q)
+        assert not any(P.is_unit_at(K.zero) for P in primes)
+        for _ in range(10):
+            x = _random_element(K, rng) * rng.choice((1, q, q * q, Fraction(1, q)))
+            if rng.random() < 0.5:
+                x = x * primes[0].second_generator() ** rng.randint(1, 3)
+            if x.is_zero():
+                continue
+            vals = [P.valuation(x) for P in primes]
+            assert vals == [_valuation_by_lattices(P, x) for P in primes]
+            assert [P.is_unit_at(x) for P in primes] == [v == 0 for v in vals]
+            assert sum(P.f_deg * v for P, v in zip(primes, vals)) == _rational_valuation(x.norm(), q)
