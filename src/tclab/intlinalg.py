@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 
 
@@ -141,20 +140,22 @@ def _min_pivot(a: Matrix, t: int):
     return best
 
 
-def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (d, u, v) with u*m*v = d diagonal, divisibility chain on the
-    diagonal, and u, v unimodular.
+def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+    """Return (d, u, v, u_inv) with u*m*v = d diagonal, divisibility chain
+    on the diagonal, u and v unimodular, and u_inv the inverse of u.
 
     Classic minimal-pivot reduction: at each step the smallest nonzero
     entry of the trailing block is moved to the pivot and used to reduce
     its row and column.  Since the pivot's absolute value strictly drops
     whenever a remainder survives, entries stay small and the loop
-    terminates.
+    terminates.  Each row operation E on u is undone on the columns of
+    u_inv (u_inv <- u_inv E^-1), so u_inv stays exact without a solve.
     """
     rows = len(m)
     cols = len(m[0]) if m else 0
     a = mat_copy(m)
     u = identity(rows)
+    u_inv = identity(rows)
     v = identity(cols)
     t = 0
     while t < min(rows, cols):
@@ -165,6 +166,8 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         if i != t:
             a[t], a[i] = a[i], a[t]
             u[t], u[i] = u[i], u[t]
+            for row in u_inv:
+                row[t], row[i] = row[i], row[t]
         if j != t:
             for row in a:
                 row[t], row[j] = row[j], row[t]
@@ -180,6 +183,8 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                     a[i][k] -= q * a[t][k]
                 for k in range(rows):
                     u[i][k] -= q * u[t][k]
+                for row in u_inv:
+                    row[t] += q * row[i]
                 if a[i][t]:
                     clean = False
         for j in range(t + 1, cols):
@@ -208,14 +213,18 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                 a[t][k] += a[offender][k]
             for k in range(rows):
                 u[t][k] += u[offender][k]
+            for row in u_inv:
+                row[offender] -= row[t]
             continue
         if a[t][t] < 0:
             for k in range(cols):
                 a[t][k] = -a[t][k]
             for k in range(rows):
                 u[t][k] = -u[t][k]
+            for row in u_inv:
+                row[t] = -row[t]
         t += 1
-    return a, u, v
+    return a, u, v, u_inv
 
 
 @dataclass
@@ -230,11 +239,8 @@ class Presentation:
 
     group: FinAbGroup
     U: Matrix
+    U_inv: Matrix
     diag: list[int]
-
-    @cached_property
-    def U_inv(self) -> Matrix:
-        return [[int(x) for x in row] for row in frac_inv(self.U)]
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -259,12 +265,12 @@ def present(relations: Matrix, n: int) -> Presentation:
     Raises ValueError unless the quotient is finite.
     """
     if n == 0:
-        return Presentation(FinAbGroup(), [], [])
-    d, u, _ = smith_normal_form(transpose(relations))
+        return Presentation(FinAbGroup(), [], [], [])
+    d, u, _, u_inv = smith_normal_form(transpose(relations))
     diag = [d[i][i] if i < len(d) and i < len(d[0]) else 0 for i in range(n)]
     if 0 in diag:
         raise ValueError("relations do not present a finite group")
-    return Presentation(FinAbGroup(tuple(sorted(x for x in diag if x > 1))), u, diag)
+    return Presentation(FinAbGroup(tuple(sorted(x for x in diag if x > 1))), u, u_inv, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +449,7 @@ def solve_integer(a: Matrix, b: list[int]) -> list[int] | None:
     """One integer solution x of a @ x = b, or None if unsolvable over Z."""
     if not a:
         return [] if not any(b) else None
-    d, u, v = smith_normal_form(a)
+    d, u, v, _ = smith_normal_form(a)
     rows, cols = len(a), len(a[0])
     c = mat_vec(u, b)
     y = [0] * cols
@@ -464,7 +470,7 @@ def integer_kernel(a: Matrix, cols: int) -> list[list[int]]:
     """Basis of the integer kernel {x in Z^cols : a @ x = 0}."""
     if not a:
         return identity(cols)
-    d, _, v = smith_normal_form(a)
+    d, _, v, _ = smith_normal_form(a)
     rank = sum(1 for i in range(min(len(a), cols)) if d[i][i])
     return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
 

@@ -481,6 +481,17 @@ class PrimeIdeal:
             lifted.append(c.numerator * pow(c.denominator, -1, self.q) % self.q)
         return self.residue_field.elt(lifted)
 
+    def character(self, x: NFElement, m: int) -> int:
+        """The tame character of order m | N(P) - 1 at x: the k mod m with
+        r^((N(P)-1)/m) = z^k for r = x mod P and z the residue field's
+        fixed generator of mu_m (Cohen, GTM 138, 1.4 and 4.8).  It is 0
+        exactly when r is an m-th power.  Requires v_P(x) = 0."""
+        rf = self.residue_field
+        r = self.residue(x)
+        if rf.is_zero(r):
+            raise FieldError(f"element not coprime to {self.label}")
+        return rf.dlog(rf.pow(r, (self.norm - 1) // m), rf.subgroup_generator(m), m)
+
     @cached_property
     def _int_to_gen(self) -> tuple[list[tuple[int, ...]], int]:
         """to_gen as integer columns over one denominator d:

@@ -201,21 +201,15 @@ def frobenius_order(x: NFElement, P: PrimeIdeal, p: int) -> int:
     P tame."""
     if P.q == p:
         raise FieldError(f"{P.label} is wild at {p}")
-    N = P.norm
-    k = 1
-    Nk = N % p
-    while Nk != 1:
-        Nk = (Nk * N) % p
-        k += 1
-    # x^((N^k - 1)/p) lands in mu_p; reduce the exponent mod N - 1 since
-    # x generates a subgroup of the small residue field.
-    e = ((pow(N, k) - 1) // p) % (N - 1)
     rf = P.residue_field
     r = P.residue(x)
     if rf.is_zero(r):
         raise FieldError(f"{P.label} divides the Kummer generator")
-    val = rf.pow(r, e)
-    return 1 if val == rf.one else p
+    # When p does not divide N(P) - 1 every unit of F_P is a p-th power;
+    # otherwise Euler's test decides whether r is one.
+    if (P.norm - 1) % p:
+        return 1
+    return 1 if rf.pow(r, (P.norm - 1) // p) == rf.one else p
 
 
 def witness_nonvanishing(field: NumberField, x: NFElement, p: int,

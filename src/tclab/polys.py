@@ -463,29 +463,22 @@ class ResidueField:
             yield gfp_trim(tup, self.q)
 
     def subgroup_generator(self, m: int):
-        """Fixed generator of the order-m subgroup of the multiplicative
-        group (m must divide order - 1): first element in enumeration order
-        whose (order-1)/m power has exact order m."""
+        """Fixed generator z = a^((order-1)/m) of the order-m subgroup of
+        the multiplicative group (m must divide order - 1), for the first
+        nonzero a in _candidates order (t + c first) that is no r-th power
+        for any prime r | m.  Then z^m = 1 and z^(m/r) = a^((order-1)/r)
+        != 1, so z has exact order m; the degree-deg candidates reduce to
+        every element, so the search ends."""
         if m in self._subgroup_gens:
             return self._subgroup_gens[m]
         assert (self.order - 1) % m == 0
-        e = (self.order - 1) // m
-        for a in self.elements():
-            if self.is_zero(a):
-                continue
-            z = self.pow(a, e)
-            if self._order_is(z, m):
-                self._subgroup_gens[m] = z
+        rs = prime_factors(m)
+        for cand in _candidates(self.deg, self.q):
+            a = self.elt(cand)
+            if a and all(self.pow(a, (self.order - 1) // r) != self.one for r in rs):
+                z = self._subgroup_gens[m] = self.pow(a, (self.order - 1) // m)
                 return z
         raise RuntimeError("no subgroup generator found")  # pragma: no cover
-
-    def _order_is(self, z, m: int) -> bool:
-        if self.pow(z, m) != self.one:
-            return False
-        for r in prime_factors(m):
-            if self.pow(z, m // r) == self.one:
-                return False
-        return True
 
     def dlog(self, target, base, order: int) -> int:
         """Discrete log in the cyclic group generated by base of known

@@ -32,19 +32,23 @@ def p_part_order(P: PrimeIdeal, p: int) -> int:
 
 @dataclass
 class ResGen:
-    """Generator of the p-part of (O/P)^*."""
+    """Generator of the p-part of (O/P)^*, read through P's character of
+    order p^a."""
 
     prime: PrimeIdeal
     order: int  # p^a
-    base: tuple  # residue field element of exact order p^a
-    proj_exp: int  # u -> u^proj_exp projects onto the p-part, fixing it
+
+    @property
+    def base(self) -> tuple:
+        """The residue field element of exact order p^a."""
+        return self.prime.residue_field.subgroup_generator(self.order)
 
     def dlog(self, x: NFElement) -> int:
-        rf = self.prime.residue_field
-        r = self.prime.residue(x)
-        if rf.is_zero(r):
-            raise FieldError(f"element not coprime to {self.prime.label}")
-        return rf.dlog(rf.pow(r, self.proj_exp), self.base, self.order)
+        """k mod p^a with base^k the p-part of r = x mod P.  With
+        m = (N(P) - 1)/p^a and mu = m^-1 mod p^a, that p-part is
+        r^(m mu), and r^m = base^character(x)."""
+        m = (self.prime.norm - 1) // self.order
+        return self.prime.character(x, self.order) * pow(m, -1, self.order) % self.order
 
 
 @dataclass
@@ -93,15 +97,7 @@ def ray_class_p_part(field: NumberField, modulus: list[PrimeIdeal], p: int) -> R
                 f"class group generator {P.label} divides the modulus; "
                 "choose a modulus away from the small primes"
             )
-    res_gens = []
-    for P in modulus:
-        pa = p_part_order(P, p)
-        if pa == 1:
-            continue
-        m = (P.norm - 1) // pa
-        mu = pow(m, -1, pa)
-        base = P.residue_field.subgroup_generator(pa)
-        res_gens.append(ResGen(P, pa, base, (m * mu) % (P.norm - 1)))
+    res_gens = [ResGen(P, pa) for P in modulus if (pa := p_part_order(P, p)) > 1]
     s = len(res_gens)
     k = len(cls.generating_primes)
     rows: list[list[int]] = []

@@ -24,11 +24,7 @@ def power_residue_class(x: NFElement, P: PrimeIdeal, p: int) -> int:
     in the completion at P.  Requires Norm(P) = 1 mod p and v_P(x) = 0."""
     if (P.norm - 1) % p != 0:
         raise FieldError(f"{P.label} has norm not 1 mod {p}")
-    rf = P.residue_field
-    r = P.residue(x)
-    if rf.is_zero(r):
-        raise FieldError(f"element not coprime to {P.label}")
-    return rf.dlog(rf.pow(r, (P.norm - 1) // p), rf.subgroup_generator(p), p)
+    return P.character(x, p)
 
 
 @dataclass

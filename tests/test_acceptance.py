@@ -133,6 +133,13 @@ def test_03_two_route_rusb_equality(L5, L7):
     for X in ([], [first7(7)], T7, T7 + [first7(307), first7(349)]):
         assert sm.crosscheck_rusb(L7, X, 2)["agree"]
         rows += 1
+    # inert primes: residue degree 3 (N = 8, 27, 125) and 2 (N = 4, 49)
+    first5 = lambda q: L5.factor_prime(q)[0]
+    for K, X, p in ((L7, [first7(2)], 7), (L7, [first7(3), first7(5)], 2),
+                    (L7, [first7(3)], 13), (L5, [first5(2), first5(7)], 3)):
+        assert all(P.f_deg > 1 for P in X)
+        assert sm.crosscheck_rusb(K, X, p)["agree"]
+        rows += 1
     # random quadratic corpus
     fields = []
     for n in SQUAREFREE:
@@ -151,7 +158,7 @@ def test_03_two_route_rusb_equality(L5, L7):
         done += 1
         rows += 1
     elapsed = time.time() - t0
-    ok = rows >= 27 and elapsed < 300
+    ok = rows >= 31 and elapsed < 300
     report("3 two-route RusB equality", ok, f"{rows} rows, {elapsed:.1f}s")
 
 
@@ -253,7 +260,7 @@ def test_09_property_suites():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         m = [[rng.randint(-30, 30) for _ in range(cols)] for _ in range(rows)]
-        d, u, v = la.smith_normal_form(m)
+        d, u, v, _ = la.smith_normal_form(m)
         assert la.mat_mul(la.mat_mul(u, m), v) == d
         assert abs(la.det(u)) == 1 and abs(la.det(v)) == 1
         diag = [d[i][i] for i in range(min(rows, cols))]

@@ -1,0 +1,125 @@
+"""Brute-force oracles for the tame character of a prime P.
+
+P.character(x, m) reads r = x mod P through one fixed generator z of
+mu_m in the residue field.  Every check here rebuilds its answer without
+ResidueField.pow, dlog or subgroup_generator: powers are repeated
+products, m-th powers are enumerated, and the ray-class discrete log and
+the Frobenius order are recomputed from the formulas they replaced.
+"""
+
+import random
+
+import pytest
+
+from tclab import pipeline as pl, polys, rayclass as rc
+from tclab.numberfield import FieldError, NumberField, Q
+
+from conftest import quadratic_field
+
+SQRT5 = quadratic_field(5)
+ZETA7PLUS = NumberField((-1, -2, 1, 1), label="zeta7plus")
+
+# Residue degree 1 (Q at 7 and 13, both primes of Q(sqrt 5) above 11),
+# 2 (Q(sqrt 5) at 2 and 7) and 3 (zeta7plus at 2, 3 and 5).
+PRIMES = ([(Q, 7, 1), (Q, 13, 1), (SQRT5, 11, 1), (SQRT5, 11, 2), (SQRT5, 2, 1), (SQRT5, 7, 1)]
+          + [(ZETA7PLUS, q, 1) for q in (2, 3, 5)])
+IDS = [f"{K.label}-{q}_{i}" for K, q, i in PRIMES]
+
+
+def _power(F, a, e):
+    out = F.one
+    for _ in range(e):
+        out = F.mul(out, a)
+    return out
+
+
+def _order(F, z):
+    k, acc = 1, z
+    while acc != F.one:
+        k, acc = k + 1, F.mul(acc, z)
+    return k
+
+
+def _prime_powers(n):
+    return [r**a for r in polys.prime_factors(n) for a in range(1, n.bit_length()) if n % r**a == 0]
+
+
+def _units(P, count=12):
+    """Seeded elements of P's field with nonzero residue at P."""
+    K, rng, out = P.field, random.Random(P.label), []
+    while len(out) < count:
+        x = K.elt([rng.randint(-30, 30) for _ in range(K.degree)])
+        if P.residue(x):
+            out.append(x)
+    return out
+
+
+def _in_P(P):
+    return [P.field.elt(P.q), P.second_generator()]
+
+
+@pytest.fixture(params=PRIMES, ids=IDS)
+def P(request):
+    K, q, i = request.param
+    P = K.prime(q, i)
+    assert P.residue_field.deg == P.f_deg
+    return P
+
+
+def test_subgroup_generator_oracle(P):
+    F, N = P.residue_field, P.norm
+    for m in _prime_powers(N - 1):
+        (r,) = polys.prime_factors(m)
+        rth_powers = {_power(F, e, r) for e in F.elements() if e}
+        first = next(a for a in map(F.elt, polys._candidates(F.deg, F.q))
+                     if a and a not in rth_powers)
+        z = F.subgroup_generator(m)
+        assert z == _power(F, first, (N - 1) // m)
+        assert _order(F, z) == m
+
+
+def test_character_oracle(P):
+    F, N = P.residue_field, P.norm
+    xs = _units(P)
+    for m in _prime_powers(N - 1):
+        z = F.subgroup_generator(m)
+        logs = {_power(F, z, k): k for k in range(m)}
+        for x in xs:
+            assert P.character(x, m) == logs[_power(F, P.residue(x), (N - 1) // m)]
+        for x, y in zip(xs, xs[1:]):
+            assert P.character(x * y, m) == (P.character(x, m) + P.character(y, m)) % m
+        for x in _in_P(P):
+            with pytest.raises(FieldError, match="not coprime"):
+                P.character(x, m)
+
+
+def test_resgen_dlog_matches_the_projection_formula(P):
+    F, N = P.residue_field, P.norm
+    for p in polys.prime_factors(N - 1):
+        pa = rc.p_part_order(P, p)
+        g = rc.ResGen(P, pa)
+        m = (N - 1) // pa
+        proj_exp = m * pow(m, -1, pa) % (N - 1)
+        logs = {_power(F, g.base, k): k for k in range(pa)}
+        for x in _units(P):
+            assert g.dlog(x) == logs[_power(F, P.residue(x), proj_exp)]
+        assert g.dlog(P.lift(g.base)) == 1 % pa
+
+
+def test_frobenius_order_matches_the_exponent_formula(P):
+    F, N = P.residue_field, P.norm
+    for p in (2, 3, 5, 7, 11, 13):
+        if p == P.q:
+            continue
+        k = next(k for k in range(1, p) if pow(N, k, p) == 1)
+        e = (N**k - 1) // p % (N - 1)
+        for x in _units(P):
+            old = 1 if _power(F, P.residue(x), e) == F.one else p
+            assert pl.frobenius_order(x, P, p) == old
+            if (N - 1) % p:
+                assert old == 1
+            else:
+                assert old == (1 if P.character(x, p) == 0 else p)
+        for x in _in_P(P):
+            with pytest.raises(FieldError, match="divides the Kummer generator"):
+                pl.frobenius_order(x, P, p)

@@ -15,7 +15,7 @@ def random_matrix(rng, rows, cols, bound=30):
 
 def test_snf_known():
     m = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
-    d, u, v = la.smith_normal_form(m)
+    d, u, v, _ = la.smith_normal_form(m)
     assert [d[i][i] for i in range(3)] == [2, 6, 12]
 
 
@@ -25,8 +25,9 @@ def test_snf_properties_random():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         m = random_matrix(rng, rows, cols)
-        d, u, v = la.smith_normal_form(m)
+        d, u, v, u_inv = la.smith_normal_form(m)
         assert la.mat_mul(la.mat_mul(u, m), v) == d
+        assert la.mat_mul(u, u_inv) == la.identity(rows)
         assert abs(la.det(u)) == 1
         assert abs(la.det(v)) == 1
         diag = [d[i][i] for i in range(min(rows, cols))]
