@@ -1,10 +1,17 @@
 """Real embeddings with certified rational intervals.
 
-Roots of the defining polynomial are isolated by its Sturm sequence
-(`polys.real_root_intervals`, which returns rational isolating intervals)
-and refined by exact bisection.  Logs and determinants for unit-lattice
-certification go through mpmath interval arithmetic, whose endpoints are
-dyadic rationals, so every sign decision is rigorous.
+Roots of the defining polynomial f are isolated by its Sturm sequence
+(`polys.real_root_intervals`, whose isolating intervals have dyadic
+endpoints).  Each root then lives in integers, on the grid of cells that
+repeated halving of its isolating interval produces, and every interval
+handed out is the cell that exact bisection would reach at the width
+asked for.  A refinement runs Newton's method in fixed point, snaps the
+approximation to that cell and proves the snap by two exact sign
+evaluations of f; while f' may vanish on the cell, the cell is halved
+instead.  Elements are enclosed by naive interval Horner on integer
+numerators.  Logs and determinants for unit-lattice certification go
+through mpmath interval arithmetic, whose endpoints are dyadic
+rationals, so every sign decision is rigorous.
 """
 
 from __future__ import annotations
@@ -14,7 +21,13 @@ from itertools import combinations
 
 import mpmath
 
-from .polys import poly_eval, real_root_intervals
+from . import intlinalg as la
+from .polys import real_root_intervals
+
+# Bits of fixed-point precision beyond the cell grid in a Newton snap,
+# and bits of margin each doubling step of the ladder leaves for the
+# curvature of f.
+_GUARD_BITS = 8
 
 
 class RealEmbeddings:
@@ -22,83 +35,262 @@ class RealEmbeddings:
 
     def __init__(self, field):
         self.field = field
+        self._roots = [_Root(field.min_poly, lo, hi)
+                       for lo, hi in real_root_intervals(field.min_poly)]
+        assert len(self._roots) == field.signature[0]
+        # The power-basis coordinates of the integral basis, as integers
+        # over one denominator.
+        n = field.degree
+        flat, self._basis_den = la.clear_denominators(
+            [c for row in field._basis_rows for c in row])
+        self._basis = [flat[i * n:(i + 1) * n] for i in range(n)]
         # A degree-1 polynomial's rational root is bracketed like any other
-        # root; its interval is a point only if an endpoint or a midpoint
-        # hits the root exactly.
-        self.intervals = [self._refine(iv, Fraction(1, 2**20))
-                          for iv in real_root_intervals(field.min_poly)]
-        assert len(self.intervals) == field.signature[0]
+        # root; its interval is a point only if a midpoint hits the root
+        # exactly.
+        self.refine_all(Fraction(1, 2**20))
 
-    def _sign_at(self, x: Fraction) -> int:
-        v = poly_eval(self.field.min_poly, x)
-        return (v > 0) - (v < 0)
-
-    def _refine(self, iv, eps: Fraction):
-        lo, hi = iv
-        if lo == hi:
-            return iv
-        slo = self._sign_at(lo)
-        if slo == 0:
-            return lo, lo
-        if self._sign_at(hi) == 0:
-            return hi, hi
-        while hi - lo > eps:
-            mid = (lo + hi) / 2
-            sm = self._sign_at(mid)
-            if sm == 0:
-                return mid, mid
-            if sm == slo:
-                lo = mid
-            else:
-                hi = mid
-        return lo, hi
+    @property
+    def intervals(self) -> list[tuple[Fraction, Fraction]]:
+        """The rational interval (lo, hi) of each real root, ascending."""
+        out = []
+        for root in self._roots:
+            L, H, E = root.cell(root.depth)
+            out.append((Fraction(L, 1 << E), Fraction(H, 1 << E)))
+        return out
 
     def refine_all(self, eps: Fraction):
-        self.intervals = [self._refine(iv, eps) for iv in self.intervals]
+        """Narrow every interval, as bisection does, until it is no wider
+        than eps."""
+        for root in self._roots:
+            root.depth = root.depth_for(eps)
+            root.extend(root.depth)
+
+    def _power_numerators(self, x) -> tuple[list[int], int]:
+        """Integers c and den with c / den the power-basis coordinates of x."""
+        num, den = la.clear_denominators(x.coords)
+        B = self._basis
+        return ([sum(num[i] * B[i][j] for i in range(len(num))) for j in range(len(num))],
+                den * self._basis_den)
 
     def element_intervals(self, x, eps: Fraction | None = None):
         """Rational interval for each real embedding of the element x."""
         if eps is not None:
             self.refine_all(eps)
-        pc = x.power_coords()
+        nums, den = self._power_numerators(x)
         out = []
-        for iv in self.intervals:
-            out.append(_poly_interval(pc, iv))
+        for root in self._roots:
+            L, H, E = root.cell(root.depth)
+            out.append(_poly_interval(nums, den, L, H, 1 << E))
         return out
 
     def element_signs(self, x) -> list[int]:
-        """Exact sign of each real embedding of nonzero x.  The enclosures
-        shrink to the conjugates of x, none of which is 0, so each loop
-        ends."""
+        """Exact sign of each real embedding of nonzero x.
+
+        The intervals are refined in rounds of 10 bits, from width 2^-20
+        on, until no enclosure of x contains 0; the enclosures shrink to
+        the conjugates of x, none of which is 0, so some round decides.
+        Enclosures on nested intervals are nested, so whether a round
+        decides embedding k is monotone in the round, and the first
+        deciding round is found by doubling and then bisecting over the
+        round count.  Every interval is left at the last round any
+        embedding needed."""
+        nums, _ = self._power_numerators(x)
+        rounds = 0
         signs = []
-        pc = x.power_coords()
-        eps = Fraction(1, 2**20)
-        for k in range(len(self.intervals)):
-            while True:
-                lo, hi = _poly_interval(pc, self.intervals[k])
-                if lo > 0:
-                    signs.append(1)
-                    break
-                if hi < 0:
-                    signs.append(-1)
-                    break
-                if lo == hi == 0:
-                    signs.append(0)
-                    break
-                eps /= 2**10
-                self.refine_all(eps)
+        for root in self._roots:
+            sign = _round_sign(root, nums, rounds)
+            if sign is None:
+                bad, step = rounds, 1
+                while (sign := _round_sign(root, nums, bad + step)) is None:
+                    bad, step = bad + step, 2 * step
+                good = bad + step
+                while good - bad > 1:
+                    mid = (bad + good) // 2
+                    s = _round_sign(root, nums, mid)
+                    if s is None:
+                        bad = mid
+                    else:
+                        good, sign = mid, s
+                rounds = good
+            signs.append(sign)
+        if rounds:
+            self.refine_all(Fraction(1, 2 ** (20 + 10 * rounds)))
         return signs
 
 
-def _poly_interval(coeffs, iv):
-    """Evaluate a polynomial with rational coefficients on a rational
-    interval, returning a containing interval (naive interval Horner)."""
-    lo = hi = Fraction(0)
-    for c in reversed(coeffs):
-        c = Fraction(c)
-        prods = [lo * iv[0], lo * iv[1], hi * iv[0], hi * iv[1]]
-        lo, hi = min(prods) + c, max(prods) + c
+def _round_sign(root, nums, rounds: int) -> int | None:
+    """Sign at the root of the polynomial with coefficients nums once the
+    intervals have been refined for the given number of rounds (see
+    element_signs), or None if its enclosure contains 0."""
+    d = root.depth_for(Fraction(1, 2 ** (20 + 10 * rounds)))
+    root.extend(d)
+    L, H, E = root.cell(d)
+    lo, hi = _horner_bounds(nums, L, H, 1 << E)
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
+    if lo == hi == 0:
+        return 0
+    return None
+
+
+class _Root:
+    """One real root of the monic squarefree f, kept on the grid of its
+    isolating interval [L0, L0 + W] / 2^E0: the cell (j, d) of depth d is
+    [L0 2^d + j W, L0 2^d + (j + 1) W] / 2^(E0 + d), and halving the cell
+    (j, d) gives the cells (2j, d + 1) and (2j + 1, d + 1).  Only the
+    deepest cell known to hold the root is stored; a shallower one is its
+    ancestor, of index j >> (difference in depth).  The interval handed
+    out is the cell of depth self.depth.
+
+    A midpoint that is the root itself (a rational root, so degree 1)
+    ends the halving as bisection does: every cell below it is that
+    point."""
+
+    def __init__(self, f, lo: Fraction, hi: Fraction):
+        self.f = tuple(f)
+        self.df = tuple(i * c for i, c in enumerate(f))[1:]
+        self.E0 = max(lo.denominator, hi.denominator).bit_length() - 1
+        self.L0 = int(lo * (1 << self.E0))
+        self.W = int(hi * (1 << self.E0)) - self.L0
+        assert (Fraction(self.L0, 1 << self.E0), Fraction(self.L0 + self.W, 1 << self.E0)) == (lo, hi)
+        # The sign of f at the left end of every cell: f has one simple
+        # root in the isolating interval and none at its ends.
+        self.s = _sign_at(self.f, self.L0, self.E0)
+        self.j = self.d = self.depth = 0
+        self.point = False  # the midpoint of the cell (j, d) is the root
+        self.monotone = False  # f' has no zero on the cell (j, d)
+
+    def depth_for(self, eps) -> int:
+        """The least depth, and at least self.depth, whose cells are no
+        wider than eps > 0."""
+        eps = Fraction(eps)
+        t = -(-self.W * eps.denominator // eps.numerator)
+        return max(self.depth, (t - 1).bit_length() - self.E0)
+
+    def cell(self, d: int) -> tuple[int, int, int]:
+        """(L, H, E): the cell of depth d <= self.d, or the point at any
+        depth below the one the root was found at, is [L, H] / 2^E."""
+        if self.point and d > self.d:
+            m = 2 * (self.L0 << self.d) + (2 * self.j + 1) * self.W
+            return m, m, self.E0 + self.d + 1
+        lo = (self.L0 << d) + (self.j >> (self.d - d)) * self.W
+        return lo, lo + self.W, self.E0 + d
+
+    def extend(self, D: int):
+        """Make the cell of depth D known."""
+        while self.d < D and not self.point:
+            if not self.monotone:
+                L, H, E = self.cell(self.d)
+                lo, hi = _horner_bounds(self.df, L, H, 1 << E)
+                self.monotone = lo > 0 or hi < 0
+            if self.monotone and self._snap(D):
+                return
+            self._halve()
+
+    def _halve(self):
+        L, H, E = self.cell(self.d)
+        sm = _sign_at(self.f, L + H, E + 1)
+        if sm == 0:
+            self.point = True
+            return
+        self.j, self.d = 2 * self.j + (sm == self.s), self.d + 1
+
+    def _snap(self, D: int) -> bool:
+        """Move to the cell of depth D from a Newton approximation of the
+        root, proven by the signs of f at its ends; False when those
+        signs do not confirm the cell or its two neighbours."""
+        L, H, E = self.cell(self.d)
+        k = D - self.d
+        T = self.E0 + D
+        P = T + _GUARD_BITS
+        # Precisions from P down, halving while the approximation at hand
+        # (the midpoint, good to about E - log2 W bits) cannot reach them
+        # in one Newton step.
+        good = E + 1 - self.W.bit_length()
+        ladder = [P]
+        while good < ladder[-1] // 2 + _GUARD_BITS < ladder[-1]:
+            ladder.append(ladder[-1] // 2 + _GUARD_BITS)
+        X, p = L + H, E + 1
+        for q in reversed(ladder):
+            X = X << (q - p) if q >= p else X >> (p - q)
+            p = q
+            g = _scaled_value(self.df, X, q)
+            if g == 0:
+                return False
+            X -= _scaled_value(self.f, X, q) // g
+        first = self.j << k
+        j = (X - (self.L0 << (D + _GUARD_BITS))) // (self.W << _GUARD_BITS)
+        j = min(max(j, first), first + (1 << k) - 1)
+        for _ in range(3):
+            lo = (self.L0 << D) + j * self.W
+            s_lo, s_hi = _sign_at(self.f, lo, T), _sign_at(self.f, lo + self.W, T)
+            if s_lo == 0 or s_hi == 0:
+                break
+            if s_lo != self.s:
+                j -= 1
+            elif s_hi == self.s:
+                j += 1
+            else:
+                self.j, self.d = j, D
+                return True
+        else:
+            return False
+        # A grid point of depth D is the root: bisection stops on it.
+        while self.d < D and not self.point:
+            self._halve()
+        return True
+
+
+def _scaled_value(f, X: int, E: int) -> int:
+    """2^(E deg f) f(X / 2^E), for f with integer coefficients."""
+    n = len(f) - 1
+    acc = f[-1]
+    for i in range(n - 1, -1, -1):
+        acc = acc * X + (f[i] << (E * (n - i)))
+    return acc
+
+
+def _sign_at(f, X: int, E: int) -> int:
+    """The sign of f(X / 2^E): that of sum_i a_i X^i (2^E)^(n - i)."""
+    v = _scaled_value(f, X, E)
+    return (v > 0) - (v < 0)
+
+
+def _horner_bounds(nums, L: int, H: int, q: int) -> tuple[int, int]:
+    """Numerators over q^(len(nums) - 1) of the naive interval Horner
+    enclosure of sum_i nums[i] x^i on x in [L / q, H / q], L <= H.
+
+    The running enclosure after t coefficients has denominator q^(t-1),
+    so each step multiplies by [L, H], adds the next coefficient times
+    q^t, and compares numerators only.  Of the four endpoint products,
+    the signs of the factors pick out the least and the greatest."""
+    lo = hi = nums[-1]
+    qt = 1
+    for c in reversed(nums[:-1]):
+        qt *= q
+        if L >= 0:
+            lo, hi = lo * (L if lo >= 0 else H), hi * (H if hi >= 0 else L)
+        elif H <= 0:
+            lo, hi = hi * (H if hi <= 0 else L), lo * (L if lo <= 0 else H)
+        else:
+            lo, hi = min(lo * H, hi * L), max(lo * L, hi * H)
+        c *= qt
+        lo += c
+        hi += c
     return lo, hi
+
+
+def _poly_interval(nums, den: int, L: int, H: int, q: int) -> tuple[Fraction, Fraction]:
+    """Evaluate the polynomial with coefficients nums / den on the interval
+    [L / q, H / q], returning a containing interval (naive interval
+    Horner, one Fraction per endpoint).  Comparing numerators over one
+    positive denominator orders the values, so the endpoints are those of
+    the same Horner scheme run in Fraction arithmetic."""
+    lo, hi = _horner_bounds(nums, L, H, q)
+    d = den * q ** (len(nums) - 1)
+    return Fraction(lo, d), Fraction(hi, d)
 
 
 def log_abs_interval(iv):

@@ -61,6 +61,33 @@ def det(m: Matrix) -> int:
     if n == 0:
         return 1
     a = mat_copy(m)
+    return _bareiss(a, n) * a[-1][n - 1]
+
+
+def bareiss_solve(m: Matrix, b: list[int]) -> tuple[list[int], int]:
+    """Integers y and d != 0 with m @ (y / d) = b, for a square integer
+    matrix m and an integer vector b; ZeroDivisionError if m is singular.
+
+    Bareiss elimination on [m | b] leaves an upper triangular system whose
+    last pivot d is +-det m, so d times the solution is integral by
+    Cramer's rule and back substitution divides exactly."""
+    n = len(m)
+    a = [list(row) + [v] for row, v in zip(m, b)]
+    d = _bareiss(a, n) and a[-1][n - 1]
+    if d == 0:
+        raise ZeroDivisionError("singular matrix")
+    y = [0] * n
+    for i in reversed(range(n)):
+        y[i] = (d * a[i][n] - sum(a[i][j] * y[j] for j in range(i + 1, n))) // a[i][i]
+    return y, d
+
+
+def _bareiss(a: Matrix, n: int) -> int:
+    """Fraction-free Bareiss elimination, in place, on the first n columns
+    of the n rows a (which may be longer, e.g. an augmented column).
+    Returns the sign of the row swaps made, or 0 if some column has no
+    pivot (then det = 0); otherwise a[n-1][n-1] is that sign times the
+    determinant of the first n columns."""
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -73,11 +100,11 @@ def det(m: Matrix) -> int:
             else:
                 return 0
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(a[i])):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return sign * a[-1][-1]
+    return sign
 
 
 @dataclass(frozen=True)

@@ -71,10 +71,11 @@ class NFElement:
 
     def inverse(self) -> "NFElement":
         """The solution y of (den * self) y = den, the element whose
-        coordinates are den e_0 as the basis starts with 1."""
+        coordinates are den e_0 as the basis starts with 1, solved in
+        integers on the multiplication matrix of den * self."""
         m, den = self.field._mult_matrix(self.coords)
-        sol = la.frac_solve(m, [den] + [0] * (self.field.degree - 1))
-        return NFElement(self.field, tuple(sol))
+        y, d = la.bareiss_solve(m, [den] + [0] * (self.field.degree - 1))
+        return NFElement(self.field, tuple(Fraction(c, d) for c in y))
 
     def __truediv__(self, other):
         other = self.field.elt(other)

@@ -159,6 +159,16 @@ def test_pth_root_quadratic():
     assert cu.pth_root(u**5, 2) is None
 
 
+def test_pth_root_of_a_cube_with_a_tiny_conjugate():
+    # y = eps^2 (3 + sqrt 33331) has 1,360-bit coordinates and a conjugate
+    # near 2^-1345, so the sign of x = y^3 at that embedding needs
+    # intervals about 8,100 bits narrow.
+    K = NumberField((-33331, 0, 1))
+    eps = cu.unit_group(K).fundamental_units[0]
+    y = eps**2 * K.elt([3, 1])
+    assert cu.pth_root(y**3, 3) in (y, -y)
+
+
 def test_pth_root_imaginary():
     K = quadratic_field(-1)
     i = K.theta

@@ -238,6 +238,25 @@ def test_products_and_inverses_match_power_basis(poly, basis):
             assert x * x.inverse() == 1
 
 
+@pytest.mark.parametrize("poly", [
+    (-1, -2, 1, 1),  # zeta7plus
+    (6, -1, 1),      # Q(sqrt -23): theta = (1 + sqrt -23) / 2
+], ids=["zeta7plus", "sqrt-23"])
+def test_inverse_matches_fraction_solve(poly):
+    # inverse solves in integers (Bareiss); frac_solve is the Fraction
+    # Gauss-Jordan reference on the same integer matrix.
+    K = NumberField(poly)
+    rng = random.Random(f"inv{poly}")
+    for _ in range(60):
+        x = _random_element(K, rng)
+        if x.is_zero():
+            continue
+        m, den = K._mult_matrix(x.coords)
+        assert x.inverse().coords == tuple(la.frac_solve(m, [den] + [0] * (K.degree - 1)))
+    with pytest.raises(ZeroDivisionError):
+        K.zero.inverse()
+
+
 def _valuation_by_lattices(P, x):
     """v_P(x) from the definition: the largest k with den x in P^k, found
     by lattice products and integer membership, minus e v_q(den)."""

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -11,8 +12,9 @@ try:
 except ImportError:  # pragma: no cover
     HAVE_HYP = False
 
+from tclab import intlinalg as la
 from tclab import polys
-from tclab.embeddings import RealEmbeddings, certified_log_rank, log_abs_interval
+from tclab.embeddings import RealEmbeddings, _poly_interval, certified_log_rank, log_abs_interval
 from tclab.numberfield import NumberField
 
 from conftest import fresh_python, quadratic_field
@@ -157,6 +159,113 @@ def test_real_embeddings_signs():
     emb = RealEmbeddings(K)
     signs = emb.element_signs(K.theta)
     assert sorted(signs) == [-1, 1]
+
+
+# References in Fraction arithmetic: the naive interval Horner and the
+# one-bit bisection that RealEmbeddings must reproduce exactly.
+def _fraction_poly_interval(coeffs, iv):
+    lo = hi = Fraction(0)
+    for c in reversed(coeffs):
+        c = Fraction(c)
+        prods = [lo * iv[0], lo * iv[1], hi * iv[0], hi * iv[1]]
+        lo, hi = min(prods) + c, max(prods) + c
+    return lo, hi
+
+
+class _BisectionEmbeddings:
+    def __init__(self, K):
+        self.f = K.min_poly
+        self.intervals = [self._refine(iv, Fraction(1, 2**20))
+                          for iv in polys.real_root_intervals(self.f)]
+
+    def _refine(self, iv, eps):
+        lo, hi = iv
+        if lo == hi:
+            return iv
+        slo = polys.poly_eval(self.f, lo) > 0
+        while hi - lo > eps:
+            mid = (lo + hi) / 2
+            v = polys.poly_eval(self.f, mid)
+            if v == 0:
+                return mid, mid
+            lo, hi = (mid, hi) if (v > 0) == slo else (lo, mid)
+        return lo, hi
+
+    def refine_all(self, eps):
+        self.intervals = [self._refine(iv, eps) for iv in self.intervals]
+
+    def element_intervals(self, x, eps=None):
+        if eps is not None:
+            self.refine_all(eps)
+        return [_fraction_poly_interval(x.power_coords(), iv) for iv in self.intervals]
+
+    def element_signs(self, x):
+        signs, eps = [], Fraction(1, 2**20)
+        for k in range(len(self.intervals)):
+            while True:
+                lo, hi = _fraction_poly_interval(x.power_coords(), self.intervals[k])
+                if lo > 0 or hi < 0 or lo == hi == 0:
+                    signs.append((lo > 0) - (hi < 0))
+                    break
+                eps /= 2**10
+                self.refine_all(eps)
+        return signs
+
+
+if HAVE_HYP:
+    _rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=2**40)
+
+    @given(st.lists(_rationals, min_size=1, max_size=7), _rationals, _rationals)
+    @settings(max_examples=200, deadline=None)
+    def test_poly_interval_matches_fraction_horner_hyp(coeffs, a, b):
+        lo, hi = min(a, b), max(a, b)
+        nums, den = la.clear_denominators(coeffs)
+        q = math.lcm(lo.denominator, hi.denominator)
+        assert (_poly_interval(nums, den, int(lo * q), int(hi * q), q)
+                == _fraction_poly_interval(coeffs, (lo, hi)))
+
+
+_HALVES = [[Fraction(1), Fraction(0)], [Fraction(1, 2), Fraction(1, 2)]]
+
+
+@pytest.mark.parametrize("f,basis", [
+    ((-1, -2, 1, 1), None),   # zeta7plus
+    ((-1, -3, 0, 1), None),   # three fields of the cubic benchmark corpus
+    ((-1, -6, 0, 1), None),
+    ((-2, -4, 2, 1), None),
+    ((-7, 1), None),          # Q as x - 7, whose root a midpoint hits
+    ((-33331, 0, 1), None),
+    ((-5, 0, 1), _HALVES),    # Q(sqrt 5) on the basis 1, (1 + sqrt 5) / 2
+])
+def test_refined_intervals_match_bisection(f, basis):
+    K = NumberField(f, integral_basis=basis)
+    new, ref = RealEmbeddings(K), _BisectionEmbeddings(K)
+    assert new.intervals == ref.intervals
+    rng = random.Random(f"cells{f}")
+    for step in range(24):
+        size = 10 ** rng.randint(1, 30)
+        x = K.elt([Fraction(rng.randint(-size, size), rng.randint(1, 40)) for _ in range(K.degree)])
+        if x.is_zero():
+            continue
+        op = step % 4
+        if op == 0:
+            assert new.element_signs(x) == ref.element_signs(x)
+        elif op == 1:
+            eps = Fraction(1, 2 ** rng.randint(0, 160))
+            assert new.element_intervals(x, eps) == ref.element_intervals(x, eps)
+        elif op == 2:
+            eps = Fraction(rng.randint(1, 10**6), 3 ** rng.randint(0, 100))
+            new.refine_all(eps)
+            ref.refine_all(eps)
+        else:
+            # d theta - c, for c / d within 2^-t of a root, has a conjugate
+            # near 0, which takes many rounds to separate from 0.
+            k = rng.randrange(len(ref.intervals))
+            c = ref._refine(ref.intervals[k], Fraction(1, 2 ** rng.randint(20, 60)))[0]
+            y = K.theta * c.denominator - c.numerator
+            if not y.is_zero():
+                assert new.element_signs(y) == ref.element_signs(y)
+        assert new.intervals == ref.intervals, step
 
 
 def test_certified_log_rank_cubic():
