@@ -74,7 +74,11 @@ class UnitRankError(RuntimeError):
         self.achieved = achieved
 
 
-def unit_group(field: NumberField, saturate_at: tuple[int, ...] = (2, 3, 5)) -> UnitBasis:
+def unit_group(field: NumberField, p: int | None = None) -> UnitBasis:
+    """Torsion and independent units, saturated at 2, 3, 5 and p.  The
+    cached group is reused when it is saturated at p already, so the
+    result does not depend on which p an earlier call asked for."""
+    saturate_at = tuple(sorted({2, 3, 5, p} - {None}))
     cached = field._unit_cache
     if cached is not None and set(saturate_at) <= set(cached.saturated_at):
         return cached
@@ -88,17 +92,17 @@ def unit_group(field: NumberField, saturate_at: tuple[int, ...] = (2, 3, 5)) -> 
     rank = r1 + r2 - 1
     w, tgen = _torsion(field)
     if rank == 0:
-        ub = UnitBasis(field, w, tgen, [], tuple(saturate_at), True)
+        ub = UnitBasis(field, w, tgen, [], saturate_at, True)
     elif field.degree == 2 and r1 == 2:
         u = _real_quadratic_fundamental(field)
-        ub = UnitBasis(field, w, tgen, [u], tuple(saturate_at), True)
+        ub = UnitBasis(field, w, tgen, [u], saturate_at, True)
     else:
         units = _unit_system_by_enumeration(field, rank)
         units = _saturate(field, units, saturate_at)
         witness = certified_log_rank(field, units, rank)
         if not witness:
             raise UnitRankError(rank, 0)
-        ub = UnitBasis(field, w, tgen, units, tuple(saturate_at), witness)
+        ub = UnitBasis(field, w, tgen, units, saturate_at, witness)
     for u in ub.fundamental_units:
         assert abs(u.norm()) == 1
     field._unit_cache = ub

@@ -1,9 +1,9 @@
 """Real embeddings with certified rational intervals.
 
-Roots of the defining polynomial f are isolated by its Sturm sequence
-(`polys.real_root_intervals`, whose isolating intervals have dyadic
-endpoints).  Each root then lives in integers, on the grid of cells that
-repeated halving of its isolating interval produces, and every interval
+Roots of the defining polynomial f come isolated with the field: the
+integer cells of `polys.real_root_cells`, which `NumberField` computes
+once.  Each root then lives in integers, on the grid of cells that
+repeated halving of its isolating cell produces, and every interval
 handed out is the cell that exact bisection would reach at the width
 asked for.  A refinement runs Newton's method in fixed point, snaps the
 approximation to that cell and proves the snap by two exact sign
@@ -22,7 +22,7 @@ from itertools import combinations
 import mpmath
 
 from . import intlinalg as la
-from .polys import real_root_intervals
+from .polys import _scaled_value, _sign_at
 
 # Bits of fixed-point precision beyond the cell grid in a Newton snap,
 # and bits of margin each doubling step of the ladder leaves for the
@@ -35,9 +35,7 @@ class RealEmbeddings:
 
     def __init__(self, field):
         self.field = field
-        self._roots = [_Root(field.min_poly, lo, hi)
-                       for lo, hi in real_root_intervals(field.min_poly)]
-        assert len(self._roots) == field.signature[0]
+        self._roots = [_Root(field.min_poly, *cell) for cell in field._root_cells]
         # The power-basis coordinates of the integral basis, as integers
         # over one denominator.
         n = field.degree
@@ -45,8 +43,7 @@ class RealEmbeddings:
             [c for row in field._basis_rows for c in row])
         self._basis = [flat[i * n:(i + 1) * n] for i in range(n)]
         # A degree-1 polynomial's rational root is bracketed like any other
-        # root; its interval is a point only if a midpoint hits the root
-        # exactly.
+        # root; its interval is a point only if the root is a grid point.
         self.refine_all(Fraction(1, 2**20))
 
     @property
@@ -137,29 +134,28 @@ def _round_sign(root, nums, rounds: int) -> int | None:
 
 class _Root:
     """One real root of the monic squarefree f, kept on the grid of its
-    isolating interval [L0, L0 + W] / 2^E0: the cell (j, d) of depth d is
-    [L0 2^d + j W, L0 2^d + (j + 1) W] / 2^(E0 + d), and halving the cell
-    (j, d) gives the cells (2j, d + 1) and (2j + 1, d + 1).  Only the
-    deepest cell known to hold the root is stored; a shallower one is its
-    ancestor, of index j >> (difference in depth).  The interval handed
-    out is the cell of depth self.depth.
+    isolating cell [L0, L0 + W] / 2^E0 from polys.real_root_cells: the
+    cell (j, d) of depth d is [L0 2^d + j W, L0 2^d + (j + 1) W] /
+    2^(E0 + d), and halving the cell (j, d) gives the cells (2j, d + 1)
+    and (2j + 1, d + 1).  Only the deepest cell known to hold the root is
+    stored; a shallower one is its ancestor, of index j >> (difference in
+    depth).  The interval handed out is the cell of depth self.depth.
 
-    A midpoint that is the root itself (a rational root, so degree 1)
-    ends the halving as bisection does: every cell below it is that
-    point."""
+    Only a rational root, so the integer root of a degree-1 f, can be a
+    grid point.  Bisection stops on it, and the isolation has already met
+    it as a midpoint of width at least 2: it is the right end of the
+    isolating cell, and every deeper cell is that point.  At every other
+    grid point f has a sign."""
 
-    def __init__(self, f, lo: Fraction, hi: Fraction):
+    def __init__(self, f, L0: int, W: int, E0: int):
         self.f = tuple(f)
         self.df = tuple(i * c for i, c in enumerate(f))[1:]
-        self.E0 = max(lo.denominator, hi.denominator).bit_length() - 1
-        self.L0 = int(lo * (1 << self.E0))
-        self.W = int(hi * (1 << self.E0)) - self.L0
-        assert (Fraction(self.L0, 1 << self.E0), Fraction(self.L0 + self.W, 1 << self.E0)) == (lo, hi)
+        self.L0, self.W, self.E0 = L0, W, E0
         # The sign of f at the left end of every cell: f has one simple
-        # root in the isolating interval and none at its ends.
-        self.s = _sign_at(self.f, self.L0, self.E0)
+        # root in the isolating cell and none at its left end.
+        self.s = _sign_at(self.f, L0, E0)
         self.j = self.d = self.depth = 0
-        self.point = False  # the midpoint of the cell (j, d) is the root
+        self.point = _sign_at(self.f, L0 + W, E0) == 0
         self.monotone = False  # f' has no zero on the cell (j, d)
 
     def depth_for(self, eps) -> int:
@@ -171,10 +167,9 @@ class _Root:
 
     def cell(self, d: int) -> tuple[int, int, int]:
         """(L, H, E): the cell of depth d <= self.d, or the point at any
-        depth below the one the root was found at, is [L, H] / 2^E."""
-        if self.point and d > self.d:
-            m = 2 * (self.L0 << self.d) + (2 * self.j + 1) * self.W
-            return m, m, self.E0 + self.d + 1
+        depth d > 0, is [L, H] / 2^E."""
+        if self.point and d > 0:
+            return self.L0 + self.W, self.L0 + self.W, self.E0
         lo = (self.L0 << d) + (self.j >> (self.d - d)) * self.W
         return lo, lo + self.W, self.E0 + d
 
@@ -192,9 +187,6 @@ class _Root:
     def _halve(self):
         L, H, E = self.cell(self.d)
         sm = _sign_at(self.f, L + H, E + 1)
-        if sm == 0:
-            self.point = True
-            return
         self.j, self.d = 2 * self.j + (sm == self.s), self.d + 1
 
     def _snap(self, D: int) -> bool:
@@ -225,37 +217,14 @@ class _Root:
         j = min(max(j, first), first + (1 << k) - 1)
         for _ in range(3):
             lo = (self.L0 << D) + j * self.W
-            s_lo, s_hi = _sign_at(self.f, lo, T), _sign_at(self.f, lo + self.W, T)
-            if s_lo == 0 or s_hi == 0:
-                break
-            if s_lo != self.s:
+            if _sign_at(self.f, lo, T) != self.s:
                 j -= 1
-            elif s_hi == self.s:
+            elif _sign_at(self.f, lo + self.W, T) == self.s:
                 j += 1
             else:
                 self.j, self.d = j, D
                 return True
-        else:
-            return False
-        # A grid point of depth D is the root: bisection stops on it.
-        while self.d < D and not self.point:
-            self._halve()
-        return True
-
-
-def _scaled_value(f, X: int, E: int) -> int:
-    """2^(E deg f) f(X / 2^E), for f with integer coefficients."""
-    n = len(f) - 1
-    acc = f[-1]
-    for i in range(n - 1, -1, -1):
-        acc = acc * X + (f[i] << (E * (n - i)))
-    return acc
-
-
-def _sign_at(f, X: int, E: int) -> int:
-    """The sign of f(X / 2^E): that of sum_i a_i X^i (2^E)^(n - i)."""
-    v = _scaled_value(f, X, E)
-    return (v > 0) - (v < 0)
+        return False
 
 
 def _horner_bounds(nums, L: int, H: int, q: int) -> tuple[int, int]:

@@ -250,8 +250,7 @@ def dual(m: GammaModule) -> GammaModule:
 
 def units_module(layer: GaloisLayer, p: int) -> GammaModule:
     L = layer.L_field
-    sat = tuple(sorted({2, 3, 5, p}))
-    ub = unit_group(L, saturate_at=sat)
+    ub = unit_group(L, p)
     gens = ub.u_mod_p_generators(p)
     labels = [f"u{i + 1}" for i in range(len(ub.fundamental_units))]
     if ub.delta_p(p):

@@ -133,11 +133,15 @@ class NumberField:
         self.degree = len(coeffs) - 1
         if self.degree > 6:
             raise FieldError("fields of degree > 6 are out of scope")
-        if not polys.is_irreducible(coeffs):
-            raise FieldError(f"polynomial {list(coeffs)} is reducible over Q")
+        # A repeated factor is refused before the root isolation, which
+        # needs a squarefree polynomial.
         self.disc_poly = polys.discriminant(coeffs)
-        r1 = polys.count_real_roots(coeffs)
-        self.signature = (r1, (self.degree - r1) // 2)
+        cells = polys.real_root_cells(coeffs) if self.disc_poly else None
+        if cells is None or not polys.is_irreducible(coeffs, cells):
+            raise FieldError(f"polynomial {list(coeffs)} is reducible over Q")
+        # One isolating cell per real root, read again by RealEmbeddings.
+        self._root_cells = cells
+        self.signature = (len(cells), (self.degree - len(cells)) // 2)
         self.label = label or f"deg{self.degree}field"
 
         rows = la.identity(self.degree) if integral_basis is None else integral_basis

@@ -2,16 +2,17 @@
 
 Polynomials are coefficient tuples in ascending degree order.  Over Q
 there are discriminants (resultants as Sylvester determinants), Sturm
-sequences for counting and isolating real roots, and an irreducibility
-test from factorization patterns mod q (Cohen, GTM 138, 3.3 and 4.1).  A
-tiny residue-field type F_{q^f} = F_q[t]/(g) sits here too, since it is
-just polynomial arithmetic.
+sequences by integer pseudo-division, the isolation of real roots into
+integer dyadic cells whose Sturm signs come from one integer Horner, and
+an irreducibility test from those cells or from factorization patterns
+mod q (Cohen, GTM 138, 3.3 and 4.1).  Everything over Q stays in
+integers.  A tiny residue-field type F_{q^f} = F_q[t]/(g) sits here too,
+since it is just polynomial arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import product
 
 from .intlinalg import det
@@ -100,24 +101,19 @@ def discriminant(f: Poly) -> int:
 
 
 def _rem(f: Poly, g: Poly) -> Poly:
-    """Remainder of f by g over Q."""
-    r = [Fraction(c) for c in f]
+    """A positive multiple of the remainder of f by g over Q, in integers:
+    each step scales r by |g_n| and clears its top coefficient with a
+    multiple of g."""
+    r = list(f)
+    scale, sign = abs(g[-1]), (g[-1] > 0) - (g[-1] < 0)
     while len(r) >= len(g):
-        c = r[-1] / g[-1]
+        c = sign * r[-1]
         shift = len(r) - len(g)
+        r = [scale * a for a in r]
         for i, gc in enumerate(g):
             r[shift + i] -= c * gc
         r = list(poly_trim(r[:-1]))
     return tuple(r)
-
-
-def _primitive(f: Poly) -> Poly:
-    """The positive rational multiple of f with coprime integer
-    coefficients; a positive factor leaves every sign alone."""
-    den = math.lcm(*(Fraction(c).denominator for c in f))
-    g = tuple(int(c * den) for c in f)
-    content = math.gcd(*g)
-    return tuple(c // content for c in g)
 
 
 def sturm_sequence(f: Poly) -> list[Poly]:
@@ -128,56 +124,59 @@ def sturm_sequence(f: Poly) -> list[Poly]:
         r = _rem(seq[-2], seq[-1])
         if not r:
             return seq
-        seq.append(_primitive(poly_neg(r)))
+        content = math.gcd(*r)
+        seq.append(tuple(-c // content for c in r))
 
 
-def _sign(v) -> int:
+def _scaled_value(f, X: int, E: int) -> int:
+    """2^(E deg f) f(X / 2^E), for f with integer coefficients."""
+    n = len(f) - 1
+    acc = f[-1]
+    for i in range(n - 1, -1, -1):
+        acc = acc * X + (f[i] << (E * (n - i)))
+    return acc
+
+
+def _sign_at(f, X: int, E: int) -> int:
+    """The sign of f(X / 2^E): that of sum_i a_i X^i (2^E)^(n - i)."""
+    v = _scaled_value(f, X, E)
     return (v > 0) - (v < 0)
 
 
-def _variations(signs) -> int:
-    signs = [s for s in signs if s]
+def _variations_at(seq, X: int, E: int) -> int:
+    """Sign variations of the Sturm sequence seq at X / 2^E."""
+    signs = [s for s in (_sign_at(p, X, E) for p in seq) if s]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _variations_at(seq, x) -> int:
-    return _variations(_sign(poly_eval(p, x)) for p in seq)
+def real_root_cells(f: Poly) -> list[tuple[int, int, int]]:
+    """One integer cell (L, W, E) per real root of the monic squarefree
+    integer polynomial f, ascending: the half-open interval
+    (L / 2^E, (L + W) / 2^E] holds exactly that root, and is narrower
+    than 1.
 
-
-def count_real_roots(f: Poly) -> int:
-    """Number of distinct real roots of f: the sign variations of its
-    Sturm sequence at -infinity minus those at +infinity."""
-    seq = sturm_sequence(f)
-    at_minus = _variations(_sign(p[-1]) * (-1) ** poly_deg(p) for p in seq)
-    return at_minus - _variations(_sign(p[-1]) for p in seq)
-
-
-def real_root_intervals(f: Poly, width=None) -> list[tuple[Fraction, Fraction]]:
-    """Rational intervals (lo, hi], ascending, each holding exactly one
-    real root of the squarefree polynomial f, and narrower than width
-    when it is given.
-
-    All roots lie in (-B, B] for the Cauchy bound B = 1 + max |a_i / a_n|;
-    that interval is bisected, and the Sturm count V(lo) - V(hi) gives
-    the number of roots in each half-open piece, also when an endpoint is
-    itself a root.
+    All roots lie in (-B, B] for the Cauchy bound B = 1 + max |a_i|;
+    that interval, the cell (-B, 2B, 0), is bisected, the cell (L, W, E)
+    into (2L, W, E + 1) and (2L + W, W, E + 1), and the Sturm count
+    V(lo) - V(hi) gives the number of roots in each piece, also when an
+    endpoint is itself a root.
     """
     seq = sturm_sequence(f)
-    bound = 1 + max(abs(Fraction(c, f[-1])) for c in f[:-1])
-    lo, hi = -bound, bound
-    stack = [(lo, hi, _variations_at(seq, lo), _variations_at(seq, hi))]
+    B = 1 + max(abs(c) for c in f[:-1])
+    W = 2 * B
+    stack = [(-B, 0, _variations_at(seq, -B, 0), _variations_at(seq, B, 0))]
     out = []
     while stack:
-        lo, hi, vlo, vhi = stack.pop()
+        L, E, vlo, vhi = stack.pop()
         if vlo == vhi:
             continue
-        if vlo - vhi == 1 and (width is None or hi - lo < width):
-            out.append((lo, hi))
+        if vlo - vhi == 1 and W >> E == 0:
+            out.append((L, W, E))
             continue
-        mid = (lo + hi) / 2
-        vmid = _variations_at(seq, mid)
-        stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
-    return sorted(out)
+        M = 2 * L + W
+        vmid = _variations_at(seq, M, E + 1)
+        stack += [(M, E + 1, vmid, vhi), (2 * L, E + 1, vlo, vmid)]
+    return out
 
 
 # Primes q not dividing disc(f) whose factorization patterns is_irreducible
@@ -185,31 +184,28 @@ def real_root_intervals(f: Poly, width=None) -> list[tuple[Fraction, Fraction]]:
 _PATTERN_PRIMES = 30
 
 
-def is_irreducible(f: Poly) -> bool:
-    """Whether the monic integer polynomial f of degree <= 6 is
-    irreducible over Q.
+def is_irreducible(f: Poly, cells) -> bool:
+    """Whether the monic squarefree integer polynomial f of degree 1-6,
+    whose real_root_cells are cells, is irreducible over Q.
 
     Degree <= 3: f is reducible exactly when it has a rational root, and
-    a rational root of a monic integer polynomial is an integer.  Degree
-    4-6: a factor of degree d over Q reduces to a product of irreducible
-    factors mod q, so d is a sum of some of the factor degrees of f mod q
-    for every prime q not dividing disc(f).  When no d in 1..n-1 is such
-    a sum for all the primes read, f is irreducible.  Some polynomials
-    (x^4 + 1, x^4 - 10x^2 + 1, and every reducible one) leave a d at every
-    q; only these reach sympy, imported here so that nothing else pays
-    for it.
+    a rational root of a monic integer polynomial is an integer.  Each
+    cell is narrower than 1, so the floor of its right end is the only
+    integer it can hold.  Degree 4-6: a factor of degree d over Q reduces
+    to a product of irreducible factors mod q, so d is a sum of some of
+    the factor degrees of f mod q for every prime q not dividing disc(f).
+    When no d in 1..n-1 is such a sum for all the primes read, f is
+    irreducible.  Some polynomials (x^4 + 1, x^4 - 10x^2 + 1, and every
+    reducible one) leave a d at every q; only these reach sympy, imported
+    here so that nothing else pays for it.
     """
     n = poly_deg(f)
-    if n <= 1:
-        return n == 1
+    if n <= 3:
+        return n == 1 or all(
+            (k := (L + W) >> E) << E <= L or poly_eval(f, k) for L, W, E in cells)
     disc = discriminant(f)
     if disc == 0:
         return False  # f has a repeated factor
-    if n <= 3:
-        # Each interval is narrower than 1, so floor(hi) is the only
-        # integer it can hold.
-        return all(hi // 1 <= lo or poly_eval(f, hi // 1)
-                   for lo, hi in real_root_intervals(f, width=1))
     possible = set(range(1, n))
     q, tried = 1, 0
     while tried < _PATTERN_PRIMES:

@@ -105,7 +105,7 @@ def ray_class_p_part(field: NumberField, modulus: list[PrimeIdeal], p: int) -> R
         row = [0] * (s + k)
         row[j] = g.order
         rows.append(row)
-    ub = unit_group(field)
+    ub = unit_group(field, p)
     for u in [ub.torsion_gen] + ub.fundamental_units:
         rows.append([g.dlog(u) for g in res_gens] + [0] * k)
     for rel, gamma in zip(cls.relation_matrix, cls.relation_elements):

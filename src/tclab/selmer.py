@@ -74,8 +74,7 @@ def _support(field: NumberField, x: NFElement):
 def v_empty_generators(field: NumberField, p: int):
     """Generators of V_emptyset/K^{xp}: units mod p plus one alpha per
     p-divisible class group invariant factor, with (alpha) = a^p."""
-    sat = tuple(sorted({2, 3, 5, p}))
-    ub = unit_group(field, saturate_at=sat)
+    ub = unit_group(field, p)
     cls = class_group(field)
     gens: list[NFElement] = []
     labels: list[str] = []

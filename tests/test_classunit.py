@@ -431,7 +431,7 @@ def test_analytic_root_only_for_pth_powers(monkeypatch, f, corpus):
 
     monkeypatch.setattr(cu, "pth_root", counting_root)
     monkeypatch.setattr(cu, "_pth_root_totally_real", counting_analytic)
-    ub = cu.unit_group(NumberField(f), (2, 3, 5))
+    ub = cu.unit_group(NumberField(f))
     assert ub.rank == 2 and ub.regulator_nonzero_witness
     assert sorted(set(calls)) == [2, 3, 5]
     assert all(root is not None for root in entered)

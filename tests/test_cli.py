@@ -101,8 +101,9 @@ def test_bad_field_file_is_precondition(capsys, tmp_path):
     assert "monic" in rep["error"]["reason"]
 
 
+# 2 -3 0 1 is (x - 1)^2 (x + 2), of discriminant 0.
 @pytest.mark.parametrize("poly", ["-4 0 1", "-1 0 0 1", "4 0 0 0 1",
-                                  "2 0 3 0 1", "1 0 0 0 0 0 1"])
+                                  "2 0 3 0 1", "1 0 0 0 0 0 1", "2 -3 0 1"])
 def test_reducible_field_file_is_precondition(capsys, tmp_path, poly):
     f = tmp_path / "reducible.field"
     f.write_text(f"poly {poly}\n")
@@ -148,7 +149,8 @@ def test_complex_places_scope(capsys, tmp_path, poly, command, code):
 # A basis directive is accepted only where its order is shown maximal.
 # Z[sqrt 5] (disc 20) fails Dedekind's criterion at 2, and given as
 # Z[sqrt 20 / 2] its index 2 over Z[theta] leaves 2 undecided; the bases of
-# x^3 - 4x - 8 (index 8, disc -23) and Q(sqrt -7) (index 2) pass.
+# x^3 - 4x - 8 (index 8, disc -23), Q(sqrt -7) (index 2) and Dedekind's
+# cubic x^3 - x^2 - 2x - 8 (index 2, disc -503) pass.
 @pytest.mark.parametrize("text,command", [
     ("poly -5 0 1\nbasis 1 0 / 0 1\n", "field"),
     ("poly -5 0 1\nbasis 1 0 / 0 1\n", "units"),
@@ -170,6 +172,7 @@ def test_non_maximal_basis_is_precondition(capsys, tmp_path, text, command):
 @pytest.mark.parametrize("text,disc", [
     ("poly -8 -4 0 1\nbasis 1 0 0 / 0 1/2 0 / 0 0 1/4\n", -23),
     ("poly 7 0 1\nbasis 1 0 / 1/2 1/2\n", -7),
+    ("poly -8 -2 -1 1\nbasis 1 0 0 / 0 1 0 / 0 1/2 1/2\n", -503),
 ])
 def test_maximal_basis_is_accepted(capsys, tmp_path, text, disc):
     f = tmp_path / "basis.field"

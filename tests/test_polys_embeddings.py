@@ -15,7 +15,7 @@ except ImportError:  # pragma: no cover
 from tclab import intlinalg as la
 from tclab import polys
 from tclab.embeddings import RealEmbeddings, _poly_interval, certified_log_rank, log_abs_interval
-from tclab.numberfield import NumberField
+from tclab.numberfield import FieldError, NumberField
 
 from conftest import fresh_python, quadratic_field
 
@@ -75,32 +75,129 @@ def test_discriminant_matches_sympy():
 
 def test_count_real_roots_matches_sympy():
     for f in SAMPLE:
-        assert polys.count_real_roots(f) == sympy_poly(f).count_roots(), f
+        assert len(polys.real_root_cells(f)) == sympy_poly(f).count_roots(), f
 
 
 def test_is_irreducible_matches_sympy():
     for f in SAMPLE:
-        assert polys.is_irreducible(f) == sympy_poly(f).is_irreducible, f
+        assert polys.is_irreducible(f, polys.real_root_cells(f)) == sympy_poly(f).is_irreducible, f
+
+
+# The reference for real_root_cells: the Sturm isolation in Fraction
+# arithmetic that it replaced, bisecting (-B, B] for B = 1 + max |a_i / a_n|
+# until each half-open piece holds one root and, when width is given, is
+# narrower than width.
+def _fraction_sturm(f):
+    seq = [tuple(f), polys.poly_deriv(f)]
+    while True:
+        r = [Fraction(c) for c in seq[-2]]
+        g = seq[-1]
+        while len(r) >= len(g):
+            c = r[-1] / g[-1]
+            for i, gc in enumerate(g):
+                r[len(r) - len(g) + i] -= c * gc
+            r = list(polys.poly_trim(r[:-1]))
+        if not r:
+            return seq
+        den = math.lcm(*(c.denominator for c in r))
+        r = [-int(c * den) for c in r]
+        content = math.gcd(*r)
+        seq.append(tuple(c // content for c in r))
+
+
+def _variations(seq, x):
+    signs = [v for v in (polys.poly_eval(p, x) for p in seq) if v]
+    return sum(a * b < 0 for a, b in zip(signs, signs[1:]))
+
+
+def real_root_intervals(f, width=None):
+    seq = _fraction_sturm(f)
+    bound = 1 + max(abs(Fraction(c, f[-1])) for c in f[:-1])
+    stack = [(-bound, bound, _variations(seq, -bound), _variations(seq, bound))]
+    out = []
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        if vlo - vhi == 1 and (width is None or hi - lo < width):
+            out.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        vmid = _variations(seq, mid)
+        stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+    return sorted(out)
+
+
+def _as_intervals(cells):
+    return [(Fraction(L, 2**E), Fraction(L + W, 2**E)) for L, W, E in cells]
 
 
 def _sturm_count(seq, lo, hi):
-    def variations(x):
-        signs = [v for v in (polys.poly_eval(p, x) for p in seq) if v]
-        return sum(a * b < 0 for a, b in zip(signs, signs[1:]))
-    return variations(lo) - variations(hi)
+    return _variations(seq, lo) - _variations(seq, hi)
 
 
 def test_real_root_intervals_isolate():
     for f in SAMPLE:
-        if not polys.is_irreducible(f):
+        if not polys.is_irreducible(f, polys.real_root_cells(f)):
             continue
         seq = polys.sturm_sequence(f)
-        ivs = polys.real_root_intervals(f)
-        assert len(ivs) == polys.count_real_roots(f), f
+        ivs = _as_intervals(polys.real_root_cells(f))
+        assert len(ivs) == sympy_poly(f).count_roots(), f
         for lo, hi in ivs:
+            assert hi - lo < 1, f
             assert polys.poly_eval(f, lo) * polys.poly_eval(f, hi) < 0, f
             assert _sturm_count(seq, lo, hi) == 1, f
         assert all(a[1] <= b[0] for a, b in zip(ivs, ivs[1:])), f
+
+
+# The 26 polynomials of the totally real cubic benchmark corpus (disc <= 1000).
+CUBIC_CORPUS = [
+    (-2, -7, -2, 1), (-1, -6, -2, 1), (-1, -5, -2, 1), (-3, -7, -1, 1), (-2, -6, -1, 1),
+    (-1, -6, -1, 1), (-1, -5, -1, 1), (-1, -4, -1, 1), (-2, -6, 0, 1), (-1, -6, 0, 1),
+    (-1, -5, 0, 1), (-1, -4, 0, 1), (-1, -3, 0, 1), (-3, -6, 1, 1), (-1, -6, 1, 1),
+    (-2, -4, 1, 1), (-1, -4, 1, 1), (-1, -3, 1, 1), (-1, -2, 1, 1), (-1, -5, 2, 1),
+    (-2, -4, 2, 1), (-1, -4, 2, 1), (-1, -3, 2, 1), (-2, -4, 3, 1), (-1, -4, 3, 1),
+    (-2, -3, 3, 1),
+]
+SQRT_POLYS = [(-d, 0, 1) for d in range(-999, 1000)
+              if d not in (0, 1) and all(d % (k * k) for k in range(2, 32))]
+
+
+def test_real_root_cells_match_fraction_bisection():
+    # Equal to the reference's width-1 pass, and each cell descends, on the
+    # same dyadic grid, from the reference's isolating interval.
+    polys_checked = SAMPLE + CUBIC_CORPUS + SQRT_POLYS
+    assert len(CUBIC_CORPUS) == 26 and len(SQRT_POLYS) == 1215
+    for f in polys_checked:
+        assert polys.sturm_sequence(f) == _fraction_sturm(f), f
+        cells = _as_intervals(polys.real_root_cells(f))
+        assert cells == real_root_intervals(f, width=1), f
+        for (lo, hi), (a, b) in zip(cells, real_root_intervals(f)):
+            k = (b - a) / (hi - lo)
+            assert a <= lo < hi <= b and k.denominator == 1 and k.numerator.bit_count() == 1, f
+            assert ((lo - a) / (hi - lo)).denominator == 1, f
+
+
+def test_one_sturm_isolation_per_field(monkeypatch):
+    calls = []
+    isolate, sturm = polys.real_root_cells, polys.sturm_sequence
+
+    def counting_isolate(f):
+        calls.append("cells")
+        return isolate(f)
+
+    def counting_sturm(f):
+        calls.append("sturm")
+        return sturm(f)
+
+    monkeypatch.setattr(polys, "real_root_cells", counting_isolate)
+    monkeypatch.setattr(polys, "sturm_sequence", counting_sturm)
+    for f in [(-1, -2, 1, 1), (-5, 0, 1), (-1, 3, 6, -4, -5, 1, 1)]:
+        calls.clear()
+        K = NumberField(f, integral_basis=_HALVES if f == (-5, 0, 1) else None)
+        K.embeddings.element_signs(K.theta)
+        assert calls == ["cells", "sturm"], f
+        assert K.signature == (K.degree, 0)
 
 
 @pytest.mark.parametrize("f,expected", [
@@ -110,12 +207,13 @@ def test_real_root_intervals_isolate():
     ((1, 0, 0, 0, 0, 0, 1), False),    # x^6 + 1
 ])
 def test_is_irreducible_fallback(monkeypatch, f, expected):
-    assert polys.is_irreducible(f) == expected
+    cells = polys.real_root_cells(f)
+    assert polys.is_irreducible(f, cells) == expected
     # Every pattern mod q leaves a factor degree open, so the answer must
     # come from sympy.
     monkeypatch.setitem(sys.modules, "sympy", None)
     with pytest.raises(ImportError):
-        polys.is_irreducible(f)
+        polys.is_irreducible(f, cells)
 
 
 @pytest.mark.parametrize("f", [
@@ -124,9 +222,13 @@ def test_is_irreducible_fallback(monkeypatch, f, expected):
     (1, 0, 2, 0, 1),            # (x^2 + 1)^2
     (1, 0, 3, 0, 3, 0, 1),      # (x^2 + 1)^3
 ])
-def test_is_irreducible_repeated_factor(f):
+def test_is_irreducible_repeated_factor(monkeypatch, f):
+    # The root isolation needs a squarefree polynomial, so NumberField
+    # refuses disc(f) = 0 before it runs.
     assert polys.discriminant(f) == 0
-    assert not polys.is_irreducible(f)
+    monkeypatch.setattr(polys, "real_root_cells", None)
+    with pytest.raises(FieldError, match="reducible"):
+        NumberField(f)
 
 
 @pytest.mark.parametrize("f,expected", [
@@ -137,7 +239,7 @@ def test_is_irreducible_repeated_factor(f):
 ])
 def test_is_irreducible_large_constant(f, expected):
     # The integer-root test must not enumerate divisors of a_0.
-    assert polys.is_irreducible(f) == expected
+    assert polys.is_irreducible(f, polys.real_root_cells(f)) == expected
 
 
 if HAVE_HYP:
@@ -176,7 +278,7 @@ class _BisectionEmbeddings:
     def __init__(self, K):
         self.f = K.min_poly
         self.intervals = [self._refine(iv, Fraction(1, 2**20))
-                          for iv in polys.real_root_intervals(self.f)]
+                          for iv in real_root_intervals(self.f)]
 
     def _refine(self, iv, eps):
         lo, hi = iv
@@ -236,6 +338,7 @@ _HALVES = [[Fraction(1), Fraction(0)], [Fraction(1, 2), Fraction(1, 2)]]
     ((-7, 1), None),          # Q as x - 7, whose root a midpoint hits
     ((-33331, 0, 1), None),
     ((-5, 0, 1), _HALVES),    # Q(sqrt 5) on the basis 1, (1 + sqrt 5) / 2
+    ((-2, 1), None),          # Q as x - 2, whose root no midpoint hits
 ])
 def test_refined_intervals_match_bisection(f, basis):
     K = NumberField(f, integral_basis=basis)

@@ -1,6 +1,6 @@
 import pytest
 
-from tclab import classunit as cu, rayclass as rc
+from tclab import classunit as cu, rayclass as rc, selmer as sm
 from tclab.numberfield import FieldError, NumberField, Q
 
 from conftest import quadratic_field
@@ -29,6 +29,23 @@ def test_rationals_ray_class():
     assert rcd7.p_group.invariant_factors == (3,)
     # 2-part of (Z/7)^x / <-1> is trivial
     assert rc.ray_class_p_part(Q, [P7], 2).p_group.is_trivial
+
+
+def test_ray_class_units_saturated_at_p_in_either_call_order():
+    # The unit rows of a ray class p-part are saturated at p itself, whether
+    # or not a Selmer call at the same p filled the unit cache first.  2 is
+    # inert in zeta7plus, and N(2) - 1 = 7.
+    results = []
+    for selmer_first in (False, True):
+        K = NumberField((-1, -2, 1, 1), label="zeta7plus")
+        if selmer_first:
+            sm.v_empty_generators(K, 7)
+        rcd = rc.ray_class_p_part(K, K.factor_prime(2), 7)
+        assert 7 in K._unit_cache.saturated_at
+        assert cu.unit_group(K, 7) is K._unit_cache
+        results.append((rcd.relation_rows, rcd.group.invariant_factors))
+    assert results[0] == results[1]
+    assert results[0][1] == ()
 
 
 def test_wild_prime_refused():
