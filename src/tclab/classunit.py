@@ -1,11 +1,14 @@
 """Class groups and unit groups at desk scale, certified unconditionally.
 
 The class group is computed on the prime ideals of norm up to the
-Minkowski bound.  Relations come from explicit principal generators; the
-result is certified by checking that every nonzero class of the computed
-cokernel is represented by a non-principal ideal.  Principality of an
-ideal in a quadratic field is decided exactly through binary quadratic
-forms (reduction cycles in the indefinite case).  In a totally real field
+Minkowski bound.  Relations come from explicit principal generators.  In
+a quadratic field the classes those primes generate are enumerated by
+composing and reducing binary quadratic forms, which finds every
+relation; in other fields the result is certified by checking that every
+nonzero class of the computed cokernel is represented by a non-principal
+ideal.  Principality of an ideal in a quadratic field is decided exactly
+through binary quadratic forms (Gauss reduction in the definite case,
+reduction cycles in the indefinite case).  In a totally real field
 of degree >= 3 it is decided by enumerating the ideal's points of T2 =
 Tr(x^2) up to a radius that provably holds a generator when there is one:
 Fincke-Pohst over an LLL-reduced basis, with the radius taken from unit
@@ -379,66 +382,40 @@ def _pth_root_imag_quadratic(x: NFElement, p: int) -> NFElement | None:
     return min(roots, key=lambda z: (z.coords[1], -z.coords[0])) / den
 
 
-def _elements_of_norm_imag(field: NumberField, n: int):
-    """All integral elements of given positive norm in an imaginary
-    quadratic field (finite up to torsion; torsion multiples included)."""
-    omega = field.elt([0, 1])
-    t = int(omega.trace())
-    nn = int(omega.norm())
-    # N(a + b*omega) = a^2 + t a b + nn b^2, positive definite.
-    four_ac = 4 * nn - t * t
-    bmax = math.isqrt(4 * n // four_ac) + 1
-    out = []
-    for b in range(-bmax, bmax + 1):
-        disc = t * t * b * b - 4 * (nn * b * b - n)
-        if disc < 0:
-            continue
-        s = math.isqrt(disc)
-        if s * s != disc:
-            continue
-        for sgn in (1, -1):
-            num = -t * b + sgn * s
-            if num % 2 == 0:
-                out.append(field.elt([num // 2, b]))
-    uniq = []
-    for e in out:
-        if e not in uniq:
-            uniq.append(e)
-    return uniq
-
-
 # ---------------------------------------------------------------------------
 # Principality testing via binary quadratic forms (quadratic fields)
 
 
 def ideal_form(field: NumberField, lat) -> tuple[int, int, int]:
     """Integral binary quadratic form N(s v1 + t v2)/N(I) for a rank-2
-    ideal lattice with HNF column basis (v1, v2)."""
-    v1 = field.elt([Fraction(lat[i][0]) for i in range(2)])
-    v2 = field.elt([Fraction(lat[i][1]) for i in range(2)])
+    ideal lattice with HNF column basis (v1, v2), read off the norm form
+    N(x + y omega) = x^2 + T x y + N y^2, T and N the trace and norm of
+    omega."""
+    omega = field.elt([0, 1])
+    T, N = int(omega.trace()), int(omega.norm())
+    (p, r), (q, s) = lat  # v1 = p + q omega, v2 = r + s omega
     nI = lattice_norm(lat)
-    assert int(v1.norm()) % nI == 0
-    a = int(v1.norm()) // nI
-    c = int(v2.norm()) // nI
-    assert int(v2.norm()) % nI == 0
-    b_full = int((v1 * _conjugate(v2) + v2 * _conjugate(v1)).coords[0])
-    assert b_full % nI == 0
-    b = b_full // nI
-    return a, b, c
-
-
-def _conjugate(x: NFElement) -> NFElement:
-    """Galois conjugate in a quadratic field."""
-    field = x.field
-    return field.elt(x.trace()) - x
+    a = p * p + T * p * q + N * q * q
+    b = 2 * p * r + T * (p * s + q * r) + 2 * N * q * s
+    c = r * r + T * r * s + N * s * s
+    assert a % nI == b % nI == c % nI == 0
+    return a // nI, b // nI, c // nI
 
 
 def principal_generator(field: NumberField, lat) -> NFElement | None:
     """A generator of the ideal lattice if principal, else None.  Exact in
-    every field it accepts: binary quadratic forms in quadratic fields and,
-    in totally real fields of degree >= 3, an enumeration of the ideal's
-    points up to a proven T2 radius, so None proves the ideal is not
-    principal."""
+    every field it accepts, so None proves the ideal is not principal:
+
+    - imaginary quadratic: Gauss reduction of the ideal form f with its
+      SL2(Z) transform m.  Reduced forms are unique in their proper
+      class, so I is principal iff the reduced form is the principal one,
+      i.e. has a = 1; then f(s, t) = 1 for the first column (s, t) of m,
+      and s v1 + t v2 has norm N(I): a generator.  The candidate is
+      accepted only if it lies in the lattice and has |N| = N(I), else
+      CertificationError;
+    - real quadratic: the form's reduction cycle (_cycle_generators);
+    - totally real of degree >= 3: an enumeration of the ideal's points
+      up to a proven T2 radius (_principal_by_t2)."""
     if field.degree == 1:
         return field.elt(lattice_norm(lat))
     if field.degree == 2:
@@ -449,11 +426,32 @@ def principal_generator(field: NumberField, lat) -> NFElement | None:
 
 
 def _principal_imag(field: NumberField, lat) -> NFElement | None:
-    n = lattice_norm(lat)
-    for x in _elements_of_norm_imag(field, n):
-        if la.solve_integer(lat, [int(c) for c in x.coords]) is not None:
-            return x
-    return None
+    form, m = _reduce_definite(ideal_form(field, lat), la.identity(2))
+    if form[0] != 1:
+        return None
+    g = field.elt(la.mat_vec(lat, [m[0][0], m[1][0]]))
+    if (la.solve_integer(lat, [int(c) for c in g.coords]) is None
+            or abs(g.norm()) != lattice_norm(lat)):
+        raise CertificationError(f"reduced ideal form {form} gave no generator")
+    return g
+
+
+def _reduce_definite(form, m):
+    """Gauss reduction of a positive definite form f: the reduced form
+    (|b| <= a <= c, and b >= 0 if |b| = a or a = c) properly equivalent
+    to f, and m t for the SL2(Z) transform t with f o t that form."""
+    a, b, c = form
+    while True:
+        # (x, y) -> (x + k y, y) takes b to b + 2ak, into (-a, a].
+        k = (a - b) // (2 * a)
+        if k:
+            b, c = b + 2 * a * k, c + k * (b + a * k)
+            m = [[row[0], row[1] + k * row[0]] for row in m]
+        if a < c or (a == c and b >= 0):
+            return (a, b, c), m
+        # (x, y) -> (-y, x) takes (a, b, c) to (c, -b, a).
+        a, b, c = c, -b, a
+        m = [[row[1], -row[0]] for row in m]
 
 
 def _cycle_generators(field: NumberField, lat):
@@ -466,18 +464,18 @@ def _cycle_generators(field: NumberField, lat):
     form = ideal_form(field, lat)
     D = field.disc
     assert form[1] ** 2 - 4 * form[0] * form[2] == D
-    v1 = field.elt([Fraction(lat[i][0]) for i in range(2)])
-    v2 = field.elt([Fraction(lat[i][1]) for i in range(2)])
     m = [[1, 0], [0, 1]]
     seen = set()
     while True:
         if abs(form[0]) == 1:
-            yield v1 * m[0][0] + v2 * m[1][0]
+            yield field.elt(la.mat_vec(lat, [m[0][0], m[1][0]]))
         if _is_reduced(form, D):
             if form in seen:
                 return
             seen.add(form)
-        form, m = _rho(form, m, D)
+        form, k = _rho(form, D)
+        # rho corresponds to right-multiplication by [[0, -1], [1, k]].
+        m = [[row[1], k * row[1] - row[0]] for row in m]
 
 
 def _is_reduced(form, D):
@@ -486,7 +484,9 @@ def _is_reduced(form, D):
     return 0 < b <= s and s - 2 * abs(a) < b
 
 
-def _rho(form, m, D):
+def _rho(form, D):
+    """rho(f) of an indefinite form f (Cohen, GTM 138, section 5.6) and the
+    k of its transform [[0, -1], [1, k]]."""
     a, b, c = form
     s = math.isqrt(D)
     ac = abs(c)
@@ -494,9 +494,7 @@ def _rho(form, m, D):
     # r = -b + 2*c*k with lo < r <= lo + 2|c|
     r = lo + 1 + (-b - lo - 1) % (2 * ac)
     k = (b + r) // (2 * c)
-    new = (c, r, (r * r - D) // (4 * c))
-    # rho corresponds to right-multiplication by [[0, -1], [1, k]].
-    return new, [[row[1], k * row[1] - row[0]] for row in m]
+    return (c, r, (r * r - D) // (4 * c)), k
 
 
 def _principal_by_t2(field: NumberField, lat) -> NFElement | None:
@@ -571,6 +569,36 @@ class ClassGroupData:
 
 
 def class_group(field: NumberField) -> ClassGroupData:
+    """The class group on the primes of norm up to the Minkowski bound,
+    which generate it, with a generator of the principal ideal behind each
+    relation.
+
+    Quadratic fields enumerate the classes of those primes by their ideal
+    forms (_shanks_relations), which finds the whole relation lattice, so
+    the result is certified by construction.  The ideal form of a lattice
+    on its positively oriented HNF basis (ideal_form) is a homomorphism
+    from ideals to proper classes of primitive forms of discriminant D =
+    disc(K) under composition (_compose), and each class gets a key
+    (_class_key) that is a function of the ideal class and tells classes
+    apart:
+
+    - D < 0: the Gauss-reduced form.  It is unique in its proper class,
+      and the proper classes are the ideal classes.
+    - D > 0: the least (|a|, b, |c|) over the cycle of reduced forms that
+      rho reaches from f, taken with a > 0.  rho is a proper equivalence
+      and the reduced forms of a proper class make up one rho-cycle, so
+      the key is constant on the proper class; rho(-f) = -rho(f), so -f
+      has the negated cycle and the same key.  The class of -f is that
+      of f composed with -f0, f0 the principal form, and -f0 is the class
+      of every principal ideal whose generators have negative norm; so f
+      and -f are forms of one wide ideal class, and the key depends on
+      the wide class only.  Conversely a reduced form has ac < 0, so
+      (|a|, b, |c|) fixes it up to sign: equal keys mean forms equal up
+      to sign on the two cycles, so one wide class.
+
+    Other fields seed the order of each prime and then search the
+    provisional cokernel for a principal class until none is left
+    (_search_relations)."""
     if field._class_cache is not None:
         return field._class_cache
     mb = field.minkowski_bound()
@@ -579,6 +607,108 @@ def class_group(field: NumberField) -> ClassGroupData:
         data = ClassGroupData(field, la.FinAbGroup(), [], [], [], True, la.present([], 0))
         field._class_cache = data
         return data
+    if field.degree == 2:
+        relations, size = _shanks_relations(field, gens)
+        pres = la.present(relations, len(gens))
+        if pres.group.order() != size:
+            raise CertificationError(
+                f"{size} classes enumerated, relations give {pres.group.order()}")
+        elements = []
+        for row in relations:
+            g = principal_generator(field, _ideal_power_product(field, gens, row))
+            if g is None:
+                raise CertificationError(f"relation {row} has no generator")
+            elements.append(g)
+        certified = True
+    else:
+        relations, elements, certified, pres = _search_relations(field, gens)
+    data = ClassGroupData(field, pres.group, gens, relations, elements, certified, pres)
+    field._class_cache = data
+    return data
+
+
+def _shanks_relations(field: NumberField, gens) -> tuple[list[list[int]], int]:
+    """Rows that span the whole relation lattice of the primes gens of a
+    quadratic field, and the number of classes they generate, by
+    enumerating those classes (Shanks' baby steps on the keys of
+    class_group; Cohen, GTM 138, sections 5.2-5.6).
+
+    The table maps the key of each class of H_i = <P_1, ..., P_i> to an
+    exponent vector of it on P_1..P_i, from H_0 = {principal}.  For P_i
+    with form f, e_i is the least e >= 1 such that the inverse (a, -b, c)
+    of f^e is in the table, at v: then P_i^e_i prod_j P_j^v_j is
+    principal, the i-th row, and H_i is the disjoint union of the cosets
+    f^j H_(i-1), 0 <= j < e_i.  The rows are triangular with diagonal e_i,
+    so their lattice has index prod e_i = |H_k| in Z^k.  The primes
+    generate the class group, so that is also the index of the relation
+    lattice, which contains the rows: they span it."""
+    D = field.disc
+    k = len(gens)
+    table = {_class_key(ideal_form(field, la.identity(2)), D): [0] * k}
+    rows = []
+    for i, P in enumerate(gens):
+        f = _class_key(ideal_form(field, P.lattice()), D)
+        powers = [f]  # the keys of f, f^2, ...
+        # Each class holds a reduced form, and there are fewer than 2|D|.
+        for _ in range(2 * abs(D)):
+            a, b, c = powers[-1]
+            v = table.get(_class_key((a, -b, c), D))
+            if v is not None:
+                break
+            powers.append(_class_key(_compose(powers[-1], f, D), D))
+        else:
+            raise CertificationError(f"no power of {P.label} met the classes enumerated")
+        rows.append(v[:i] + [len(powers)] + v[i + 1:])
+        coset = list(table.items())
+        for j, g in enumerate(powers[:-1], 1):
+            for h, w in coset:
+                table[_class_key(_compose(g, h, D), D)] = w[:i] + [j] + w[i + 1:]
+    return rows, len(table)
+
+
+def _class_key(form, D):
+    """The key of the class of a primitive form (see class_group), itself
+    a reduced form of that class."""
+    if D < 0:
+        return _reduce_definite(form, la.identity(2))[0]
+    seen: dict = {}
+    while form not in seen:
+        seen[form] = len(seen)
+        form = _rho(form, D)[0]
+    cycle = list(seen)[seen[form]:]
+    a, b, c = min(cycle, key=lambda g: (abs(g[0]), g[1], abs(g[2])))
+    return abs(a), b, -abs(c)
+
+
+def _compose(f, g, D):
+    """The composite of primitive forms f and g of discriminant D (Cohen,
+    GTM 138, Def. 5.4.6), unreduced."""
+    a1, b1, _ = f
+    a2, b2, c2 = g
+    s = (b1 + b2) // 2
+    d1, _, v1 = _xgcd(a1, a2)
+    d, x, w = _xgcd(d1, s)  # d = gcd(a1, a2, s) = u a1 + (x v1) a2 + w s
+    b3 = b2 + 2 * (a2 // d) * (x * v1 * (s - b2) - w * c2)
+    a3 = a1 * a2 // (d * d)
+    return a3, b3, (b3 * b3 - D) // (4 * a3)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) >= 0 and x a + y b = g."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def _search_relations(field: NumberField, gens):
+    """(relations, elements, certified, presentation) for fields of degree
+    other than 2: the order relation of each prime, the factorisations of
+    the rational primes below them, then one relation per principal
+    class that the search of the provisional cokernel turns up."""
     k = len(gens)
     relations: list[list[int]] = []
     elements: list[NFElement] = []
@@ -620,9 +750,7 @@ def class_group(field: NumberField) -> ClassGroupData:
             break
         relations.append(new_rel[0])
         elements.append(new_rel[1])
-    data = ClassGroupData(field, pres.group, gens, relations, elements, certified, pres)
-    field._class_cache = data
-    return data
+    return relations, elements, certified, pres
 
 
 def _find_principal_class(field, gens, pres: la.Presentation):
@@ -645,10 +773,16 @@ def _find_principal_class(field, gens, pres: la.Presentation):
 
 
 def _ideal_power_product(field, gens, exps):
+    """prod P_i^exps[i] for exps >= 0, each power by square-and-multiply."""
     lat = None
     for P, e in zip(gens, exps):
-        for _ in range(e):
-            lat = P.lattice() if lat is None else lattice_mul(field, lat, P.lattice())
+        base = P.lattice()
+        while e:
+            if e & 1:
+                lat = base if lat is None else lattice_mul(field, lat, base)
+            e >>= 1
+            if e:
+                base = lattice_mul(field, base, base)
     if lat is None:
         return la.identity(field.degree)
     return lat

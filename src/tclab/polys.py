@@ -440,6 +440,9 @@ class ResidueField:
     def pow(self, a, e: int):
         if e < 0:
             raise ValueError("negative exponent")
+        if self.deg == 1:
+            # A reduced element of F_q is () or (r,).
+            return gfp_trim((pow(a[0] if a else 0, e, self.q),), self.q)
         return gfp_powmod(a, e, self.modulus, self.q)
 
     @property

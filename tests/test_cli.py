@@ -241,6 +241,18 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["results"]["match"]
 
 
+def test_classgroup_of_q_sqrt_minus_11311(tmp_path):
+    # h = 73 is beyond any fixed bound on the order of a prime's class.
+    f = tmp_path / "m11311.field"
+    f.write_text("poly 2828 -1 1\n")
+    t0 = time.perf_counter()
+    proc = fresh_python("-m", "tclab.cli", "--json", "classgroup", "--field", str(f))
+    assert time.perf_counter() - t0 < 2
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads(proc.stdout)["results"]
+    assert res["group"] == "Z/73" and res["certified"] is True
+
+
 def test_reproduce_leaves_sympy_unloaded():
     # sympy costs more start-up time than both examples' arithmetic; only
     # the rare irreducibility fallback in polys may import it.

@@ -49,6 +49,17 @@ def test_residue_field_dlog():
         assert F.dlog(F.pow(g, k), g, 10) == k
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 13, 101])
+def test_residue_field_pow_degree_one_is_gfp_powmod(q):
+    # Residue degree 1 takes the integer pow(r, e, q); the polynomial
+    # square-and-multiply is the reference, for a modulus t - c, c != 0.
+    F = polys.ResidueField(q, (q - 1, 1))
+    assert F.deg == 1
+    for a in F.elements():
+        for e in range(61):
+            assert F.pow(a, e) == polys.gfp_powmod(a, e, F.modulus, q)
+
+
 # Monic integer polynomials of degree 2-6 with |a_i| <= 20; sympy is the
 # oracle for the exact routines in polys that replace it at run time.
 def _sample(count=150):
