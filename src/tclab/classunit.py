@@ -13,7 +13,8 @@ of degree >= 3 it is decided by enumerating the ideal's points of T2 =
 Tr(x^2) up to a radius that provably holds a generator when there is one:
 Fincke-Pohst over an LLL-reduced basis, with the radius taken from unit
 log enclosures rounded outward.  So no GRH and no floating point enter
-the certified path.
+the certified path.  mpmath, for the analytic guesses that exact checks
+then confirm, is imported by the functions that use it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
-
-import mpmath
 
 from . import intlinalg as la
 from .embeddings import certified_log_rank, log_abs_interval
@@ -35,6 +34,7 @@ from .numberfield import (
     is_prime,
     lattice_mul,
     lattice_norm,
+    quadratic_trace_norm,
 )
 
 
@@ -143,7 +143,7 @@ def _real_quadratic_fundamental(field: NumberField) -> NFElement:
              if g not in (field.one, -field.one))
     # u = a + b omega = (x + y sqrt(D))/2 with x = 2a + bt, y = b, where
     # t = Tr(omega); +-u and its conjugate only flip the signs of x and y.
-    t = int(field.elt([0, 1]).trace())
+    t, _ = quadratic_trace_norm(field)
     a, b = u.coords
     x, y = abs(2 * a + b * t), abs(b)
     return field.elt([(x - y * t) / 2, y])
@@ -193,6 +193,7 @@ def _proven_dependent(field: NumberField, units, u: NFElement) -> bool:
     low-precision logs, with each c_j rounded to a fraction of denominator
     at most 12 and d their common denominator; False leaves the question
     open."""
+    import mpmath
     emb = field.embeddings
     with mpmath.workdps(20):
         mids = [[_mid(iv) for iv in emb.element_intervals(x)] for x in units + [u]]
@@ -309,6 +310,7 @@ def _iroot(m: int, k: int) -> int | None:
 
 
 def _pth_root_totally_real(x: NFElement, p: int) -> NFElement | None:
+    import mpmath
     field = x.field
     emb = field.embeddings
     signs = emb.element_signs(x)
@@ -349,6 +351,7 @@ def _pth_root_totally_real(x: NFElement, p: int) -> NFElement | None:
 
 
 def _mid(iv):
+    import mpmath
     s = iv[0] + iv[1]
     return mpmath.mpf(s.numerator) / mpmath.mpf(s.denominator) / 2
 
@@ -356,6 +359,7 @@ def _mid(iv):
 def _pth_root_imag_quadratic(x: NFElement, p: int) -> NFElement | None:
     """The root with the least omega-coordinate (then the greatest
     1-coordinate) among the p-th roots of x, or None."""
+    import mpmath
     field = x.field
     den = x.denominator()
     y = x * (den**p)
@@ -365,7 +369,7 @@ def _pth_root_imag_quadratic(x: NFElement, p: int) -> NFElement | None:
     # with t = Tr(omega).  Every root of y lies among the p complex roots
     # of sigma(y); each is rounded to integral coordinates and checked
     # exactly.  Working precision covers the size of sigma(y).
-    t = int(field.elt([0, 1]).trace())
+    t, _ = quadratic_trace_norm(field)
     a, b = (int(c) for c in y.coords)
     with mpmath.workprec((abs(a) + abs(b)).bit_length() + field.disc.bit_length() + 64):
         sq = mpmath.sqrt(-field.disc)
@@ -391,8 +395,7 @@ def ideal_form(field: NumberField, lat) -> tuple[int, int, int]:
     ideal lattice with HNF column basis (v1, v2), read off the norm form
     N(x + y omega) = x^2 + T x y + N y^2, T and N the trace and norm of
     omega."""
-    omega = field.elt([0, 1])
-    T, N = int(omega.trace()), int(omega.norm())
+    T, N = quadratic_trace_norm(field)
     (p, r), (q, s) = lat  # v1 = p + q omega, v2 = r + s omega
     nI = lattice_norm(lat)
     a = p * p + T * p * q + N * q * q
@@ -532,6 +535,7 @@ def _t2_radii(field: NumberField, units, N: int) -> tuple[int, int]:
     """(ceil(n N^(2/n)), R) for the T2 enumeration of _principal_by_t2, from
     interval enclosures rounded outward: R bounds the least T2 of a
     generator of any principal ideal of norm N."""
+    import mpmath
     emb = field.embeddings
     n = field.degree
     logs = []
@@ -595,6 +599,12 @@ def class_group(field: NumberField) -> ClassGroupData:
       the wide class only.  Conversely a reduced form has ac < 0, so
       (|a|, b, |c|) fixes it up to sign: equal keys mean forms equal up
       to sign on the two cycles, so one wide class.
+
+    Each relation's element is principal_generator of the row's ideal,
+    the power product of _ideal_power_product, whose lattice_mul steps
+    compose the ideals in closed form in a quadratic field; the Minkowski
+    primes come from factor_prime, which splits a quadratic mod q in
+    closed form.
 
     Other fields seed the order of each prime and then search the
     provisional cokernel for a principal class until none is left
@@ -686,22 +696,11 @@ def _compose(f, g, D):
     a1, b1, _ = f
     a2, b2, c2 = g
     s = (b1 + b2) // 2
-    d1, _, v1 = _xgcd(a1, a2)
-    d, x, w = _xgcd(d1, s)  # d = gcd(a1, a2, s) = u a1 + (x v1) a2 + w s
+    d1, _, v1 = la.xgcd(a1, a2)
+    d, x, w = la.xgcd(d1, s)  # d = gcd(a1, a2, s) = u a1 + (x v1) a2 + w s
     b3 = b2 + 2 * (a2 // d) * (x * v1 * (s - b2) - w * c2)
     a3 = a1 * a2 // (d * d)
     return a3, b3, (b3 * b3 - D) // (4 * a3)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) >= 0 and x a + y b = g."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
 def _search_relations(field: NumberField, gens):

@@ -11,15 +11,15 @@ evaluations of f; while f' may vanish on the cell, the cell is halved
 instead.  Elements are enclosed by naive interval Horner on integer
 numerators.  Logs and determinants for unit-lattice certification go
 through mpmath interval arithmetic, whose endpoints are dyadic
-rationals, so every sign decision is rigorous.
+rationals, so every sign decision is rigorous.  mpmath is imported by the
+functions that use it, so a process that takes no logarithm (quadratic
+class groups, residue arithmetic) never loads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-
-import mpmath
 
 from . import intlinalg as la
 from .polys import _scaled_value, _sign_at
@@ -264,6 +264,7 @@ def _poly_interval(nums, den: int, L: int, H: int, q: int) -> tuple[Fraction, Fr
 
 def log_abs_interval(iv):
     """mpmath interval of log|x| for a rational interval not containing 0."""
+    import mpmath
     lo, hi = iv
     if lo <= 0 <= hi:
         raise ValueError("interval straddles zero")
@@ -287,6 +288,7 @@ def interval_det_sign(mat) -> int:
 
 
 def _iv_det(rows):
+    import mpmath
     if len(rows) == 1:
         return rows[0][0]
     total = mpmath.iv.mpf(0)
@@ -302,6 +304,7 @@ def certified_log_rank(field, units, need_rank: int) -> bool:
     vectors of rank need_rank, using interval determinants on the first
     embeddings.  Returns True only when a nonzero determinant enclosure is
     found."""
+    import mpmath
     if need_rank == 0:
         return True
     emb = field.embeddings

@@ -17,7 +17,10 @@ Matrix = list[list[int]]
 
 
 def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = zeros(n, n)
+    for i in range(n):
+        out[i][i] = 1
+    return out
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -156,14 +159,29 @@ class FinAbGroup:
         return " x ".join(f"Z/{d}" for d in self.invariant_factors)
 
 
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) >= 0 and x a + y b = g."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
 def _min_pivot(a: Matrix, t: int):
-    """Smallest nonzero |entry| in the trailing block starting at (t, t)."""
+    """The first entry of least nonzero |entry| in the trailing block
+    starting at (t, t), rows first; the first +-1 met is one."""
     best = None
     for i in range(t, len(a)):
-        for j in range(t, len(a[0])):
-            v = a[i][j]
+        row = a[i]
+        for j in range(t, len(row)):
+            v = row[j]
             if v and (best is None or abs(v) < abs(best[2])):
                 best = (i, j, v)
+                if v == 1 or v == -1:
+                    return best
     return best
 
 
@@ -175,15 +193,19 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     entry of the trailing block is moved to the pivot and used to reduce
     its row and column.  Since the pivot's absolute value strictly drops
     whenever a remainder survives, entries stay small and the loop
-    terminates.  Each row operation E on u is undone on the columns of
-    u_inv (u_inv <- u_inv E^-1), so u_inv stays exact without a solve.
+    terminates.  A +-1 pivot divides everything, so it needs no
+    divisibility check.  Each row operation E on u is undone on the
+    columns of u_inv (u_inv <- u_inv E^-1), so u_inv stays exact without a
+    solve.
     """
     rows = len(m)
     cols = len(m[0]) if m else 0
     a = mat_copy(m)
     u = identity(rows)
-    u_inv = identity(rows)
-    v = identity(cols)
+    # The columns of u_inv and of v, so that column operations on them are
+    # operations on these lists.
+    ui_cols = identity(rows)
+    v_cols = identity(cols)
     t = 0
     while t < min(rows, cols):
         piv = _min_pivot(a, t)
@@ -193,65 +215,50 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
         if i != t:
             a[t], a[i] = a[i], a[t]
             u[t], u[i] = u[i], u[t]
-            for row in u_inv:
-                row[t], row[i] = row[i], row[t]
+            ui_cols[t], ui_cols[i] = ui_cols[i], ui_cols[t]
         if j != t:
             for row in a:
                 row[t], row[j] = row[j], row[t]
-            for row in v:
-                row[t], row[j] = row[j], row[t]
+            v_cols[t], v_cols[j] = v_cols[j], v_cols[t]
         # One reduction sweep; if any remainder survives it becomes the
         # new (strictly smaller) pivot on the next pass.
+        at, ut, pivot = a[t], u[t], a[t][t]
         clean = True
         for i in range(t + 1, rows):
             if a[i][t]:
-                q = a[i][t] // a[t][t]
-                for k in range(cols):
-                    a[i][k] -= q * a[t][k]
-                for k in range(rows):
-                    u[i][k] -= q * u[t][k]
-                for row in u_inv:
-                    row[t] += q * row[i]
+                q = a[i][t] // pivot
+                a[i] = [x - q * y for x, y in zip(a[i], at)]
+                u[i] = [x - q * y for x, y in zip(u[i], ut)]
+                ui_cols[t] = [x + q * y for x, y in zip(ui_cols[t], ui_cols[i])]
                 if a[i][t]:
                     clean = False
+        # Only rows with an entry in column t change under column operations.
+        live = [row for row in a[t:] if row[t]]
         for j in range(t + 1, cols):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                for row in a:
+            if at[j]:
+                q = at[j] // pivot
+                for row in live:
                     row[j] -= q * row[t]
-                for row in v:
-                    row[j] -= q * row[t]
-                if a[t][j]:
+                v_cols[j] = [x - q * y for x, y in zip(v_cols[j], v_cols[t])]
+                if at[j]:
                     clean = False
         if not clean:
             continue
         # Pivot must divide the whole trailing block for the chain; if
         # not, fold the offending row in and re-pivot.
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = None if pivot in (1, -1) else next(
+            (i for i in range(t + 1, rows) if any(x % pivot for x in a[i][t + 1:])), None)
         if offender is not None:
-            for k in range(cols):
-                a[t][k] += a[offender][k]
-            for k in range(rows):
-                u[t][k] += u[offender][k]
-            for row in u_inv:
-                row[offender] -= row[t]
+            a[t] = [x + y for x, y in zip(at, a[offender])]
+            u[t] = [x + y for x, y in zip(ut, u[offender])]
+            ui_cols[offender] = [x - y for x, y in zip(ui_cols[offender], ui_cols[t])]
             continue
-        if a[t][t] < 0:
-            for k in range(cols):
-                a[t][k] = -a[t][k]
-            for k in range(rows):
-                u[t][k] = -u[t][k]
-            for row in u_inv:
-                row[t] = -row[t]
+        if pivot < 0:
+            a[t] = [-x for x in at]
+            u[t] = [-x for x in ut]
+            ui_cols[t] = [-x for x in ui_cols[t]]
         t += 1
-    return a, u, v, u_inv
+    return a, u, transpose(v_cols), transpose(ui_cols)
 
 
 @dataclass
@@ -436,39 +443,42 @@ def fincke_pohst(gram: Matrix, bound):
 
 def hnf_column(m: Matrix) -> Matrix:
     """Column-style Hermite normal form of the lattice spanned by the
-    columns of m.  Returns an n x r lower-triangular-ish basis with
-    positive pivots, r = rank."""
+    columns of m: an n x r basis, r = rank, whose j-th column is 0 above
+    its pivot row, positive there, and whose earlier columns are reduced
+    into [0, pivot) at that row.  That form is unique for the lattice.
+
+    Row by row, the columns with an entry in the row are folded into one
+    pivot by extended gcds: (x, y) with x a + y b = g takes the columns
+    A, B to x A + y B and (a/g) B - (b/g) A, a unimodular step that
+    clears the row in the second."""
     n = len(m)
     cols = [list(c) for c in zip(*m)] if m else []
     basis: list[list[int]] = []
     for row in range(n):
-        # Reduce all candidate columns against each other at this row.
-        live = [c for c in cols if any(c[row:])]
-        rest = [c for c in cols if not any(c[row:])]
-        cols = live
-        nonzero = [c for c in cols if c[row]]
-        while len(nonzero) > 1:
-            nonzero.sort(key=lambda c: abs(c[row]))
-            c0 = nonzero[0]
-            for c in nonzero[1:]:
-                q = c[row] // c0[row]
-                for k in range(n):
-                    c[k] -= q * c0[k]
-            nonzero = [c for c in cols if c[row]]
-        if nonzero:
-            piv = nonzero[0]
-            if piv[row] < 0:
-                for k in range(n):
-                    piv[k] = -piv[k]
-            # Reduce earlier basis vectors' entries at this row into [0, piv).
-            for b in basis:
-                q = b[row] // piv[row]
-                if q:
-                    for k in range(n):
-                        b[k] -= q * piv[k]
-            basis.append(piv)
-            cols = [c for c in cols if c is not piv]
-        cols.extend(rest)
+        piv = None
+        rest = []
+        for c in cols:
+            if not c[row]:
+                rest.append(c)
+            elif piv is None:
+                piv = c
+            else:
+                g, x, y = xgcd(piv[row], c[row])
+                a, b = piv[row] // g, c[row] // g
+                piv, c = ([x * s + y * t for s, t in zip(piv, c)],
+                          [a * t - b * s for s, t in zip(piv, c)])
+                rest.append(c)
+        if piv is None:
+            continue
+        if piv[row] < 0:
+            piv = [-s for s in piv]
+        # Reduce earlier basis vectors' entries at this row into [0, piv).
+        for k, b in enumerate(basis):
+            q = b[row] // piv[row]
+            if q:
+                basis[k] = [s - q * t for s, t in zip(b, piv)]
+        basis.append(piv)
+        cols = [c for c in rest if any(c)]
     return [list(r) for r in zip(*basis)] if basis else [[] for _ in range(n)]
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 
 from . import intlinalg as la
@@ -212,25 +213,38 @@ class NumberField:
         """The integer structure constants, laid out so that entry [k][j]
         holds coordinate k of b_i b_j for i = 0, ..., n-1: the
         multiplication matrix of x has entry (k, j) = sum_i x_i [k][j][i].
-        Refuses a basis whose products leave the lattice it spans."""
+        Refuses a basis whose products leave the lattice it spans.
+
+        In integers: with the basis rows B = R / r and B^-1 = V / v over
+        one denominator each, b_i b_j has power coordinates (R_i R_j mod
+        f) / r^2 and basis coordinates (R_i R_j mod f) V / (r^2 v).  For
+        Z[theta] the power coordinates are the basis coordinates."""
         n = self.degree
+        flat, r = la.clear_denominators([c for row in self._basis_rows for c in row])
+        R = [flat[i * n:(i + 1) * n] for i in range(n)]
+        if R == la.identity(n):
+            V, scale = None, 1
+        else:
+            flat, v = la.clear_denominators([c for row in self._basis_inv for c in row])
+            V, scale = [flat[i * n:(i + 1) * n] for i in range(n)], r * r * v
         table = [[[0] * n for _ in range(n)] for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                prod = self._mul_power(self._basis_rows[i], self._basis_rows[j])
-                coords = self._power_to_basis(prod)
-                if any(c.denominator != 1 for c in coords):
+                coords = self._mul_power(R[i], R[j])
+                if V is not None:
+                    coords = [sum(map(operator.mul, coords, col)) for col in zip(*V)]
+                if any(c % scale for c in coords):
                     raise FieldError(
                         f"integral basis not closed under multiplication at b{i}*b{j}"
                     )
                 for k, c in enumerate(coords):
-                    table[k][j][i] = table[k][i][j] = int(c)
+                    table[k][j][i] = table[k][i][j] = c // scale
         return [[tuple(col) for col in row] for row in table]
 
     def _mul_power(self, a, b):
         """Multiply two power-basis coordinate vectors modulo min_poly."""
         n = self.degree
-        prod = [Fraction(0)] * (2 * n - 1)
+        prod = [0] * (2 * n - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
@@ -239,15 +253,15 @@ class NumberField:
 
     def _reduce_power(self, vec):
         """Reduce a power-basis coordinate list of any length modulo
-        min_poly to its n coordinates."""
+        min_poly to its n coordinates (integers stay integers)."""
         n = self.degree
-        vec = list(vec) + [Fraction(0)] * (n - len(vec))
+        vec = list(vec) + [0] * (n - len(vec))
         # theta^n = -(c_0 + ... + c_{n-1} theta^{n-1}).
         f = self.min_poly
         for k in range(len(vec) - 1, n - 1, -1):
             c = vec[k]
             if c:
-                vec[k] = Fraction(0)
+                vec[k] = 0
                 for j in range(n):
                     vec[k - n + j] -= c * f[j]
         return vec[:n]
@@ -395,16 +409,24 @@ def _gfp_pow(g, e, q):
     return out
 
 
-@lru_cache(maxsize=None)
-def _primes_up_to(bound: int) -> tuple[int, ...]:
-    if bound < 2:
-        return ()
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(bound) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return tuple(i for i in range(bound + 1) if sieve[i])
+# The primes below _sieve_limit, ascending: one sieve for the module,
+# extended by doubling when a larger bound is asked for.
+_sieve_primes: list[int] = []
+_sieve_limit = 1
+
+
+def _primes_up_to(bound: int) -> list[int]:
+    global _sieve_primes, _sieve_limit
+    if bound > _sieve_limit:
+        limit = max(bound, 2 * _sieve_limit)
+        sieve = bytearray([1]) * (limit + 1)
+        sieve[0:2] = b"\x00\x00"
+        for i in range(2, math.isqrt(limit) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+        _sieve_primes = [i for i in range(limit + 1) if sieve[i]]
+        _sieve_limit = limit
+    return _sieve_primes[: bisect_right(_sieve_primes, bound)]
 
 
 def next_prime(n: int) -> int:
@@ -470,8 +492,14 @@ class PrimeIdeal:
 
     def lift(self, coeffs) -> NFElement:
         """The element sum_i coeffs[i] gen^i; lifts a residue coefficient
-        tuple."""
-        return self.field.elt(polys.poly_eval(tuple(coeffs), self.gen))
+        tuple.  gen is integral, so Horner's rule runs on the integer
+        coordinates with gen's integer multiplication matrix."""
+        m, _ = self.field._mult_matrix(self.gen.coords)
+        acc = [0] * self.field.degree
+        for c in reversed(coeffs):
+            acc = la.mat_vec(m, acc)
+            acc[0] += c
+        return self.field.elt(acc)
 
     def residue(self, x: NFElement):
         """Image of x in the residue field; requires x integral at q
@@ -562,13 +590,63 @@ def _ideal_lattice(field, q, alpha):
 
 
 def lattice_mul(field, lat1, lat2):
-    """Product of two full-rank ideal lattices (HNF column bases)."""
+    """Product of two full-rank ideal lattices (HNF column bases), in HNF.
+
+    A quadratic field composes the two ideals in closed form
+    (_quadratic_mul).  Other degrees multiply every pair of basis vectors
+    through the multiplication matrices and put the products in HNF; the
+    HNF of a lattice is unique, so both routes give the same matrix."""
+    if field.degree == 2:
+        return _quadratic_mul(field, lat1, lat2)
     cols2 = list(zip(*lat2))
     gens = []
     for c1 in zip(*lat1):
         m, _ = field._mult_matrix(c1)
         gens += [la.mat_vec(m, c2) for c2 in cols2]
     return la.hnf_column(la.transpose(gens))
+
+
+def quadratic_trace_norm(field) -> tuple[int, int]:
+    """(t, n) = (Tr omega, N omega) for the basis (1, omega) of a quadratic
+    field: omega^2 = t omega - n, read off the structure constants."""
+    table = field._structure
+    return table[1][1][1], -table[0][1][1]
+
+
+def _quadratic_triple(lat) -> tuple[int, int, int]:
+    """(c, a, s) with I = c (a Z + (s + omega) Z) for an ideal lattice I of a
+    quadratic field given by any basis (Cohen, GTM 138, 5.2): c generates
+    the omega-coordinates of I, x v1 + y v2 = c (s + omega) for the
+    extended gcd x q1 + y q2 = c of the basis's omega-coordinates, and
+    c a = |det| / c is the least positive integer in I."""
+    (p1, p2), (q1, q2) = lat
+    c, x, y = la.xgcd(q1, q2)
+    a = abs(p1 * q2 - p2 * q1) // (c * c)
+    return c, a, (x * p1 + y * p2) // c % a
+
+
+def _quadratic_mul(field, lat1, lat2):
+    """lattice_mul in a quadratic field, by composing the triples of
+    _quadratic_triple (Cohen, GTM 138, 5.4).  For J_i = a_i Z + (s_i +
+    omega) Z and omega^2 = t omega - n, the four products of generators
+    have omega-coordinates 0, a_1, a_2 and s_1 + s_2 + t; two extended
+    gcds write their gcd as d = x (u a_1 + v a_2) + w (s_1 + s_2 + t).  So
+    J_1 J_2 = d J_3 with J_3 = a_3 Z + (s_3 + omega) Z, a_3 = a_1 a_2 / d^2
+    as norms multiply, and d (s_3 + omega) the products combined by x u,
+    x v and w.  The HNF of c J_3 then has the columns c (g + y omega), y
+    reduced mod a_3 / g, and c (a_3 / g) omega, for g = gcd(a_3, s_3) =
+    e a_3 + y s_3."""
+    t, n = quadratic_trace_norm(field)
+    c1, a1, s1 = _quadratic_triple(lat1)
+    c2, a2, s2 = _quadratic_triple(lat2)
+    d1, u, v = la.xgcd(a1, a2)
+    d, x, w = la.xgcd(d1, s1 + s2 + t)
+    a3 = a1 * a2 // (d * d)
+    s3 = (x * (u * a1 * s2 + v * a2 * s1) + w * (s1 * s2 - n)) // d % a3
+    c = c1 * c2 * d
+    g, _, y = la.xgcd(a3, s3)
+    h = a3 // g
+    return [[c * g, 0], [c * (y % h), c * h]]
 
 
 def lattice_norm(lat) -> int:

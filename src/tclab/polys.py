@@ -315,13 +315,16 @@ def gfp_factor(f, q) -> list[tuple[Poly, int]]:
     """Factor monic f over F_q into (monic irreducible, multiplicity) pairs,
     sorted by (degree, coefficient tuple) so the ordering is deterministic.
 
-    Squarefree decomposition, then distinct-degree splitting, then a
-    derandomized Cantor-Zassenhaus that tries shift polynomials x + c,
-    x^2 + c, ... in a fixed order.
+    A quadratic is split in closed form (_factor_quadratic).  Any other
+    degree goes through squarefree decomposition, then distinct-degree
+    splitting, then a derandomized Cantor-Zassenhaus that tries shift
+    polynomials x + c, x^2 + c, ... in a fixed order.
     """
     f = gfp_monic(f, q)
     if poly_deg(f) < 1:
         return []
+    if poly_deg(f) == 2:
+        return _factor_quadratic(f, q)
     out = []
     for g in _factor_squarefree(gfp_radical(f, q), q):
         mult = 0
@@ -333,6 +336,56 @@ def gfp_factor(f, q) -> list[tuple[Poly, int]]:
             rem, mult = quo, mult + 1
         out.append((g, mult))
     return sorted(out, key=lambda t: (poly_deg(t[0]), t[0]))
+
+
+def _factor_quadratic(f, q):
+    """gfp_factor of a monic quadratic f = x^2 + b x + c over F_q, from its
+    roots: the two residues mod 2 tried directly; for odd q, the
+    discriminant b^2 - 4c, which is 0 for a double root and a non-square
+    (Euler's criterion) for an irreducible f, and otherwise gives the
+    roots (-b +- sqrt)/2 by Tonelli-Shanks (Cohen, GTM 138, 1.5)."""
+    c, b, _ = f
+    if q == 2:
+        roots = [r for r in (0, 1) if (r + b * r + c) % 2 == 0]
+        if len(roots) == 1:
+            roots *= 2  # x^2 + b x + c = (x - r)(x - r') with r' = -b - r in F_2
+    else:
+        disc = (b * b - 4 * c) % q
+        if disc and pow(disc, (q - 1) // 2, q) != 1:
+            return [(f, 1)]
+        s = _sqrt_mod(disc, q)
+        half = (q + 1) // 2
+        roots = [(s - b) * half % q, (-s - b) * half % q]
+    if not roots:
+        return [(f, 1)]
+    if roots[0] == roots[1]:
+        return [((-roots[0] % q, 1), 2)]
+    return sorted(((-r % q, 1), 1) for r in roots)
+
+
+def _sqrt_mod(a, q):
+    """A square root of the square a mod the odd prime q (Tonelli-Shanks;
+    Cohen, GTM 138, Alg. 1.5.1)."""
+    if a == 0:
+        return 0
+    e, s = 0, q - 1
+    while s % 2 == 0:
+        e, s = e + 1, s // 2
+    if e == 1:
+        return pow(a, (q + 1) // 4, q)
+    z = 2
+    while pow(z, (q - 1) // 2, q) != q - 1:
+        z += 1
+    y, x, b = pow(z, s, q), pow(a, (s + 1) // 2, q), pow(a, s, q)
+    # Invariant: x^2 = a b, and b has order dividing 2^(e-1), y order 2^e.
+    while b != 1:
+        m, t = 0, b
+        while t != 1:
+            m, t = m + 1, t * t % q
+        t = pow(y, 1 << (e - m - 1), q)
+        y, e = t * t % q, m
+        x, b = x * t % q, b * y % q
+    return x
 
 
 def gfp_radical(f, q):
