@@ -1,12 +1,12 @@
 """Class groups and unit groups at desk scale, certified unconditionally.
 
 The class group is computed on the prime ideals of norm up to the
-Minkowski bound.  Relations come from explicit principal generators.  In
-a quadratic field the classes those primes generate are enumerated by
-composing and reducing binary quadratic forms, which finds every
-relation; in other fields the result is certified by checking that every
-nonzero class of the computed cokernel is represented by a non-principal
-ideal.  Principality of an ideal in a quadratic field is decided exactly
+Minkowski bound.  Relations come from explicit principal generators.  The
+classes those primes generate are enumerated by Shanks' baby steps, which
+find every relation: in a quadratic field by composing and reducing
+binary quadratic forms and looking each class up by its key, in other
+fields by a principality test against each class found so far.
+Principality of an ideal in a quadratic field is decided exactly
 through binary quadratic forms (Gauss reduction in the definite case,
 reduction cycles in the indefinite case).  In a totally real field
 of degree >= 3 it is decided by enumerating the ideal's points of T2 =
@@ -577,14 +577,110 @@ def class_group(field: NumberField) -> ClassGroupData:
     which generate it, with a generator of the principal ideal behind each
     relation.
 
-    Quadratic fields enumerate the classes of those primes by their ideal
-    forms (_shanks_relations), which finds the whole relation lattice, so
-    the result is certified by construction.  The ideal form of a lattice
-    on its positively oriented HNF basis (ideal_form) is a homomorphism
-    from ideals to proper classes of primitive forms of discriminant D =
-    disc(K) under composition (_compose), and each class gets a key
-    (_class_key) that is a function of the ideal class and tells classes
-    apart:
+    _relations enumerates the classes those primes generate, which finds
+    the whole relation lattice, so the result is certified by
+    construction; the count of classes enumerated must equal the order of
+    the group the relations present, else CertificationError."""
+    if field._class_cache is not None:
+        return field._class_cache
+    gens = field.primes_of_norm_up_to(field.minkowski_bound())
+    rows, elements, size = _relations(field, gens)
+    pres = la.present(rows, len(gens))
+    if pres.group.order() != size:
+        raise CertificationError(f"{size} classes enumerated, relations give {pres.group.order()}")
+    data = ClassGroupData(field, pres.group, gens, rows, elements, True, pres)
+    field._class_cache = data
+    return data
+
+
+def _relations(field: NumberField, gens):
+    """(rows, elements, size): rows that span the whole relation lattice of
+    the primes gens, a generator of prod P_j^row_j for each row, and the
+    number of classes gens generate, by enumerating those classes (Shanks'
+    baby steps; Cohen, GTM 138, sections 5.4-5.6).
+
+    The table maps a handle of each class of H_i = <P_1, ..., P_i> to an
+    exponent vector of it on P_1..P_i, from H_0 = {principal}.  e_i is the
+    least e >= 1 such that P_i^e h is principal for some h in the table,
+    at v: then P_i^e_i prod_j P_j^v_j is principal, the i-th row, and H_i
+    is the disjoint union of the cosets P_i^j H_(i-1), 0 <= j < e_i.  The
+    rows are triangular with diagonal e_i, so their lattice has index
+    prod e_i = |H_k| in Z^k.  The primes generate the class group, so that
+    is also the index of the relation lattice, which contains the rows:
+    they span it.
+
+    Only the handles and the principality test differ by degree:
+
+    - quadratic: the handle is the key of the ideal form (_class_key),
+      products are composed forms, and the h with P^e h principal is the
+      one keyed by the inverse (a, -b, c) of P^e, a dict lookup; the row's
+      element is then principal_generator of its power product;
+    - other degrees: the handle is the ideal's HNF lattice, as a tuple of
+      rows, and each h in the table is tried by principal_generator of
+      P^e h, which also gives the row's element."""
+    k = len(gens)
+    D = field.disc
+    if field.degree == 2:
+        def handle(lat):
+            return _class_key(ideal_form(field, lat), D)
+
+        def mul(f, g):
+            return _class_key(_compose(f, g, D), D)
+
+        def find(f, table):
+            a, b, c = f
+            return table.get(_class_key((a, -b, c), D)), None
+    else:
+        def handle(lat):
+            return tuple(map(tuple, lat))
+
+        def mul(x, y):
+            return handle(lattice_mul(field, x, y))
+
+        def find(x, table):
+            for h, v in table.items():
+                g = principal_generator(field, mul(x, h) if any(v) else x)
+                if g is not None:
+                    return v, g
+            return None, None
+
+    table = {handle(la.identity(field.degree)): [0] * k}
+    rows, elements = [], []
+    for i, P in enumerate(gens):
+        f = handle(P.lattice())
+        powers = [f]  # the handles of P, P^2, ...
+        # A quadratic class holds a reduced form, and there are fewer than
+        # 2|D|, so there the bound is never reached.  In other degrees it
+        # is a budget: reaching it refuses the field, never a wrong group.
+        for _ in range(2 * abs(D)):
+            v, g = find(powers[-1], table)
+            if v is not None:
+                break
+            powers.append(mul(powers[-1], f))
+        else:
+            raise CertificationError(f"no power of {P.label} met the classes enumerated")
+        row = v[:i] + [len(powers)] + v[i + 1:]
+        if g is None:
+            g = principal_generator(field, _ideal_power_product(field, gens, row))
+            if g is None:
+                raise CertificationError(f"relation {row} has no generator")
+        rows.append(row)
+        elements.append(g)
+        coset = list(table.items())
+        for j, x in enumerate(powers[:-1], 1):
+            for h, w in coset:
+                # The entry at w = 0 is the principal class: x itself.
+                table[mul(x, h) if any(w) else x] = w[:i] + [j] + w[i + 1:]
+    return rows, elements, len(table)
+
+
+def _class_key(form, D):
+    """The key of the class of a primitive form, itself a reduced form of
+    that class.  The ideal form of a lattice on its positively oriented
+    HNF basis (ideal_form) is a homomorphism from ideals to proper classes
+    of primitive forms of discriminant D = disc(K) under composition
+    (_compose), and the key is a function of the ideal class that tells
+    classes apart:
 
     - D < 0: the Gauss-reduced form.  It is unique in its proper class,
       and the proper classes are the ideal classes.
@@ -598,87 +694,7 @@ def class_group(field: NumberField) -> ClassGroupData:
       and -f are forms of one wide ideal class, and the key depends on
       the wide class only.  Conversely a reduced form has ac < 0, so
       (|a|, b, |c|) fixes it up to sign: equal keys mean forms equal up
-      to sign on the two cycles, so one wide class.
-
-    Each relation's element is principal_generator of the row's ideal,
-    the power product of _ideal_power_product, whose lattice_mul steps
-    compose the ideals in closed form in a quadratic field; the Minkowski
-    primes come from factor_prime, which splits a quadratic mod q in
-    closed form.
-
-    Other fields seed the order of each prime and then search the
-    provisional cokernel for a principal class until none is left
-    (_search_relations)."""
-    if field._class_cache is not None:
-        return field._class_cache
-    mb = field.minkowski_bound()
-    gens = [P for P in field.primes_of_norm_up_to(mb)]
-    if not gens:
-        data = ClassGroupData(field, la.FinAbGroup(), [], [], [], True, la.present([], 0))
-        field._class_cache = data
-        return data
-    if field.degree == 2:
-        relations, size = _shanks_relations(field, gens)
-        pres = la.present(relations, len(gens))
-        if pres.group.order() != size:
-            raise CertificationError(
-                f"{size} classes enumerated, relations give {pres.group.order()}")
-        elements = []
-        for row in relations:
-            g = principal_generator(field, _ideal_power_product(field, gens, row))
-            if g is None:
-                raise CertificationError(f"relation {row} has no generator")
-            elements.append(g)
-        certified = True
-    else:
-        relations, elements, certified, pres = _search_relations(field, gens)
-    data = ClassGroupData(field, pres.group, gens, relations, elements, certified, pres)
-    field._class_cache = data
-    return data
-
-
-def _shanks_relations(field: NumberField, gens) -> tuple[list[list[int]], int]:
-    """Rows that span the whole relation lattice of the primes gens of a
-    quadratic field, and the number of classes they generate, by
-    enumerating those classes (Shanks' baby steps on the keys of
-    class_group; Cohen, GTM 138, sections 5.2-5.6).
-
-    The table maps the key of each class of H_i = <P_1, ..., P_i> to an
-    exponent vector of it on P_1..P_i, from H_0 = {principal}.  For P_i
-    with form f, e_i is the least e >= 1 such that the inverse (a, -b, c)
-    of f^e is in the table, at v: then P_i^e_i prod_j P_j^v_j is
-    principal, the i-th row, and H_i is the disjoint union of the cosets
-    f^j H_(i-1), 0 <= j < e_i.  The rows are triangular with diagonal e_i,
-    so their lattice has index prod e_i = |H_k| in Z^k.  The primes
-    generate the class group, so that is also the index of the relation
-    lattice, which contains the rows: they span it."""
-    D = field.disc
-    k = len(gens)
-    table = {_class_key(ideal_form(field, la.identity(2)), D): [0] * k}
-    rows = []
-    for i, P in enumerate(gens):
-        f = _class_key(ideal_form(field, P.lattice()), D)
-        powers = [f]  # the keys of f, f^2, ...
-        # Each class holds a reduced form, and there are fewer than 2|D|.
-        for _ in range(2 * abs(D)):
-            a, b, c = powers[-1]
-            v = table.get(_class_key((a, -b, c), D))
-            if v is not None:
-                break
-            powers.append(_class_key(_compose(powers[-1], f, D), D))
-        else:
-            raise CertificationError(f"no power of {P.label} met the classes enumerated")
-        rows.append(v[:i] + [len(powers)] + v[i + 1:])
-        coset = list(table.items())
-        for j, g in enumerate(powers[:-1], 1):
-            for h, w in coset:
-                table[_class_key(_compose(g, h, D), D)] = w[:i] + [j] + w[i + 1:]
-    return rows, len(table)
-
-
-def _class_key(form, D):
-    """The key of the class of a primitive form (see class_group), itself
-    a reduced form of that class."""
+      to sign on the two cycles, so one wide class."""
     if D < 0:
         return _reduce_definite(form, la.identity(2))[0]
     seen: dict = {}
@@ -701,74 +717,6 @@ def _compose(f, g, D):
     b3 = b2 + 2 * (a2 // d) * (x * v1 * (s - b2) - w * c2)
     a3 = a1 * a2 // (d * d)
     return a3, b3, (b3 * b3 - D) // (4 * a3)
-
-
-def _search_relations(field: NumberField, gens):
-    """(relations, elements, certified, presentation) for fields of degree
-    other than 2: the order relation of each prime, the factorisations of
-    the rational primes below them, then one relation per principal
-    class that the search of the provisional cokernel turns up."""
-    k = len(gens)
-    relations: list[list[int]] = []
-    elements: list[NFElement] = []
-    # Seed with the order relation of each generator prime.
-    for i, P in enumerate(gens):
-        lat = P.lattice()
-        cur = lat
-        for power in range(1, 64):
-            g = principal_generator(field, cur)
-            if g is not None:
-                row = [0] * k
-                row[i] = power
-                relations.append(row)
-                elements.append(g)
-                break
-            cur = lattice_mul(field, cur, lat)
-        else:  # pragma: no cover
-            raise CertificationError(f"no principal power of {P.label} found")
-    # Also seed relations from factoring ramified/split rational primes:
-    # (q) = prod P^e is principal with generator q.
-    by_q: dict[int, list[int]] = {}
-    for i, P in enumerate(gens):
-        by_q.setdefault(P.q, []).append(i)
-    for q, idxs in by_q.items():
-        primes_above = field.factor_prime(q)
-        if all(any(gens[i] is Q for i in idxs) for Q in primes_above):
-            row = [0] * k
-            for Q in primes_above:
-                i = next(i for i in idxs if gens[i] is Q)
-                row[i] = Q.e
-            relations.append(row)
-            elements.append(field.elt(q))
-    certified = False
-    for _ in range(64):
-        pres = la.present(relations, k)
-        new_rel = _find_principal_class(field, gens, pres)
-        if new_rel is None:
-            certified = True
-            break
-        relations.append(new_rel[0])
-        elements.append(new_rel[1])
-    return relations, elements, certified, pres
-
-
-def _find_principal_class(field, gens, pres: la.Presentation):
-    """Search the nonzero classes of the computed cokernel for one whose
-    representative ideal is principal; return (relation_row, generator)."""
-    nontrivial = [i for i, d in enumerate(pres.diag) if d > 1]
-    exponent = max(pres.diag)
-    for coords in la.product_first_fastest([range(pres.diag[i]) for i in nontrivial]):
-        if not any(coords):
-            continue
-        y = [0] * len(gens)
-        for c, i in zip(coords, nontrivial):
-            y[i] = c
-        exps = [e % exponent for e in la.mat_vec(pres.U_inv, y)]
-        lat = _ideal_power_product(field, gens, exps)
-        g = principal_generator(field, lat)
-        if g is not None:
-            return exps, g
-    return None
 
 
 def _ideal_power_product(field, gens, exps):

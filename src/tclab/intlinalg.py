@@ -28,7 +28,7 @@ def zeros(rows: int, cols: int) -> Matrix:
 
 
 def mat_copy(m: Matrix) -> Matrix:
-    return [row[:] for row in m]
+    return [list(row) for row in m]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

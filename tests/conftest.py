@@ -26,6 +26,15 @@ def fresh_python(*args) -> subprocess.CompletedProcess:
                           env=dict(os.environ, PYTHONPATH=path), timeout=300)
 
 
+# Totally real cubics x^3 + a x^2 + b x + c as (c, b, a, 1).  Those of disc
+# 81, 229, 148, 321 and 404 have class number 1; the fields of disc 1957,
+# 2597 and 2777 have class groups Z/2, Z/3 and Z/2 (standard tables).
+TRIVIAL_CUBICS = [((1, -3, 0, 1), 81), ((-1, -4, 0, 1), 229), ((-1, -3, 1, 1), 148),
+                  ((-1, -4, 1, 1), 321), ((-1, -5, -1, 1), 404)]
+CUBICS_WITH_CLASSES = [((-1, -8, -2, 1), 1957, "Z/2"), ((-1, -8, 2, 1), 2597, "Z/3"),
+                       ((-9, -13, -2, 1), 2777, "Z/2")]
+
+
 SQUAREFREE = [n for n in list(range(2, 50)) + [-m for m in range(1, 50)]
               if all(n % (d * d) != 0 for d in range(2, 8))]
 

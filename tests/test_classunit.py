@@ -10,7 +10,7 @@ from tclab import intlinalg as la
 from tclab.numberfield import NumberField, Q, lattice_mul, lattice_norm
 from tclab.selmer import is_exceptional
 
-from conftest import quadratic_field
+from conftest import CUBICS_WITH_CLASSES, TRIVIAL_CUBICS, quadratic_field
 
 # class numbers of quadratic fields, from standard tables
 CLASS_NUMBERS = {
@@ -261,21 +261,23 @@ def test_solve_relation_element():
             assert P.valuation(x) == target[i]
 
 
-# Totally real cubics x^3 + a x^2 + b x + c as (c, b, a, 1).  Those of disc
-# 81, 229, 148, 321 and 404 have class number 1; the fields of disc 1957,
-# 2597 and 2777 have class groups Z/2, Z/3 and Z/2 (standard tables).
-TRIVIAL_CUBICS = [((1, -3, 0, 1), 81), ((-1, -4, 0, 1), 229), ((-1, -3, 1, 1), 148),
-                  ((-1, -4, 1, 1), 321), ((-1, -5, -1, 1), 404)]
-CUBICS_WITH_CLASSES = [((-1, -8, -2, 1), 1957, "Z/2"), ((-1, -8, 2, 1), 2597, "Z/3"),
-                       ((-9, -13, -2, 1), 2777, "Z/2")]
-
-
 @pytest.mark.parametrize("f,disc", TRIVIAL_CUBICS)
 def test_cubic_class_group_trivial(f, disc):
     K = NumberField(f)
     assert K.disc == disc
     data = cu.class_group(K)
     assert data.certified and data.group.is_trivial
+
+
+# The maximal real subfields of Q(zeta_20) and Q(zeta_16), of class number 1.
+@pytest.mark.parametrize("f,disc,primes", [((5, 0, -5, 0, 1), 2000, ["2_1", "5_1"]),
+                                           ((2, 0, -4, 0, 1), 2048, ["2_1"])])
+def test_quartic_class_group_trivial(f, disc, primes):
+    K = NumberField(f)
+    assert K.disc == disc
+    data = cu.class_group(K)
+    assert [P.label for P in data.generating_primes] == primes
+    assert data.certified and str(data.group) == "0"
 
 
 @pytest.mark.parametrize("f,disc,group", CUBICS_WITH_CLASSES)

@@ -17,7 +17,7 @@ from tclab import classunit as cu
 from tclab import intlinalg as la
 from tclab.numberfield import NumberField, lattice_mul, lattice_norm
 
-from conftest import quadratic_field
+from conftest import CUBICS_WITH_CLASSES, TRIVIAL_CUBICS, quadratic_field
 
 
 def _squarefree(n):
@@ -126,12 +126,20 @@ def test_composed_forms_have_the_key_of_the_product(d):
             assert cu._class_key(composite, D) == cu._class_key(product, D), (P.label, Q.label)
 
 
+# The rows are triangular in every degree, so the cubics with classes and
+# one of class number 1 ride along.
 @pytest.mark.parametrize("K", [quadratic_field(d) for d in STRUCTURE_FIELDS + [-229]]
-                         + [NumberField((2828, -1, 1))], ids=str)
+                         + [NumberField((2828, -1, 1))]
+                         + [NumberField(f, label=f"disc{disc}")
+                            for f, disc, *_ in CUBICS_WITH_CLASSES + TRIVIAL_CUBICS[:1]],
+                         ids=str)
 def test_relation_elements_generate_their_rows(K):
     data = cu.class_group(K)
-    assert len(data.relation_matrix) == len(data.generating_primes)
-    for row, alpha in zip(data.relation_matrix, data.relation_elements):
+    rows = data.relation_matrix
+    assert len(rows) == len(data.generating_primes)
+    assert all(row[i] > 0 and not any(row[i + 1:]) for i, row in enumerate(rows))
+    assert abs(la.det(rows)) == data.group.order()
+    for row, alpha in zip(rows, data.relation_elements):
         assert min(row) >= 0
         assert abs(alpha.norm()) == math.prod(P.norm ** e
                                               for P, e in zip(data.generating_primes, row))
