@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import count, product
 
 from . import intlinalg as la
@@ -68,6 +69,22 @@ class UnitBasis:
         if self.delta_p(p):
             gens.append(self.torsion_gen)
         return gens
+
+    @cached_property
+    def t2_spread(self):
+        """An mpmath interval, rounded outward, holding sum_i exp(sum_j
+        |log|sigma_i(u_j)||) over the real embeddings sigma_i and the
+        fundamental units u_j: the unit part of _principal_by_t2's
+        radius, which only the N(I)^(2/n) scale of the ideal joins."""
+        import mpmath
+        emb = self.field.embeddings
+        logs = []
+        for u in self.fundamental_units:
+            emb.element_signs(u)  # refines until no enclosure contains 0
+            logs.append([log_abs_interval(iv) for iv in emb.element_intervals(u)])
+        iv = mpmath.iv
+        return sum((iv.exp(sum((abs(row[i]) for row in logs), iv.mpf(0)))
+                    for i in range(self.field.degree)), iv.mpf(0))
 
 
 class UnitRankError(RuntimeError):
@@ -516,7 +533,7 @@ def _principal_by_t2(field: NumberField, lat) -> NFElement | None:
     N = lattice_norm(lat)
     gram, T = la.lll(la.mat_mul(la.mat_mul(la.transpose(lat), field.trace_form), lat))
     basis = la.mat_mul(lat, T)
-    radius, last = _t2_radii(field, ub.fundamental_units, N)
+    radius, last = _t2_radii(ub, N)
     done = 0  # every point with T2 <= done has been tried
     while True:
         radius = min(radius, last)
@@ -531,22 +548,15 @@ def _principal_by_t2(field: NumberField, lat) -> NFElement | None:
         done, radius = radius, 4 * radius
 
 
-def _t2_radii(field: NumberField, units, N: int) -> tuple[int, int]:
+def _t2_radii(ub: UnitBasis, N: int) -> tuple[int, int]:
     """(ceil(n N^(2/n)), R) for the T2 enumeration of _principal_by_t2, from
     interval enclosures rounded outward: R bounds the least T2 of a
     generator of any principal ideal of norm N."""
     import mpmath
-    emb = field.embeddings
-    n = field.degree
-    logs = []
-    for u in units:
-        emb.element_signs(u)  # refines until no enclosure contains 0
-        logs.append([log_abs_interval(iv) for iv in emb.element_intervals(u)])
     iv = mpmath.iv
-    spread = sum((iv.exp(sum((abs(row[i]) for row in logs), iv.mpf(0))) for i in range(n)),
-                 iv.mpf(0))
+    n = ub.field.degree
     scale = iv.exp(iv.log(N) * 2 / n)
-    return tuple(int(mpmath.ceil(mpmath.mpf(r.b))) for r in (scale * n, scale * spread))
+    return tuple(int(mpmath.ceil(mpmath.mpf(r.b))) for r in (scale * n, scale * ub.t2_spread))
 
 
 # ---------------------------------------------------------------------------

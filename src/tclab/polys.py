@@ -7,7 +7,7 @@ integer dyadic cells whose Sturm signs come from one integer Horner, and
 an irreducibility test from those cells or from factorization patterns
 mod q (Cohen, GTM 138, 3.3 and 4.1).  Everything over Q stays in
 integers.  A tiny residue-field type F_{q^f} = F_q[t]/(g) sits here too,
-since it is just polynomial arithmetic.
+since it is just polynomial arithmetic; its norm to F_q is a resultant.
 """
 
 from __future__ import annotations
@@ -476,13 +476,12 @@ class ResidueField:
         self.modulus = gfp_monic(modulus, q)
         self.deg = poly_deg(self.modulus)
         self.order = q**self.deg
+        # a^norm_exp = N(a), the norm to F_q: (q^f - 1)/(q - 1), 1 at f = 1.
+        self.norm_exp = (self.order - 1) // (q - 1)
         self._subgroup_gens: dict[int, Poly] = {}  # memo of subgroup_generator
 
     def elt(self, coeffs) -> Poly:
         return gfp_mod(tuple(coeffs), self.modulus, self.q)
-
-    def from_int(self, n: int) -> Poly:
-        return gfp_trim((n,), self.q)
 
     def add(self, a, b):
         return gfp_add(a, b, self.q)
@@ -490,13 +489,29 @@ class ResidueField:
     def mul(self, a, b):
         return gfp_mod(gfp_mul(a, b, self.q), self.modulus, self.q)
 
+    def norm(self, a) -> int:
+        """N(a) in 0..q-1, the norm to F_q: the product a a^q ...
+        a^(q^(f-1)) of the Frobenius conjugates of a, which is
+        a^((q^f - 1)/(q - 1)) (Lidl-Niederreiter, Finite Fields, Thm
+        2.28), read as the resultant Res(g, a) mod q for the monic
+        modulus g."""
+        if len(a) <= 1:
+            # A constant c (and so every element of F_q) has norm c^f.
+            return pow(a[0], self.deg, self.q) if a else 0
+        return resultant(self.modulus, a) % self.q
+
     def pow(self, a, e: int):
+        """a^e for e >= 0.  When norm_exp divides e, which for e = (q^f -
+        1)/m is exactly when m | q - 1, a^e = N(a)^(e/norm_exp) lies in
+        F_q and is one integer power mod q; otherwise square-and-multiply
+        over F_q[t]/(g)."""
         if e < 0:
             raise ValueError("negative exponent")
-        if self.deg == 1:
-            # A reduced element of F_q is () or (r,).
-            return gfp_trim((pow(a[0] if a else 0, e, self.q),), self.q)
-        return gfp_powmod(a, e, self.modulus, self.q)
+        k = self.norm_exp
+        if e % k:
+            return gfp_powmod(a, e, self.modulus, self.q)
+        n = pow(self.norm(a), e // k, self.q)
+        return (n,) if n else ()
 
     @property
     def one(self):

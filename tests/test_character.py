@@ -123,3 +123,46 @@ def test_frobenius_order_matches_the_exponent_formula(P):
         for x in _in_P(P):
             with pytest.raises(FieldError, match="divides the Kummer generator"):
                 pl.frobenius_order(x, P, p)
+
+
+def test_norm_is_the_product_of_the_conjugates(P):
+    F, q = P.residue_field, P.q
+    assert F.norm_exp == (P.norm - 1) // (q - 1)
+    for a in F.elements():
+        conj, prod = a, a
+        for _ in range(F.deg - 1):
+            conj = _power(F, conj, q)
+            prod = F.mul(prod, conj)
+        n = F.norm(a)
+        assert prod == ((n,) if n else ())
+
+
+def _powers(F, a, top):
+    """[a^0, a^1, ..., a^top], by repeated products."""
+    out = [F.one]
+    for _ in range(top):
+        out.append(F.mul(out[-1], a))
+    return out
+
+
+def test_pow_at_multiples_of_the_norm_exponent(P):
+    F, k = P.residue_field, P.residue_field.norm_exp
+    js = (0, 1, 2, 3, P.q - 1, P.q)
+    for a in F.elements():
+        powers = _powers(F, a, max(js) * k)
+        for j in js:
+            assert F.pow(a, j * k) == powers[j * k]
+
+
+def test_pow_off_the_norm_exponent(P):
+    # m does not divide q - 1 exactly when (N - 1)/m is no multiple of the
+    # norm exponent, so no such power may be read in F_q; SQRT5 at 7 has
+    # m = 16, 8, 24 and 48.
+    F, N, q = P.residue_field, P.norm, P.q
+    es = [(N - 1) // m for m in range(2, N) if (N - 1) % m == 0 and (q - 1) % m]
+    es += [e for e in range(1, F.norm_exp + 2) if e % F.norm_exp]
+    assert bool(es) == (F.deg > 1)
+    for a in F.elements():
+        powers = _powers(F, a, max(es, default=0))
+        for e in es:
+            assert F.pow(a, e) == powers[e] == polys.gfp_powmod(a, e, F.modulus, q)

@@ -7,10 +7,12 @@ import pytest
 
 from tclab import classunit as cu
 from tclab import intlinalg as la
+from tclab.embeddings import log_abs_interval
 from tclab.numberfield import NumberField, Q, lattice_mul, lattice_norm
 from tclab.selmer import is_exceptional
 
 from conftest import CUBICS_WITH_CLASSES, TRIVIAL_CUBICS, quadratic_field
+from test_polys_embeddings import CUBIC_CORPUS
 
 # class numbers of quadratic fields, from standard tables
 CLASS_NUMBERS = {
@@ -320,6 +322,42 @@ def test_cubic_non_principal_prime():
     square = lattice_mul(K, lat, lat)
     g = cu.principal_generator(K, square)
     assert g is not None and _ideal_of(g) == square
+
+
+def _t2_radii_from_scratch(field, units, N):
+    """The radii of _t2_radii with the unit part computed afresh from the
+    units: the reference for UnitBasis.t2_spread."""
+    emb, n, iv = field.embeddings, field.degree, mpmath.iv
+    logs = []
+    for u in units:
+        emb.element_signs(u)
+        logs.append([log_abs_interval(v) for v in emb.element_intervals(u)])
+    spread = sum((iv.exp(sum((abs(row[i]) for row in logs), iv.mpf(0))) for i in range(n)),
+                 iv.mpf(0))
+    scale = iv.exp(iv.log(N) * 2 / n)
+    return tuple(int(mpmath.ceil(mpmath.mpf(r.b))) for r in (scale * n, scale * spread))
+
+
+def test_t2_radii_from_the_cached_spread(monkeypatch):
+    # Every principality test of the class groups of the cubic corpus, the
+    # cubics of disc 1957 and 2597 and the two quartics.
+    fields = ([NumberField(f) for f in CUBIC_CORPUS]
+              + [NumberField(f) for f, _, _ in CUBICS_WITH_CLASSES[:2]]
+              + [NumberField((5, 0, -5, 0, 1)), NumberField((2, 0, -4, 0, 1))])
+    real, calls = cu._t2_radii, []
+
+    def checked(ub, N):
+        got = real(ub, N)
+        assert got == _t2_radii_from_scratch(ub.field, ub.fundamental_units, N)
+        calls.append((ub, ub.t2_spread))
+        return got
+
+    monkeypatch.setattr(cu, "_t2_radii", checked)
+    for K in fields:
+        cu.class_group(K)
+    assert len(calls) >= 62 and {ub.field for ub, _ in calls} >= set(fields[-4:])
+    # The spread is computed once per unit group and then read.
+    assert all(spread is ub.t2_spread for ub, spread in calls)
 
 
 def test_pick_independent_rejects_a_proven_dependence(monkeypatch):
