@@ -12,9 +12,12 @@ reduction cycles in the indefinite case).  In a totally real field
 of degree >= 3 it is decided by enumerating the ideal's points of T2 =
 Tr(x^2) up to a radius that provably holds a generator when there is one:
 Fincke-Pohst over an LLL-reduced basis, with the radius taken from unit
-log enclosures rounded outward.  So no GRH and no floating point enter
-the certified path.  mpmath, for the analytic guesses that exact checks
-then confirm, is imported by the functions that use it.
+log enclosures rounded outward.  The units of such a field come from
+the same walk over T2 shells (_t2_shells), on O itself: the smallest
+units whose independence certified_log_rank proves, then saturated.
+So no GRH and no floating point enter the certified path.  mpmath, for
+the analytic guesses that exact checks then confirm, is imported by the
+functions that use it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, product
+from itertools import count, groupby, product
+from operator import itemgetter, mul
 
 from . import intlinalg as la
 from .embeddings import certified_log_rank, log_abs_interval
@@ -63,12 +67,6 @@ class UnitBasis:
     def delta_p(self, p: int) -> int:
         """1 iff the p-th roots of unity lie in the field."""
         return 1 if self.torsion_order % p == 0 else 0
-
-    def u_mod_p_generators(self, p: int) -> list[NFElement]:
-        gens = list(self.fundamental_units)
-        if self.delta_p(p):
-            gens.append(self.torsion_gen)
-        return gens
 
     @cached_property
     def t2_spread(self):
@@ -117,7 +115,7 @@ def unit_group(field: NumberField, p: int | None = None) -> UnitBasis:
         u = _real_quadratic_fundamental(field)
         ub = UnitBasis(field, w, tgen, [u], saturate_at, True)
     else:
-        units = _unit_system_by_enumeration(field, rank)
+        units = _unit_system_by_t2(field, rank)
         units = _saturate(field, units, saturate_at)
         witness = certified_log_rank(field, units, rank)
         if not witness:
@@ -166,24 +164,35 @@ def _real_quadratic_fundamental(field: NumberField) -> NFElement:
     return field.elt([(x - y * t) / 2, y])
 
 
-def _unit_system_by_enumeration(field: NumberField, rank: int):
-    found: list[NFElement] = []
+def _unit_system_by_t2(field: NumberField, rank: int) -> list[NFElement]:
+    """rank independent units of a totally real field of degree >= 3, the
+    smallest the T2 shells of O offer: walked from radius 2n (T2 = n only
+    at +-1, by AM-GM), each shell in increasing T2.  A candidate whose log
+    vector is nearly dependent on those of the units chosen so far (float
+    Gram determinant below 1e-6, by Gram-Schmidt) is skipped; the float
+    logs only filter, and certified_log_rank proves each choice.  Every
+    shell is finite and the unit group has rank `rank`, so the walk ends."""
+    n = field.degree
     units: list[NFElement] = []
-    h = 1
-    while h <= 64:
-        for coords in la.shell(field.degree, h):
-            x = field.elt(coords)
-            if abs(x.norm()) != 1:
+    ortho: list[list[float]] = []  # Gram-Schmidt basis of the chosen logs
+    gram_det = 1.0
+    shells = _t2_shells(field, la.identity(n), 1, 2 * n)
+    for _, shell in groupby(shells, key=itemgetter(0)):
+        for _, _, u in sorted(shell, key=itemgetter(1)):
+            if _is_torsion(field, u):
                 continue
-            if _is_torsion(field, x):
+            v = _float_logs(field, u)
+            for w in ortho:
+                c = _dot(v, w) / _dot(w, w)
+                v = [a - c * b for a, b in zip(v, w)]
+            det = gram_det * _dot(v, v)
+            if det < 1e-6 or not certified_log_rank(field, units + [u], len(units) + 1):
                 continue
-            found.append(x)
-        found.sort(key=lambda u: sum(abs(c) for c in u.coords))
-        units = _pick_independent(field, found, rank)
-        if len(units) == rank:
-            return units
-        h += 1
-    raise UnitRankError(rank, len(units))
+            units.append(u)
+            ortho.append(v)
+            gram_det = det
+            if len(units) == rank:
+                return units
 
 
 def _is_torsion(field: NumberField, x: NFElement) -> bool:
@@ -192,48 +201,17 @@ def _is_torsion(field: NumberField, x: NFElement) -> bool:
     return x == field.one or x == -field.one
 
 
-def _pick_independent(field: NumberField, pool, rank: int):
-    chosen: list[NFElement] = []
-    for u in pool:
-        if len(chosen) == rank:
-            break
-        if chosen and _proven_dependent(field, chosen, u):
-            continue
-        if certified_log_rank(field, chosen + [u], len(chosen) + 1):
-            chosen.append(u)
-    return chosen
-
-
-def _proven_dependent(field: NumberField, units, u: NFElement) -> bool:
-    """True only if u^d = +-prod u_j^(e_j) holds exactly for some d >= 1.
-    The exponents come from a guess L(u) ~ sum_j c_j L(u_j) on
-    low-precision logs, with each c_j rounded to a fraction of denominator
-    at most 12 and d their common denominator; False leaves the question
-    open."""
-    import mpmath
+def _float_logs(field: NumberField, u: NFElement) -> list[float]:
+    """log|sigma_i(u)| at the midpoints of enclosures of width 2^-40 of
+    the real embeddings, which exclude 0: a float guess, not a proof."""
     emb = field.embeddings
-    with mpmath.workdps(20):
-        mids = [[_mid(iv) for iv in emb.element_intervals(x)] for x in units + [u]]
-        if any(m == 0 for row in mids for m in row):
-            return False
-        logs = [[mpmath.log(abs(m)) for m in row] for row in mids]
-        c, _ = mpmath.qr_solve(mpmath.matrix(logs[:-1]).T, mpmath.matrix(logs[-1]))
-        cs = [Fraction(str(x)).limit_denominator(12) for x in c]
-        fit = [sum(mpmath.mpf(cj.numerator) / cj.denominator * row[i]
-                   for cj, row in zip(cs, logs[:-1]))
-               for i in range(len(logs[-1]))]
-        if max(abs(a - b) for a, b in zip(logs[-1], fit)) > mpmath.mpf(10) ** -8:
-            return False
-    d = math.lcm(*(cj.denominator for cj in cs))
-    # u^d prod_(e_j < 0) u_j^(-e_j) = +-prod_(e_j > 0) u_j^(e_j): no inverses.
-    lhs, rhs = u**d, field.one
-    for uj, cj in zip(units, cs):
-        e = int(cj * d)
-        if e < 0:
-            lhs = lhs * uj**-e
-        else:
-            rhs = rhs * uj**e
-    return lhs == rhs or lhs == -rhs
+    emb.element_signs(u)  # refines until no enclosure contains 0
+    mids = [abs(lo + hi) / 2 for lo, hi in emb.element_intervals(u, Fraction(1, 2**40))]
+    return [math.log(m.numerator) - math.log(m.denominator) for m in mids]
+
+
+def _dot(v, w) -> float:
+    return sum(map(mul, v, w))
 
 
 def _saturate(field: NumberField, units, primes):
@@ -525,26 +503,41 @@ def _principal_by_t2(field: NumberField, lat) -> NFElement | None:
     (alpha), multiplying alpha by units moves its log vector by the unit
     log lattice, so some generator has log vector (log N(I))/n + sum_j c_j
     L(u_j) with |c_j| <= 1/2, for any independent units u_j, and hence
-    T2 <= R = N(I)^(2/n) sum_i exp(sum_j |log|sigma_i(u_j)||).  The points
-    of I with T2 <= C are enumerated by Fincke-Pohst over an LLL-reduced
-    basis for C = ceil(n N(I)^(2/n)) (no element of norm N(I) has smaller
-    T2, by AM-GM), 4C, ..., and last R itself."""
+    T2 <= R = N(I)^(2/n) sum_i exp(sum_j |log|sigma_i(u_j)||).  The T2
+    shells of I are walked from C = ceil(n N(I)^(2/n)) (no element of norm
+    N(I) has smaller T2, by AM-GM) up to R itself, and the first element
+    of norm N(I) found is returned."""
     ub = unit_group(field)  # refuses fields with complex places
     N = lattice_norm(lat)
+    radius, last = _t2_radii(ub, N)
+    return next((g for _, _, g in _t2_shells(field, lat, N, radius, last)), None)
+
+
+def _t2_shells(field: NumberField, lat, N: int, radius: int, last: int | None = None):
+    """(r, T2(x), x) for every x, up to sign, of the ideal lattice lat of a
+    totally real field with |N(x)| = N, shell by shell: T2 in (0, r] for r
+    = radius, then in (r, 4r], and so on, each shell in Fincke-Pohst order
+    over an LLL-reduced basis (Fincke & Pohst, Math. Comp. 44, 1985).  The
+    radii are capped at last, and the walk stops after the shell that
+    ends there; without last it never stops."""
     gram, T = la.lll(la.mat_mul(la.mat_mul(la.transpose(lat), field.trace_form), lat))
     basis = la.mat_mul(lat, T)
-    radius, last = _t2_radii(ub, N)
+    # The point x has the integer multiplication matrix sum_k x_k M_k, for
+    # M_k that of the k-th reduced basis vector, and its norm is the
+    # determinant; entry (i, j) of the sum is x . mults[i][j].
+    Ms = [field._mult_matrix(col)[0] for col in zip(*basis)]
+    mults = [list(zip(*(M[i] for M in Ms))) for i in range(len(gram))]
     done = 0  # every point with T2 <= done has been tried
     while True:
-        radius = min(radius, last)
+        if last is not None:
+            radius = min(radius, last)
         for x in la.fincke_pohst(gram, radius):
-            if sum(a * b for a, b in zip(x, la.mat_vec(gram, x))) <= done:
-                continue
-            g = field.elt(la.mat_vec(basis, x))
-            if abs(g.norm()) == N:
-                return g
+            t2 = sum(map(mul, x, la.mat_vec(gram, x)))
+            if t2 > done and abs(la.det([[sum(map(mul, x, e)) for e in row]
+                                         for row in mults])) == N:
+                yield radius, t2, field.elt(la.mat_vec(basis, x))
         if radius == last:
-            return None
+            return
         done, radius = radius, 4 * radius
 
 
@@ -572,11 +565,6 @@ class ClassGroupData:
     relation_elements: list[NFElement]  # generator of prod P^row
     certified: bool
     pres: la.Presentation  # the cokernel of relation_matrix
-
-    def class_coords(self, exps: list[int]) -> tuple[int, ...]:
-        """Coordinates of the class of prod P_i^exps[i] in the invariant
-        factor decomposition."""
-        return self.pres.coords(exps)
 
     def p_rank(self, p: int) -> int:
         return self.group.p_rank(p)

@@ -1,9 +1,10 @@
 """Galois layers and F_p[Gamma]-module bookkeeping.
 
 Automorphisms are explicit polynomial maps theta -> g(theta), validated
-by substitution.  Actions on unit, class, ray-class and Selmer carriers
-are expressed as F_p matrices on the carriers' own bases, so invariants
-and tensor constructions reduce to plain linear algebra over F_p.
+by substitution.  Actions on Selmer groups and on kernels of ray class
+surjections are expressed as F_p matrices on the carriers' own bases, so
+invariants and tensor constructions reduce to plain linear algebra over
+F_p.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlinalg as la
-from .classunit import unit_group
 from .numberfield import (
     FieldError,
     NFElement,
@@ -248,30 +248,15 @@ def dual(m: GammaModule) -> GammaModule:
 # Induced actions on arithmetic carriers
 
 
-def units_module(layer: GaloisLayer, p: int) -> GammaModule:
-    L = layer.L_field
-    ub = unit_group(L, p)
-    gens = ub.u_mod_p_generators(p)
-    labels = [f"u{i + 1}" for i in range(len(ub.fundamental_units))]
-    if ub.delta_p(p):
-        labels.append("zeta")
-    return _module_on_elements(layer, p, gens, labels, S=[])
-
-
 def selmer_module(layer: GaloisLayer, sb: SelmerBasis) -> GammaModule:
+    """Action on the Selmer basis, multiplicatively independent mod
+    K^{xp}, resolved through an auxiliary-prime residue matrix."""
     if not layer.is_stable(sb.S):
         raise FieldError("S is not Gamma-stable; take the orbit closure first")
-    labels = [f"s{i + 1}" for i in range(len(sb.generators))]
-    return _module_on_elements(layer, sb.p, sb.generators, labels, S=sb.S)
-
-
-def _module_on_elements(layer, p, gens, labels, S):
-    """Action on a list of multiplicatively independent elements mod
-    K^{xp}, resolved through an auxiliary-prime residue matrix."""
-    L = layer.L_field
+    p, gens = sb.p, sb.generators
     if not gens:
         return trivial_module(p, 0, len(layer.gamma_gens), layer.order)
-    ok, aux = _certify_independence(L, gens, S, p)
+    ok, aux = _certify_independence(layer.L_field, gens, sb.S, p)
     if not ok:  # pragma: no cover
         raise FieldError("auxiliary primes failed to separate the basis")
     B = la.FpMatrix.from_rows(
@@ -288,6 +273,7 @@ def _module_on_elements(layer, p, gens, labels, S):
                 raise FieldError("gamma image is not in the carrier span")
             cols.append(sol)
         mats.append(la.FpMatrix.from_rows(la.transpose(cols), p, cols=len(gens)))
+    labels = [f"s{i + 1}" for i in range(len(gens))]
     return GammaModule(len(gens), p, mats, labels, layer.order)
 
 
@@ -348,21 +334,6 @@ def _action_mod_p(pres: la.Presentation, p: int, image) -> la.FpMatrix:
         y = la.mat_vec(pres.U, image(pres.generator(i)))
         cols.append([y[t] % p for t in pos])
     return la.FpMatrix.from_rows(la.transpose(cols), p, cols=len(pos))
-
-
-def rayclass_module(layer: GaloisLayer, rcd: RayClassData) -> GammaModule:
-    """RCG p-part tensored with F_p as a Gamma-module."""
-    if not layer.is_stable(rcd.modulus):
-        raise FieldError("modulus is not Gamma-stable")
-    p = rcd.p
-    pos = rcd.pres.p_indices(p)
-    if not pos:
-        return trivial_module(p, 0, len(layer.gamma_gens), layer.order)
-    mats = []
-    for gamma in layer.gamma_gens:
-        A = rayclass_action_matrix(layer, rcd, gamma)
-        mats.append(_action_mod_p(rcd.pres, p, lambda v: la.mat_vec(A, v)))
-    return GammaModule(len(pos), p, mats, [f"r{i + 1}" for i in pos], layer.order)
 
 
 def kernel_module(layer: GaloisLayer, big: RayClassData, small: RayClassData) -> GammaModule:

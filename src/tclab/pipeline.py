@@ -19,10 +19,9 @@ from .equivariant import (
     selmer_module,
     tensor,
 )
-from .numberfield import FieldError, NFElement, NumberField, PrimeIdeal, next_prime
+from .numberfield import FieldError, NumberField, PrimeIdeal, next_prime
 from .rayclass import ray_class_p_part, rcg_surjection_kernel
 from .selmer import power_residue_class, selmer_basis, crosscheck_rusb
-from .classunit import pth_root
 
 
 def sha_lower_bound(field: NumberField, p: int, T: list[PrimeIdeal],
@@ -193,53 +192,3 @@ def find_preserving_primes(field: NumberField, S: list[PrimeIdeal], p: int,
         verified = sb2.dim == sb.dim and sorted(sb2.kernel_vectors) == sorted(sb.kernel_vectors)
     return PreservingSet(field, list(S), p, found, witnesses,
                          max(0, count - len(found)), verified)
-
-
-def frobenius_order(x: NFElement, P: PrimeIdeal, p: int) -> int:
-    """Order of Frobenius at P in the degree-p Kummer layer
-    F(zeta_p, x^(1/p)) / F(zeta_p): 1 (split) or p.  Needs v_P(x) = 0 and
-    P tame."""
-    if P.q == p:
-        raise FieldError(f"{P.label} is wild at {p}")
-    rf = P.residue_field
-    r = P.residue(x)
-    if rf.is_zero(r):
-        raise FieldError(f"{P.label} divides the Kummer generator")
-    # When p does not divide N(P) - 1 every unit of F_P is a p-th power;
-    # otherwise Euler's test decides whether r is one.
-    if (P.norm - 1) % p:
-        return 1
-    return 1 if rf.pow(r, (P.norm - 1) // p) == rf.one else p
-
-
-def witness_nonvanishing(field: NumberField, x: NFElement, p: int,
-                         bound: int = 10**4) -> dict:
-    """Least-norm tame prime where the Kummer class of x survives
-    locally, i.e. Frobenius has order p in F(zeta_p, x^(1/p))/F(zeta_p)."""
-    x = field.elt(x)
-    if pth_root(x, p) is not None:
-        raise ValueError("trivial extension: the generator is a p-th power")
-    scanned = 0
-    cands = []
-    q = 1
-    while q < bound:
-        q = next_prime(q)
-        if q == p:
-            continue
-        for P in field.factor_prime(q):
-            if P.norm > bound:
-                continue
-            try:
-                ordr = frobenius_order(x, P, p)
-            except FieldError:
-                continue
-            scanned += 1
-            if ordr == p:
-                cands.append(P)
-        if cands:
-            best = min(cands, key=lambda P: (P.norm, P.q, P.index))
-            return {"prime": best, "label": best.label, "norm": best.norm,
-                    "order": p, "scanned": scanned}
-    raise FieldError(
-        f"no witness below {bound}; expected density about {(p - 1) / p}, "
-        f"scanned {scanned} primes")

@@ -75,16 +75,6 @@ class RayClassData:
     def coord_orders(self) -> tuple[int, ...]:
         return self.pres.orders
 
-    def principal_class(self, x: NFElement) -> list[int]:
-        """Generator-exponent vector of the class of the principal ideal
-        (x), for x coprime to the modulus with trivial factorization
-        support outside it (i.e. a unit times the modulus-coprime part is
-        not tracked: x must generate an ideal supported nowhere, a unit,
-        or the caller accounts for the ideal part separately)."""
-        vec = [g.dlog(x) for g in self.res_gens]
-        vec += [0] * len(self.class_data.generating_primes)
-        return vec
-
 
 def ray_class_p_part(field: NumberField, modulus: list[PrimeIdeal], p: int) -> RayClassData:
     for P in modulus:

@@ -183,10 +183,6 @@ def h1_context(field: NumberField, Z: list[PrimeIdeal], p: int) -> H1FormulaCont
     )
 
 
-def rusb_dim_via_h1(field: NumberField, Z: list[PrimeIdeal], p: int) -> int:
-    return h1_context(field, Z, p).rusb_dim
-
-
 class CrosscheckError(RuntimeError):
     pass
 

@@ -40,11 +40,11 @@ def test_class_coords_consistent():
     n = len(data.generating_primes)
     e = [0] * n
     e[0] = 1
-    c1 = data.class_coords(e)
+    c1 = data.pres.coords(e)
     e3 = [0] * n
     e3[0] = 3
     # class number 3: the cube of any class is principal
-    assert data.class_coords(e3) == tuple([0] * len(c1))
+    assert data.pres.coords(e3) == tuple([0] * len(c1))
 
 
 def test_fundamental_unit_sqrt5():
@@ -360,9 +360,10 @@ def test_t2_radii_from_the_cached_spread(monkeypatch):
     assert all(spread is ub.t2_spread for ub, spread in calls)
 
 
-def test_pick_independent_rejects_a_proven_dependence(monkeypatch):
+def test_unit_search_skips_dependent_candidates(monkeypatch):
     K = NumberField((-1, -2, 1, 1), label="zeta7plus")
     u1, u2 = cu.unit_group(K).fundamental_units
+    candidates = [u1, -(u1 * u1), u1.inverse(), u2]
     seen = []
     real = cu.certified_log_rank
 
@@ -370,10 +371,15 @@ def test_pick_independent_rejects_a_proven_dependence(monkeypatch):
         seen.append(list(units))
         return real(field, units, need_rank)
 
+    def shells(field, lat, N, radius, last=None):
+        # One shell, listed in the order the search must take it.
+        for t2, u in enumerate(candidates, 1):
+            yield radius, t2, u
+
     monkeypatch.setattr(cu, "certified_log_rank", counting)
-    dependent = -(u1 * u1)
-    assert cu._pick_independent(K, [u1, dependent, u2], 2) == [u1, u2]
-    assert seen and all(dependent not in units for units in seen)
+    monkeypatch.setattr(cu, "_t2_shells", shells)
+    assert cu._unit_system_by_t2(K, 2) == [u1, u2]
+    assert seen == [[u1], [u1, u2]]
 
 
 # Totally real fields for the p-th root tests: Q, Q(sqrt 5), and cubics of
@@ -450,12 +456,62 @@ def test_saturation_still_finds_roots(monkeypatch):
     assert 2 in entered and 3 in entered
 
 
-# The corpus polynomials of disc 49 and 837 need no analytic root at all.
-# Under theta -> -theta the first becomes x^3 - x^2 - 2x + 1, whose shell
-# units are not 2-saturated: there the analytic root is entered, but only
-# for squares, which it finds.
+# The saturated unit systems that the coordinate-box search, which the T2
+# shell walk replaced, gave on the cubic corpus, the cubics with classes
+# and the two quartics (basis coordinates).
+BOX_SEARCH_UNITS = {
+    (-1, -2, 1, 1): [[0, -1, 0], [-1, -1, 0]],
+    (-1, -3, 0, 1): [[0, -1, 0], [-1, -1, 0]],
+    (-1, -3, 1, 1): [[0, -1, 0], [-1, -1, 1]],
+    (-1, -3, 2, 1): [[0, -1, 0], [-1, 1, 0]],
+    (-1, -4, -1, 1): [[0, -1, 0], [-1, -1, 0]],
+    (-1, -4, 0, 1): [[0, -1, 0], [-2, -1, 0]],
+    (-1, -4, 1, 1): [[0, -1, 0], [-1, -1, 1]],
+    (-1, -4, 2, 1): [[0, -1, 0], [-2, 0, 1]],
+    (-1, -4, 3, 1): [[0, -1, 0], [-1, 1, 0]],
+    (-1, -5, -1, 1): [[0, -1, 0], [-1, 1, 1]],
+    (-1, -5, -2, 1): [[0, -1, 0], [-1, -1, 0]],
+    (-1, -5, 0, 1): [[0, -1, 0], [-2, -1, 0]],
+    (-1, -5, 2, 1): [[0, -1, 0], [-1, -1, 1]],
+    (-1, -6, -1, 1): [[0, -1, 0], [-2, -1, 0]],
+    (-1, -6, -2, 1): [[0, -1, 0], [-3, -2, 0]],
+    (-1, -6, 0, 1): [[0, -1, 0], [-3, -6, -2]],
+    (-1, -6, 1, 1): [[0, -1, 0], [-2, 1, 0]],
+    (-1, -8, -2, 1): [[0, -1, 0], [-2, -1, 0]],
+    (-1, -8, 2, 1): [[0, -1, 0], [-2, 1, 0]],
+    (-2, -3, 3, 1): [[-1, 1, 0], [-1, -2, 0]],
+    (-2, -4, 1, 1): [[-1, -1, 1], [-1, -2, 0]],
+    (-2, -4, 2, 1): [[-1, -1, 1], [-1, -2, 1]],
+    (-2, -4, 3, 1): [[-1, -2, 2], [-3, 1, 1]],
+    (-2, -6, -1, 1): [[-1, -2, 2], [-1, -3, -1]],
+    (-2, -6, 0, 1): [[-1, -2, 1], [-1, -3, 0]],
+    (-2, -7, -2, 1): [[-1, 1, 1], [-1, -3, 1]],
+    (-3, -6, 1, 1): [[-1, -2, 0], [-1, -2, 1]],
+    (-3, -7, -1, 1): [[-2, -1, 0], [-1, -2, 0]],
+    (-9, -13, -2, 1): [[-1, -1, 0], [-2, -1, 0]],
+    (2, 0, -4, 0, 1): [[-1, -1, 0, 0], [-1, 0, 1, 0], [-1, -1, 1, 0]],
+    (5, 0, -5, 0, 1): [[-1, -1, 0, 0], [-2, 0, 1, 0], [-2, -1, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("f", sorted(BOX_SEARCH_UNITS))
+def test_units_generate_the_box_search_unit_group(f):
+    K = NumberField(f)
+    units = cu.unit_group(K).fundamental_units
+    old = [K.elt(c) for c in BOX_SEARCH_UNITS[f]]
+    # Each old unit is +- a product of the new ones, and the exponent
+    # matrix is unimodular: both systems generate the same group.
+    assert abs(la.det([_unit_exponents(K, v, units) for v in old])) == 1
+
+
+# The flag says that the units the T2 search finds are saturated at 2, 3
+# and 5 already, so that the residue witnesses settle every root test and
+# no analytic root is entered.  That holds for the corpus polynomials of
+# disc 49 and 837 and for x^3 - x^2 - 2x + 1, the first of them under
+# theta -> -theta.  Where an analytic root is entered, it must be for a
+# p-th power, which it finds (see also test_saturation_still_finds_roots).
 @pytest.mark.parametrize("f,corpus", [((-1, -2, 1, 1), True), ((-1, -6, 0, 1), True),
-                                      ((1, -2, -1, 1), False)])
+                                      ((1, -2, -1, 1), True)])
 def test_analytic_root_only_for_pth_powers(monkeypatch, f, corpus):
     calls, entered = [], []
     real_root, real_analytic = cu.pth_root, cu._pth_root_totally_real

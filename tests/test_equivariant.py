@@ -73,13 +73,6 @@ def test_tensor_and_dual():
     assert eq.invariants_dim(eq.tensor(s, eq.dual(s))) == 1
 
 
-def test_units_module(layer5):
-    m = eq.units_module(layer5, 3)
-    # U/U^3 of Q(sqrt 5) is 1-dimensional and Gamma acts by -1
-    assert m.dim == 1
-    assert m.mats[0].entries[0][0] % 3 == 2
-
-
 def test_selmer_module_action_order(layer7):
     L = layer7.L_field
     T = layer7.orbit_closure([L.factor_prime(7)[0], L.factor_prime(181)[0],
@@ -98,16 +91,6 @@ def test_selmer_module_requires_stable_set(layer7):
     sb = sm.selmer_basis(L, [L.factor_prime(181)[0]], 2)
     with pytest.raises(Exception):
         eq.selmer_module(layer7, sb)
-
-
-def test_rayclass_module_golden(layer5):
-    L = layer5.L_field
-    mod = [L.factor_prime(5)[0], L.factor_prime(107)[0]]
-    rcd = rc.ray_class_p_part(L, mod, 3)
-    m = eq.rayclass_module(layer5, rcd)
-    # Gamma acts by inversion on the Z/3 ray class quotient
-    assert m.dim == 1
-    assert m.mats[0].entries[0][0] % 3 == 2
 
 
 def test_kernel_module_golden(layer5):

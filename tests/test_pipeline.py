@@ -108,31 +108,19 @@ def test_find_preserving_primes_golden(L5):
         assert after.dim == sb.dim
 
 
-def test_frobenius_order(L5):
-    theta = L5.theta
-    # split primes in the governing layer have frobenius order 1
-    P7 = first(L5, 7)
-    assert pl.frobenius_order(theta, P7, 3) in (1, 3)
-
-
-def test_witness_nonvanishing_rationals():
-    rep = pl.witness_nonvanishing(Q, Q.elt([5]), 2, 100)
-    assert rep["label"] == "3_1"
-    assert rep["order"] == 2
-
-
 def test_frobenius_order_refuses_a_pole():
-    # v_7(1/7) = -1, so Frobenius at 7 is undefined in Q(zeta_3, 7^(1/3)).
+    # v_7(1/7) = -1, so Frobenius at 7 is undefined in Q(zeta_3, 7^(1/3)),
+    # and the cubic character at 7, which reads it, refuses 1/7.
     x = Q.elt(Fraction(1, 7))
     with pytest.raises(FieldError, match="not integral at 7"):
-        pl.frobenius_order(x, Q.prime(7), 3)
-    assert pl.witness_nonvanishing(Q, x, 3)["label"] == "13_1"
+        Q.prime(7).character(x, 3)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_frobenius_order_euler_criterion(p):
     # For q = 1 mod p, Frobenius at q splits in Q(zeta_p, x^(1/p)) exactly
-    # when x is a p-th power mod q: x^((q-1)/p) = 1 mod q.
+    # when x is a p-th power mod q: x^((q-1)/p) = 1 mod q.  The character
+    # of order p at q is 0 exactly then.
     rng = random.Random(p)
     for q in (q for q in range(3, 300) if q % p == 1 and is_prime(q)):
         P = Q.prime(q)
@@ -142,12 +130,7 @@ def test_frobenius_order_euler_criterion(p):
             if num % q == 0 or den % q == 0:
                 continue
             split = pow(num * pow(den, -1, q), (q - 1) // p, q) == 1
-            assert pl.frobenius_order(Q.elt(Fraction(num, den)), P, p) == (1 if split else p)
-
-
-def test_witness_rejects_pth_power():
-    with pytest.raises(Exception):
-        pl.witness_nonvanishing(Q, Q.elt([4]), 2, 100)
+            assert (P.character(Q.elt(Fraction(num, den)), p) == 0) == split
 
 
 def test_sha_lower_bound_report(L5):

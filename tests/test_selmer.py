@@ -117,8 +117,8 @@ def test_crosscheck_random_corpus():
 
 def test_rusb_dim_via_h1_rationals():
     # dim RusB over Q with empty S: r - 1 + delta_p = delta_p
-    assert sm.rusb_dim_via_h1(Q, [], 2) == 1
-    assert sm.rusb_dim_via_h1(Q, [], 3) == 0
+    assert sm.h1_context(Q, [], 2).rusb_dim == 1
+    assert sm.h1_context(Q, [], 3).rusb_dim == 0
 
 
 def test_exceptional_rationals():
