@@ -128,27 +128,19 @@ def unit_group(field: NumberField, p: int | None = None) -> UnitBasis:
 
 
 def _torsion(field: NumberField) -> tuple[int, NFElement]:
-    minus_one = field.elt(-1)
-    if field.signature[0] > 0:
-        return 2, minus_one
-    # Imaginary quadratic (unit_group refuses the other fields with complex
-    # places): cyclotomic torsion only for disc -3, -4.
-    if field.disc == -4:
-        return 4, _element_of_order(field, 4)
-    if field.disc == -3:
-        return 6, _element_of_order(field, 6)
-    return 2, minus_one
-
-
-def _element_of_order(field: NumberField, n: int) -> NFElement:
-    for c0 in range(-2, 3):
-        for c1 in range(-2, 3):
-            x = field.elt([Fraction(c0), Fraction(c1)])
-            if x.is_zero() or x.norm() != 1:
-                continue
-            if x**n == field.one and all(x**k != field.one for k in range(1, n)):
-                return x
-    raise RuntimeError(f"order-{n} torsion not found")  # pragma: no cover
+    if field.signature[0] > 0 or field.disc not in (-3, -4):
+        return 2, field.elt(-1)
+    # Q(i) or Q(sqrt -3) (unit_group refuses the other fields with complex
+    # places).  With t = Tr omega, s = 2 omega - t squares to disc, so the
+    # roots of unity of exact order w are +-s/2 (w = 4) and (1 +- s)/2
+    # (w = 6), i.e. (c - e t)/2 + e omega for e = +-1; take the one with
+    # the least coordinates.
+    t, _ = quadratic_trace_norm(field)
+    w, c = (4, 0) if field.disc == -4 else (6, 1)
+    x = field.elt(min([Fraction(c - e * t, 2), e] for e in (1, -1)))
+    # x is not rational and x^(w/2) = -1, so its order is exactly w.
+    assert x**(w // 2) == -field.one
+    return w, x
 
 
 def _real_quadratic_fundamental(field: NumberField) -> NFElement:
@@ -215,30 +207,36 @@ def _dot(v, w) -> float:
 
 
 def _saturate(field: NumberField, units, primes):
+    """Saturate the unit system at each p of primes in turn, taking p-th
+    roots until none is left.  Each root enlarges the unit lattice by
+    index p, which keeps it saturated at the primes already done, so one
+    pass over primes suffices."""
     units = list(units)
-    changed = True
-    while changed:
-        changed = False
-        for p in primes:
-            powers = [[u**e for e in range(p)] for u in units]
-            for exps in product(range(p), repeat=len(units)):
-                if not any(exps):
-                    continue
-                cand = field.one
-                for pw, e in zip(powers, exps):
-                    cand = cand * pw[e]
-                for x in (cand, -cand):
-                    root = pth_root(x, p)
-                    if root is not None and not _is_torsion(field, root):
-                        i = next(i for i, e in enumerate(exps) if e % p != 0)
-                        units[i] = root
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
-                break
+    for p in primes:
+        while (found := _pth_root_of_product(field, units, p)) is not None:
+            i, root = found
+            units[i] = root
     return units
+
+
+def _pth_root_of_product(field: NumberField, units, p: int):
+    """(i, r) for the first nonzero exponent vector e in [0, p)^r, in
+    product order, with r^p = +-prod u^e for some r other than +-1; i is
+    the position of e's first nonzero entry.  The vectors with such an r
+    form a subspace of F_p^r, so that entry is 1 and putting r in place of
+    units[i] enlarges the unit lattice by index p.  None if no e has one."""
+    powers = [[u**e for e in range(p)] for u in units]
+    for exps in product(range(p), repeat=len(units)):
+        if not any(exps):
+            continue
+        cand = field.one
+        for pw, e in zip(powers, exps):
+            cand = cand * pw[e]
+        for x in (cand, -cand):
+            root = pth_root(x, p)
+            if root is not None and not _is_torsion(field, root):
+                return next(i for i, e in enumerate(exps) if e), root
+    return None
 
 
 def pth_root(x: NFElement, p: int) -> NFElement | None:

@@ -48,16 +48,13 @@ class Automorphism:
         return Automorphism(self.field, self(other.image))
 
     def prime_image(self, P: PrimeIdeal) -> PrimeIdeal:
-        g = self.second_gen_image(P)
+        g = self(P.second_generator())
         cands = [Q for Q in self.field.factor_prime(P.q) if not Q.is_unit_at(g)]
         if len(cands) != 1:  # pragma: no cover
             raise FieldError(f"conjugate of {P.label} not identified")
         Q = cands[0]
         assert Q.e == P.e and Q.f_deg == P.f_deg
         return Q
-
-    def second_gen_image(self, P: PrimeIdeal) -> NFElement:
-        return self(P.second_generator())
 
 
 @dataclass
@@ -73,20 +70,10 @@ class GaloisLayer:
         return len(self.elements)
 
     def prime_orbit(self, P: PrimeIdeal) -> list[PrimeIdeal]:
-        out = []
-        for g in self.elements:
-            Q = g.prime_image(P)
-            if all(Q is not R for R in out):
-                out.append(Q)
-        return sorted(out, key=lambda R: (R.q, R.index))
+        return prime_set(g.prime_image(P) for g in self.elements)
 
     def orbit_closure(self, primes: list[PrimeIdeal]) -> list[PrimeIdeal]:
-        out: list[PrimeIdeal] = []
-        for P in primes:
-            for Q in self.prime_orbit(P):
-                if all(Q is not R for R in out):
-                    out.append(Q)
-        return sorted(out, key=lambda R: (R.q, R.index))
+        return prime_set(Q for P in primes for Q in self.prime_orbit(P))
 
     def is_stable(self, primes: list[PrimeIdeal]) -> bool:
         closure = self.orbit_closure(primes)
@@ -102,6 +89,31 @@ class GaloisLayer:
         return out
 
 
+def prime_set(primes) -> list[PrimeIdeal]:
+    """The distinct primes among primes, ordered by (q, index)."""
+    distinct = {(P.q, P.index): P for P in primes}
+    return [distinct[k] for k in sorted(distinct)]
+
+
+def _closure(gens: list, one, mul, limit: int) -> list:
+    """The group generated by gens, listed breadth first from one, where
+    mul(g, a) is the product of a generator g with an element a."""
+    elems = [one]
+    frontier = [one]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                c = mul(g, a)
+                if c not in elems:
+                    elems.append(c)
+                    nxt.append(c)
+        frontier = nxt
+        if len(elems) > limit:  # pragma: no cover
+            raise FieldError(f"group does not close within {limit} elements")
+    return elems
+
+
 def make_layer(K_field: NumberField, L_field: NumberField, embedding,
                gamma_images: list) -> GaloisLayer:
     emb = L_field.elt(embedding)
@@ -112,20 +124,8 @@ def make_layer(K_field: NumberField, L_field: NumberField, embedding,
     for g in gens:
         if g(emb) != emb:
             raise FieldError("automorphism does not fix the base field")
-    identity = Automorphism(L_field, L_field.theta)
-    elements = [identity]
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                c = g.compose(a)
-                if c not in elements:
-                    elements.append(c)
-                    nxt.append(c)
-        frontier = nxt
-        if len(elements) > 24:  # pragma: no cover
-            raise FieldError("automorphism set does not close at desk scale")
+    elements = _closure(gens, Automorphism(L_field, L_field.theta),
+                        Automorphism.compose, 24)
     n = L_field.degree // K_field.degree
     if len(elements) != n:
         raise FieldError(f"expected a group of order {n}, closed at {len(elements)}")
@@ -138,10 +138,12 @@ def make_layer(K_field: NumberField, L_field: NumberField, embedding,
 
 @dataclass
 class GammaModule:
+    """F_p^dim with one action matrix per layer generator, and the order of
+    the group they generate."""
+
     dim: int
     p: int
     mats: list[la.FpMatrix]  # one per layer generator
-    basis_labels: list[str]
     group_order: int
 
     def __post_init__(self):
@@ -150,45 +152,22 @@ class GammaModule:
                 raise ValueError("action matrix is singular")
 
 
+def _eye(p: int, dim: int) -> la.FpMatrix:
+    return la.FpMatrix.from_rows(la.identity(dim), p, cols=dim)
+
+
 def trivial_module(p: int, dim: int, n_gens: int, order: int) -> GammaModule:
-    eye = la.FpMatrix.from_rows(la.identity(dim), p, cols=dim)
-    return GammaModule(dim, p, [eye.copy() for _ in range(n_gens)], [f"e{i}" for i in range(dim)], order)
+    return GammaModule(dim, p, [_eye(p, dim) for _ in range(n_gens)], order)
 
 
-def gamma_module(p: int, mats: list[list[list[int]]], labels=None, order: int | None = None) -> GammaModule:
+def gamma_module(p: int, mats: list[list[list[int]]]) -> GammaModule:
     ms = [la.FpMatrix.from_rows(m, p) for m in mats]
     dim = ms[0].rows if ms else 0
-    if order is None:
-        order = _closure_order(ms, p)
-    return GammaModule(dim, p, ms, labels or [f"e{i}" for i in range(dim)], order)
+    return GammaModule(dim, p, ms, len(_closure(ms, _eye(p, dim), _mat_mul_fp, 4096)))
 
 
 def _mat_mul_fp(a: la.FpMatrix, b: la.FpMatrix) -> la.FpMatrix:
     return la.FpMatrix.from_rows(la.mat_mul(a.entries, b.entries), a.p, b.cols)
-
-
-def _closure(mats: list[la.FpMatrix], p: int, dim: int) -> list[la.FpMatrix]:
-    eye = la.FpMatrix.from_rows(la.identity(dim), p, cols=dim)
-    elems = [eye]
-    frontier = [eye]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in mats:
-                c = _mat_mul_fp(g, a)
-                if all(c.entries != e.entries for e in elems):
-                    elems.append(c)
-                    nxt.append(c)
-        frontier = nxt
-        if len(elems) > 4096:  # pragma: no cover
-            raise ValueError("matrix group too large")
-    return elems
-
-
-def _closure_order(mats, p):
-    if not mats:
-        return 1
-    return len(_closure(mats, p, mats[0].rows))
 
 
 def invariants_dim(m: GammaModule) -> int:
@@ -207,7 +186,7 @@ def invariants_dim(m: GammaModule) -> int:
     ker = la.fp_kernel(la.FpMatrix.from_rows(stacked, p, cols=m.dim))
     d = len(ker)
     if m.group_order % p != 0:
-        elems = _closure(m.mats, p, m.dim)
+        elems = _closure(m.mats, _eye(p, m.dim), _mat_mul_fp, 4096)
         inv = pow(len(elems), -1, p)
         avg = [[sum(e.entries[i][j] for e in elems) * inv % p for j in range(m.dim)]
                for i in range(m.dim)]
@@ -233,15 +212,14 @@ def tensor(m1: GammaModule, m2: GammaModule) -> GammaModule:
                         ent[i * m2.dim + k][j * m2.dim + l] = (
                             a.entries[i][j] * b.entries[k][l]) % p
         mats.append(la.FpMatrix.from_rows(ent, p, cols=dim))
-    labels = [f"{x}*{y}" for x in m1.basis_labels for y in m2.basis_labels]
-    return GammaModule(m1.dim * m2.dim, p, mats, labels, m1.group_order)
+    return GammaModule(m1.dim * m2.dim, p, mats, m1.group_order)
 
 
 def dual(m: GammaModule) -> GammaModule:
     """Contragredient action (inverse transpose per generator)."""
     mats = [la.FpMatrix.from_rows(la.transpose(la.fp_inverse(g).entries), m.p, cols=m.dim)
             for g in m.mats]
-    return GammaModule(m.dim, m.p, mats, [f"{x}^" for x in m.basis_labels], m.group_order)
+    return GammaModule(m.dim, m.p, mats, m.group_order)
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +228,17 @@ def dual(m: GammaModule) -> GammaModule:
 
 def selmer_module(layer: GaloisLayer, sb: SelmerBasis) -> GammaModule:
     """Action on the Selmer basis, multiplicatively independent mod
-    K^{xp}, resolved through an auxiliary-prime residue matrix."""
+    K^{xp}, resolved through the auxiliary-prime residue matrix that
+    certifies that independence."""
     if not layer.is_stable(sb.S):
         raise FieldError("S is not Gamma-stable; take the orbit closure first")
     p, gens = sb.p, sb.generators
     if not gens:
         return trivial_module(p, 0, len(layer.gamma_gens), layer.order)
-    ok, aux = _certify_independence(layer.L_field, gens, sb.S, p)
+    ok, aux, rows = _certify_independence(layer.L_field, gens, sb.S, p)
     if not ok:  # pragma: no cover
         raise FieldError("auxiliary primes failed to separate the basis")
-    B = la.FpMatrix.from_rows(
-        [[power_residue_class(g, P, p) for g in gens] for P in aux],
-        p, cols=len(gens))
+    B = la.FpMatrix.from_rows(rows, p, cols=len(gens))
     mats = []
     for gamma in layer.gamma_gens:
         cols = []
@@ -273,15 +250,7 @@ def selmer_module(layer: GaloisLayer, sb: SelmerBasis) -> GammaModule:
                 raise FieldError("gamma image is not in the carrier span")
             cols.append(sol)
         mats.append(la.FpMatrix.from_rows(la.transpose(cols), p, cols=len(gens)))
-    labels = [f"s{i + 1}" for i in range(len(gens))]
-    return GammaModule(len(gens), p, mats, labels, layer.order)
-
-
-def _gen_prime_index(cls, Q):
-    for i, P in enumerate(cls.generating_primes):
-        if P is Q:
-            return i
-    raise FieldError(f"conjugate prime {Q.label} is not a class group generator")
+    return GammaModule(len(gens), p, mats, layer.order)
 
 
 def _crt_lift(field, primes, j, target):
@@ -299,43 +268,6 @@ def _crt_lift(field, primes, j, target):
     return field.elt(target) * a + b
 
 
-def rayclass_action_matrix(layer: GaloisLayer, rcd: RayClassData,
-                           gamma: Automorphism) -> list[list[int]]:
-    """Integer matrix of gamma on the ray class presentation generators
-    (columns = images as generator-exponent vectors)."""
-    L = layer.L_field
-    n = rcd.n_gens
-    cols = []
-    for j, rg in enumerate(rcd.res_gens):
-        target = rg.prime.lift(rg.base)
-        primes = [g.prime for g in rcd.res_gens] + [
-            P for P in rcd.modulus if all(P is not g.prime for g in rcd.res_gens)]
-        pos = next(i for i, P in enumerate(primes) if P is rg.prime)
-        x = _crt_lift(L, primes, pos, target)
-        assert rg.dlog(x) == 1 % rg.order
-        img = gamma(x)
-        col = [g.dlog(img) for g in rcd.res_gens]
-        col += [0] * len(rcd.class_data.generating_primes)
-        cols.append(col)
-    for i, P in enumerate(rcd.class_data.generating_primes):
-        Q = gamma.prime_image(P)
-        col = [0] * n
-        col[len(rcd.res_gens) + _gen_prime_index(rcd.class_data, Q)] = 1
-        cols.append(col)
-    return la.transpose(cols)
-
-
-def _action_mod_p(pres: la.Presentation, p: int, image) -> la.FpMatrix:
-    """F_p matrix on G/pG of the endomorphism of the presented group G that
-    sends a generator-exponent vector v to image(v)."""
-    pos = pres.p_indices(p)
-    cols = []
-    for i in pos:
-        y = la.mat_vec(pres.U, image(pres.generator(i)))
-        cols.append([y[t] % p for t in pos])
-    return la.FpMatrix.from_rows(la.transpose(cols), p, cols=len(pos))
-
-
 def kernel_module(layer: GaloisLayer, big: RayClassData, small: RayClassData) -> GammaModule:
     """ker(RCG_big ->> RCG_small) tensored with F_p, with its
     Gamma-action (both moduli must be Gamma-stable)."""
@@ -346,22 +278,38 @@ def kernel_module(layer: GaloisLayer, big: RayClassData, small: RayClassData) ->
     pos = pres.p_indices(p)
     if not pos:
         return trivial_module(p, 0, len(layer.gamma_gens), layer.order)
-    t = len(extra)
+    # The kernel is generated by the residue generators at the extra
+    # primes; lift each to x = base mod its prime, x = 1 mod the rest of
+    # the modulus (the residue primes come first, in res_gens order).
+    primes = [g.prime for g in big.res_gens]
+    primes += [P for P in big.modulus if all(P is not Q for Q in primes)]
+    lifts = []
+    for i in extra:
+        rg = big.res_gens[i]
+        x = _crt_lift(layer.L_field, primes, i, rg.prime.lift(rg.base))
+        assert rg.dlog(x) == 1 % rg.order
+        lifts.append(x)
+    pad = [0] * len(big.class_data.generating_primes)
     mats = []
     for gamma in layer.gamma_gens:
-        A = rayclass_action_matrix(layer, big, gamma)
-        # Image of each kernel generator (an extra res generator) back in
-        # kernel coordinates: solve W e + D y = coords(image).
-        img_in_K = []
-        for i in extra:
-            v = [row[i] for row in A]
+        # Image of each kernel generator back in kernel coordinates:
+        # solve W e + D y = coords(image).
+        images = []
+        for x in lifts:
+            img = gamma(x)
+            v = [g.dlog(img) for g in big.res_gens] + pad
             sol = la.solve_integer(lattice, list(big.coords(v)))
             if sol is None:  # pragma: no cover
                 raise FieldError("gamma image left the kernel")
-            img_in_K.append(sol[:t])
-        images = la.transpose(img_in_K)  # column j: image of kernel generator j
-        mats.append(_action_mod_p(pres, p, lambda v: la.mat_vec(images, v)))
-    return GammaModule(len(pos), p, mats, [f"k{i + 1}" for i in pos], layer.order)
+            images.append(sol[:len(extra)])
+        images = la.transpose(images)  # column j: image of kernel generator j
+        # Its F_p matrix on the kernel mod p, in invariant-factor coordinates.
+        cols = []
+        for i in pos:
+            y = la.mat_vec(pres.U, la.mat_vec(images, pres.generator(i)))
+            cols.append([y[t] % p for t in pos])
+        mats.append(la.FpMatrix.from_rows(la.transpose(cols), p, cols=len(pos)))
+    return GammaModule(len(pos), p, mats, layer.order)
 
 
 def descent_check(layer: GaloisLayer, T_rational: list[int], p: int) -> dict:

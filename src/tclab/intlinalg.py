@@ -596,11 +596,6 @@ def frac_solve(m, b):
     return x
 
 
-def frac_kernel(m, cols: int):
-    """Basis of the right kernel over Q of the matrix m with cols columns."""
-    return _kernel(m, cols)
-
-
 # ---------------------------------------------------------------------------
 # The one elimination behind every F_p and Q entry above.
 

@@ -106,17 +106,6 @@ class NFElement:
     def denominator(self) -> int:
         return math.lcm(*(c.denominator for c in self.coords)) if self.coords else 1
 
-    def minimal_poly(self) -> tuple:
-        """Monic minimal polynomial over Q, ascending coefficients."""
-        K = self.field
-        pows = [K.one]
-        for _ in range(K.degree):
-            pows.append(pows[-1] * self)
-        # The first power that depends on the lower ones is the first free
-        # column, so the first kernel vector is the monic relation.
-        v = la.frac_kernel(la.transpose([p.coords for p in pows]), K.degree + 1)[0]
-        return tuple(v[: max(i for i, c in enumerate(v) if c) + 1])
-
     def __repr__(self):
         return f"NFElement({list(self.coords)})"
 
@@ -342,8 +331,11 @@ class NumberField:
                 pows.append(pows[-1] * cand)
             P = [list(p.coords) for p in pows]
             if abs(la.frac_det(P)) == 1:
-                mp_int = tuple(int(c) for c in cand.minimal_poly())
-                return cand, mp_int, la.frac_inv(P)
+                # cand^n = sum_i c_i cand^i for the solution c of
+                # P^T c = coords(cand^n), which is integral as |det P| = 1.
+                c, d = la.bareiss_solve(la.transpose([[int(x) for x in row] for row in P]),
+                                        [int(x) for x in (pows[-1] * cand).coords])
+                return cand, tuple(-ci // d for ci in c) + (1,), la.frac_inv(P)
         raise FieldError(
             "no monogenic generator found; cannot factor primes dividing the index"
         )

@@ -16,6 +16,7 @@ from .equivariant import (
     dual,
     invariants_dim,
     kernel_module,
+    prime_set,
     selmer_module,
     tensor,
 )
@@ -130,8 +131,8 @@ def orbit_closure_check(layer: GaloisLayer, S_tilde: list[PrimeIdeal],
     if not layer.is_stable(S_tilde):
         raise FieldError("S must be Gamma-stable")
     X_tilde = layer.orbit_closure(X_prime)
-    set1 = _union(S_tilde, X_prime)
-    set2 = _union(S_tilde, X_tilde)
+    set1 = prime_set(S_tilde + X_prime)
+    set2 = prime_set(S_tilde + X_tilde)
     d1 = selmer_basis(L, set1, p).dim
     d2 = selmer_basis(L, set2, p).dim
     return {
@@ -141,14 +142,6 @@ def orbit_closure_check(layer: GaloisLayer, S_tilde: list[PrimeIdeal],
         "dim_with_X_tilde": d2,
         "agree": d1 == d2,
     }
-
-
-def _union(a: list[PrimeIdeal], b: list[PrimeIdeal]) -> list[PrimeIdeal]:
-    out = list(a)
-    for P in b:
-        if all(P is not Q for Q in out):
-            out.append(P)
-    return sorted(out, key=lambda P: (P.q, P.index))
 
 
 @dataclass
@@ -188,7 +181,7 @@ def find_preserving_primes(field: NumberField, S: list[PrimeIdeal], p: int,
                 break
     verified = False
     if found:
-        sb2 = selmer_basis(field, _union(S, found), p)
+        sb2 = selmer_basis(field, prime_set(S + found), p)
         verified = sb2.dim == sb.dim and sorted(sb2.kernel_vectors) == sorted(sb.kernel_vectors)
     return PreservingSet(field, list(S), p, found, witnesses,
                          max(0, count - len(found)), verified)

@@ -116,7 +116,7 @@ def selmer_basis(field: NumberField, S: list[PrimeIdeal], p: int) -> SelmerBasis
         for g, e in zip(gens, vec):
             x = x * g**e
         sel_gens.append(x)
-    certified, aux = _certify_independence(field, gens, S, p)
+    certified, aux, _ = _certify_independence(field, gens, S, p)
     certified = certified and cls.certified and ub.regulator_nonzero_witness
     return SelmerBasis(field, list(S), p, sel_gens, local, gens, labels,
                        kernel, certified, aux)
@@ -124,9 +124,11 @@ def selmer_basis(field: NumberField, S: list[PrimeIdeal], p: int) -> SelmerBasis
 
 def _certify_independence(field, gens, S, p):
     """Auxiliary tame primes whose power-residue matrix on the given
-    generators has full rank certify independence mod K^{xp}."""
+    generators has full rank certify independence mod K^{xp}.  Returns
+    (certified, aux, rows), rows[i] holding the classes of the generators
+    at aux[i]."""
     if not gens:
-        return True, []
+        return True, [], []
     skip = {P.label for P in S}
     cols = []
     aux = []
@@ -150,8 +152,8 @@ def _certify_independence(field, gens, S, p):
                 aux.append(P)
                 rank = r
             if rank == len(gens):
-                return True, aux
-    return False, aux
+                return True, aux, cols
+    return False, aux, cols
 
 
 @dataclass

@@ -101,6 +101,25 @@ def test_imaginary_quadratic_torsion():
     assert cu.unit_group(quadratic_field(-7)).torsion_order == 2
 
 
+def _exact_order(x):
+    return next(k for k in range(1, 13) if x**k == x.field.one)
+
+
+@pytest.mark.parametrize("poly,w", [((1, 0, 1), 4), ((1, 1, 1), 6), ((1, -1, 1), 6)])
+@pytest.mark.parametrize("shift", [-7, -4, -1, 0, 3, 5, 7])
+def test_imaginary_quadratic_torsion_on_shifted_bases(poly, w, shift):
+    # The basis 1, shift + theta: the roots of unity lie far outside any
+    # small coordinate box once |shift| > 2.
+    K = NumberField(poly, [[1, 0], [shift, 1]])
+    ub = cu.unit_group(K)
+    assert ub.torsion_order == w and _exact_order(ub.torsion_gen) == w
+
+
+def test_imaginary_quadratic_torsion_gen_on_default_bases():
+    for poly in ((1, 0, 1), (1, 1, 1)):
+        assert cu.unit_group(NumberField(poly)).torsion_gen.coords == (0, -1)
+
+
 def test_cubic_units():
     L = NumberField((-1, -2, 1, 1), label="zeta7plus")
     ub = cu.unit_group(L)
@@ -454,6 +473,20 @@ def test_saturation_still_finds_roots(monkeypatch):
         assert abs(la.det([_unit_exponents(K, v, [u1, u2]) for v in saturated])) == 1
     # The squares and cubes have no witness, so the analytic root found them.
     assert 2 in entered and 3 in entered
+
+
+def test_saturation_takes_one_pass_per_prime(monkeypatch):
+    # The cube root of u2^3 found at p = 3 leaves the system saturated at 2,
+    # so the search at 2 is not repeated: its 3 exponent vectors, each with
+    # both signs, are tried once.
+    K = NumberField((-1, -2, 1, 1), label="zeta7plus")
+    u1, u2 = cu.unit_group(K).fundamental_units
+    asked = []
+    real = cu.pth_root
+    monkeypatch.setattr(cu, "pth_root", lambda x, p: asked.append(p) or real(x, p))
+    saturated = cu._saturate(K, [u1, u2**3], (2, 3, 5))
+    assert asked.count(2) == 6 and 3 in asked
+    assert abs(la.det([_unit_exponents(K, v, [u1, u2]) for v in saturated])) == 1
 
 
 # The saturated unit systems that the coordinate-box search, which the T2

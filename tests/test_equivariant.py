@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from tclab import equivariant as eq, rayclass as rc, selmer as sm
+from tclab import cli, equivariant as eq, rayclass as rc, selmer as sm
 from tclab.numberfield import NumberField, Q
 
 from conftest import quadratic_field
@@ -124,3 +124,73 @@ def test_descent_trivial_coefficients(layer5):
 def test_descent_refuses_p_dividing_gamma(layer5):
     with pytest.raises(Exception):
         eq.descent_check(layer5, [5], 2)
+
+
+def _module(m):
+    return m.dim, m.group_order, [g.entries for g in m.mats]
+
+
+# (dim, group order, generator matrices) of the Gamma-modules of the two
+# worked examples on their orbit-closed prime sets, captured from the
+# implementation that built Gamma's action on every ray class generator.
+SELMER_MODULES = [
+    ("example1.ini", "t", (1, 2, [[[2]]])),
+    ("example2.ini", "", (3, 3, [[[0, 1, 0], [1, 1, 0], [0, 0, 1]]])),
+    ("example2.ini", "s", (2, 3, [[[0, 1], [1, 1]]])),
+    ("example2.ini", "t", (2, 3, [[[0, 1], [1, 1]]])),
+    ("example2.ini", "v", (0, 3, [[]])),
+]
+KERNEL_MODULES = [
+    ("example1.ini", "v", "t", (1, 2, [[[2]]])),
+    ("example2.ini", "v", "t", (6, 3, [[
+        [0, 1, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [1, 1, 1, 0, 0, 0],
+        [1, 1, 1, 0, 1, 1], [1, 0, 0, 1, 1, 1], [0, 0, 0, 0, 0, 1]]])),
+    ("example2.ini", "t", "s", (6, 3, [[
+        [0, 1, 0, 0, 0, 0], [1, 1, 1, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+        [0, 0, 1, 0, 1, 0], [0, 0, 0, 0, 0, 1], [0, 0, 1, 1, 0, 0]]])),
+    ("example2.ini", "v", "s", (10, 3, [[
+        [1, 0, 1, 0, 0, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 1, 0, 0, 0, 1],
+        [1, 0, 0, 0, 0, 1, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 1, 1, 0, 0],
+        [0, 0, 0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 1, 0, 1, 0], [0, 0, 0, 0, 0, 1, 1, 0, 1, 0],
+        [0, 0, 0, 0, 1, 0, 1, 0, 1, 0], [0, 0, 0, 1, 0, 1, 0, 0, 0, 1]]])),
+]
+
+
+def _closed_set(ctx, key):
+    spec = ctx["primes"][key] if key else ""
+    return ctx["layer"].orbit_closure(cli.parse_prime_set(ctx["L"], spec))
+
+
+@pytest.mark.parametrize("ini,key,expected", SELMER_MODULES)
+def test_selmer_module_table(ini, key, expected):
+    ctx = cli._load_layer_config(ini)
+    sb = sm.selmer_basis(ctx["L"], _closed_set(ctx, key), ctx["p"])
+    assert _module(eq.selmer_module(ctx["layer"], sb)) == expected
+
+
+@pytest.mark.parametrize("ini,big,small,expected", KERNEL_MODULES)
+def test_kernel_module_table(ini, big, small, expected):
+    ctx = cli._load_layer_config(ini)
+    rcd = {k: rc.ray_class_p_part(ctx["L"], _closed_set(ctx, k), ctx["p"]) for k in (big, small)}
+    assert _module(eq.kernel_module(ctx["layer"], rcd[big], rcd[small])) == expected
+
+
+def test_kernel_module_lifts_each_kernel_generator_once(monkeypatch):
+    # Example 2's V~ has 13 residue generators; only the 6 that generate
+    # the kernel over T~ (at the primes above 307 and 349) are lifted, once.
+    ctx = cli._load_layer_config("example2.ini")
+    big, small = (rc.ray_class_p_part(ctx["L"], _closed_set(ctx, k), ctx["p"]) for k in "vt")
+    lifted = []
+    real = eq._crt_lift
+    monkeypatch.setattr(eq, "_crt_lift",
+                        lambda F, ps, j, t: lifted.append(ps[j].q) or real(F, ps, j, t))
+    eq.kernel_module(ctx["layer"], big, small)
+    assert sorted(lifted) == [307] * 3 + [349] * 3
+
+
+def test_prime_set_distinct_and_ordered(layer7):
+    L = layer7.L_field
+    P7, P13 = L.factor_prime(7)[0], L.factor_prime(13)[1]
+    assert eq.prime_set([P13, P7, P13, P7]) == [P7, P13]
+    assert eq.prime_set([]) == []

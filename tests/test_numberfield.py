@@ -5,7 +5,7 @@ import pytest
 
 from tclab import intlinalg as la
 from tclab.numberfield import FieldError, Q, NumberField, lattice_mul
-from tclab.polys import poly_mul
+from tclab.polys import poly_eval, poly_mul
 
 from conftest import SQUAREFREE, quadratic_field
 
@@ -159,6 +159,25 @@ def test_primes_dividing_the_index(poly, basis, index):
                 assert P.residue(x * y) == rf.mul(P.residue(x), P.residue(y))
                 d = x - P.lift(P.residue(x))
                 assert d.is_zero() or P.valuation(d) >= 1
+
+
+# The generator of O found for the index fields, with its minimal polynomial
+# and the primes above 2, as the Q-kernel route to the polynomial gave them.
+FACTOR_GENERATORS = {
+    "cubic8": ([-1, -1, -1], (1, 4, 5, 1), [("2_1", 1, 3, (1, 0, 1, 1))]),
+    "sqrt5": ([-1, -1], (1, 3, 1), [("2_1", 1, 2, (1, 1, 1))]),
+    "sqrt-7": ([-1, -1], (4, 3, 1), [("2_1", 1, 1, (0, 1)), ("2_2", 1, 1, (1, 1))]),
+}
+
+
+@pytest.mark.parametrize("poly,basis,index", INDEX_FIELDS, ids=["cubic8", "sqrt5", "sqrt-7"])
+def test_factor_generator_minimal_polynomial(request, poly, basis, index):
+    K = NumberField(poly, integral_basis=basis)
+    gen, mp, _ = K._factor_generator
+    coords, want_mp, want_primes = FACTOR_GENERATORS[request.node.callspec.id]
+    assert list(gen.coords) == coords and mp == want_mp
+    assert poly_eval(mp, gen).is_zero()
+    assert [(P.label, P.e, P.f_deg, tuple(P.gpoly)) for P in K.factor_prime(2)] == want_primes
 
 
 # The index fields and zeta7plus (Z[theta] maximal), for checks of the
