@@ -307,7 +307,7 @@ def cmd_sandwich(args, seed):
         "lower": sw.lower,
         "upper": sw.upper,
         "certified": sw.certified,
-        "mode": sw.detail.get("mode"),
+        "mode": sw.mode,
     }
     return _report("sandwich", {"p": p, "T": args.T, "V": args.V,
                                 "twisted": bool(args.twisted),
@@ -381,8 +381,7 @@ def _sha_entry(L, p, X, V, rcg_group, rusb_dim):
         return 0
     if rusb_dim == 0:
         return 0
-    sw = pl.sha_sandwich(L, p, X, V)
-    return sw.upper if sw.certified else None
+    return pl.sha_sandwich(L, p, X, V).pinned_dim
 
 
 def _reproduce_example2():
@@ -413,7 +412,7 @@ def _reproduce_example2():
         sw = pl.sha_sandwich(L, p, X, stables[3] if i == 2 else X,
                              layer=layer, A=A,
                              T_rep=sets[i], V_rep=sets[3] if i == 2 else sets[i])
-        g_sha.append(sw.upper if sw.certified else None)
+        g_sha.append(sw.pinned_dim)
     computed = {
         "rcg_2_parts": rcg,
         "rusb_dims": rusb,

@@ -1,15 +1,19 @@
 """Galois layers and F_p[Gamma]-module bookkeeping.
 
-Automorphisms are explicit polynomial maps theta -> g(theta), validated
-by substitution.  Actions on Selmer groups and on kernels of ray class
-surjections are expressed as F_p matrices on the carriers' own bases, so
-invariants and tensor constructions reduce to plain linear algebra over
-F_p.
+An automorphism of L is its integer matrix on the integral basis of L,
+built once from the image of theta (validated by substitution); applying
+it is one matrix-vector product and composing two is one matrix product.
+The action on primes is read from the layer's generators only, each
+(generator, prime) image found once per layer.  Actions on Selmer groups
+and on kernels of ray class surjections are expressed as F_p matrices on
+the carriers' own bases, so invariants and tensor constructions reduce to
+plain linear algebra over F_p.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dfield
+from fractions import Fraction
 
 from . import intlinalg as la
 from .numberfield import (
@@ -26,26 +30,38 @@ from .selmer import SelmerBasis, _certify_independence, power_residue_class
 
 
 class Automorphism:
-    """theta -> image, an L-automorphism fixing K."""
+    """An automorphism of L fixing K, held as its integer matrix on the
+    integral basis of L: column j is the coordinate vector of gamma(b_j)."""
 
-    def __init__(self, field: NumberField, image: NFElement):
+    def __init__(self, field: NumberField, matrix):
         self.field = field
-        self.image = field.elt(image)
-        if not poly_eval(field.min_poly, self.image).is_zero():
+        self.matrix = tuple(map(tuple, matrix))
+
+    @classmethod
+    def from_image(cls, field: NumberField, image) -> "Automorphism":
+        """theta -> image, validated by substitution.  gamma(O_L) = O_L and
+        the integral basis is proven maximal, so the matrix is integral."""
+        image = field.elt(image)
+        if not poly_eval(field.min_poly, image).is_zero():
             raise FieldError("image is not a root of the minimal polynomial")
+        cols = [poly_eval(row, image).coords for row in field._basis_rows]
+        assert all(c.denominator == 1 for col in cols for c in col)
+        return cls(field, zip(*(map(int, col) for col in cols)))
 
     def __call__(self, x: NFElement) -> NFElement:
-        return poly_eval(self.field.elt(x).power_coords(), self.image)
+        num, den = la.clear_denominators(self.field.elt(x).coords)
+        y = la.mat_vec(self.matrix, num)
+        return NFElement(self.field, tuple(Fraction(c, den) for c in y))
 
     def __eq__(self, other):
-        return isinstance(other, Automorphism) and self.image == other.image
+        return isinstance(other, Automorphism) and self.matrix == other.matrix
 
     def __hash__(self):
-        return hash(self.image.coords)
+        return hash(self.matrix)
 
     def compose(self, other: "Automorphism") -> "Automorphism":
-        # (self o other)(theta) = other's polynomial evaluated at self(theta).
-        return Automorphism(self.field, self(other.image))
+        """self o other."""
+        return Automorphism(self.field, la.mat_mul(self.matrix, other.matrix))
 
     def prime_image(self, P: PrimeIdeal) -> PrimeIdeal:
         g = self(P.second_generator())
@@ -61,23 +77,33 @@ class Automorphism:
 class GaloisLayer:
     K_field: NumberField
     L_field: NumberField
-    embedding: NFElement  # image of K's generator in L
     gamma_gens: list[Automorphism]
     elements: list[Automorphism]
+    # (generator index, (q, prime index)) -> the image prime, found once.
+    prime_images: dict = dfield(default_factory=dict, repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def prime_orbit(self, P: PrimeIdeal) -> list[PrimeIdeal]:
-        return prime_set(g.prime_image(P) for g in self.elements)
-
     def orbit_closure(self, primes: list[PrimeIdeal]) -> list[PrimeIdeal]:
-        return prime_set(Q for P in primes for Q in self.prime_orbit(P))
+        """The least set containing primes that the generators, and hence
+        the group, map into itself."""
+        closed = {(P.q, P.index): P for P in primes}
+        todo = list(closed)
+        while todo:
+            key = todo.pop()
+            for i, g in enumerate(self.gamma_gens):
+                if (i, key) not in self.prime_images:
+                    self.prime_images[i, key] = g.prime_image(closed[key])
+                Q = self.prime_images[i, key]
+                if (Q.q, Q.index) not in closed:
+                    closed[Q.q, Q.index] = Q
+                    todo.append((Q.q, Q.index))
+        return prime_set(closed.values())
 
     def is_stable(self, primes: list[PrimeIdeal]) -> bool:
-        closure = self.orbit_closure(primes)
-        return len(closure) == len(primes)
+        return len(self.orbit_closure(primes)) == len(primes)
 
     def ramified_rational_primes(self) -> list[int]:
         out = []
@@ -120,16 +146,16 @@ def make_layer(K_field: NumberField, L_field: NumberField, embedding,
     # The embedding must send K's generator to a root of K's polynomial.
     if not poly_eval(K_field.min_poly, emb).is_zero():
         raise FieldError("embedding does not satisfy K's minimal polynomial")
-    gens = [Automorphism(L_field, img) for img in gamma_images]
+    gens = [Automorphism.from_image(L_field, img) for img in gamma_images]
     for g in gens:
         if g(emb) != emb:
             raise FieldError("automorphism does not fix the base field")
-    elements = _closure(gens, Automorphism(L_field, L_field.theta),
+    elements = _closure(gens, Automorphism(L_field, la.identity(L_field.degree)),
                         Automorphism.compose, 24)
     n = L_field.degree // K_field.degree
     if len(elements) != n:
         raise FieldError(f"expected a group of order {n}, closed at {len(elements)}")
-    return GaloisLayer(K_field, L_field, emb, gens, elements)
+    return GaloisLayer(K_field, L_field, gens, elements)
 
 
 # ---------------------------------------------------------------------------

@@ -532,9 +532,6 @@ class FpMatrix:
         ent = [[x % p for x in r] for r in rows]
         return cls(len(ent), cols, ent, p)
 
-    def copy(self) -> "FpMatrix":
-        return FpMatrix(self.rows, self.cols, [r[:] for r in self.entries], self.p)
-
 
 def fp_rref(m: FpMatrix) -> tuple[FpMatrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""

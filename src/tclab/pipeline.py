@@ -8,7 +8,7 @@ When the two meet, the dimension is pinned exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 from .equivariant import (
     GaloisLayer,
@@ -32,15 +32,9 @@ def sha_lower_bound(field: NumberField, p: int, T: list[PrimeIdeal],
         raise FieldError("T must be contained in V")
     rcg_T = ray_class_p_part(field, T, p)
     rcg_V = ray_class_p_part(field, V, p)
-    rank_T = rcg_T.p_group.p_rank(p)
-    rank_V = rcg_V.p_group.p_rank(p)
-    ker = rcg_surjection_kernel(rcg_V, rcg_T)
     return {
-        "lower": ker.p_rank(p),
-        "kernel": str(ker),
-        "rank_T": rank_T,
-        "rank_V": rank_V,
-        "precondition": rank_T == rank_V,
+        "lower": rcg_surjection_kernel(rcg_V, rcg_T).p_rank(p),
+        "precondition": rcg_T.p_group.p_rank(p) == rcg_V.p_group.p_rank(p),
         "rcg_T": rcg_T,
         "rcg_V": rcg_V,
     }
@@ -55,7 +49,7 @@ class ShaSandwich:
     lower: int
     upper: int
     certified: bool
-    detail: dict = dfield(default_factory=dict)
+    mode: str
 
     @property
     def pinned_dim(self) -> int | None:
@@ -74,16 +68,11 @@ def sha_sandwich(field: NumberField, p: int, T: list[PrimeIdeal],
         if upper == 0:
             # Sha embeds in RusB, so a zero upper bound pins the dimension
             # with no inflation hypothesis needed.
-            return ShaSandwich(field, p, list(T), list(V), 0, 0,
-                               rep["certified"],
-                               {"mode": "untwisted", "note": "upper bound zero"})
+            return ShaSandwich(field, p, list(T), list(V), 0, 0, rep["certified"], "untwisted")
         certified = lb["precondition"] and lower == upper and rep["certified"]
-        detail = {"mode": "untwisted", "lower_bound": lb["lower"],
-                  "kernel": lb["kernel"], "precondition": lb["precondition"],
-                  "rusb_report": rep}
         if lb["precondition"] and lower > upper:  # pragma: no cover
             raise FieldError(f"sandwich inverted: lower {lower} > upper {upper}")
-        return ShaSandwich(field, p, list(T), list(V), lower, upper, certified, detail)
+        return ShaSandwich(field, p, list(T), list(V), lower, upper, certified, "untwisted")
     if layer is None or A is None:
         raise ValueError("twisted mode needs both layer and A")
     if layer.order % p == 0:
@@ -92,37 +81,25 @@ def sha_sandwich(field: NumberField, p: int, T: list[PrimeIdeal],
     rus = dual(selmer_module(layer, sb))
     upper = invariants_dim(tensor(rus, A))
     if upper == 0:
-        return ShaSandwich(field, p, list(T), list(V), 0, 0, sb.certified,
-                           {"mode": "twisted", "note": "upper bound zero"})
+        return ShaSandwich(field, p, list(T), list(V), 0, 0, sb.certified, "twisted")
     if lb["precondition"]:
         kmod = kernel_module(layer, lb["rcg_V"], lb["rcg_T"])
         lower = invariants_dim(tensor(kmod, A))
-        certified = lower == upper and sb.certified
-        detail = {"mode": "twisted-direct", "kernel_dim": kmod.dim,
-                  "untwisted_lower": lb["lower"], "precondition": True,
-                  "rusb_dim": sb.dim}
         if lower > upper:  # pragma: no cover
             raise FieldError(f"sandwich inverted: lower {lower} > upper {upper}")
-        return ShaSandwich(field, p, list(T), list(V), lower, upper, certified, detail)
+        return ShaSandwich(field, p, list(T), list(V), lower, upper,
+                           lower == upper and sb.certified, "twisted-direct")
     # Inflation precondition fails on the orbit-closed sets; transfer the
     # certificate from a representative pair instead.  A certified
     # untwisted sandwich at (T_rep, V_rep) pins Sha = RusB there; if the
     # RusB dimension is unchanged by orbit closure, the identification is
     # Gamma-equivariant and the twisted dimension equals the upper bound.
     if T_rep is None or V_rep is None:
-        return ShaSandwich(field, p, list(T), list(V), 0, upper, False,
-                           {"mode": "twisted", "precondition": False,
-                            "note": "no representative pair supplied"})
+        return ShaSandwich(field, p, list(T), list(V), 0, upper, False, "twisted")
     inner = sha_sandwich(field, p, T_rep, V_rep)
-    if inner.certified and inner.upper == sb.dim:
-        return ShaSandwich(field, p, list(T), list(V), upper, upper, True,
-                           {"mode": "twisted-transfer", "precondition": True,
-                            "representative": [P.label for P in T_rep],
-                            "representative_sha_dim": inner.upper,
-                            "rusb_dim": sb.dim})
-    return ShaSandwich(field, p, list(T), list(V), 0, upper, False,
-                       {"mode": "twisted-transfer", "precondition": False,
-                        "representative_certified": inner.certified})
+    ok = inner.certified and inner.upper == sb.dim
+    return ShaSandwich(field, p, list(T), list(V), upper if ok else 0, upper, ok,
+                       "twisted-transfer")
 
 
 def orbit_closure_check(layer: GaloisLayer, S_tilde: list[PrimeIdeal],

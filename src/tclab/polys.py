@@ -517,10 +517,6 @@ class ResidueField:
     def one(self):
         return (1,)
 
-    @property
-    def zero(self):
-        return ()
-
     def is_zero(self, a) -> bool:
         return not a
 

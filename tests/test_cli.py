@@ -275,3 +275,24 @@ def test_sandwich_twisted_config(capsys):
     assert rep["results"]["lower"] == 1
     assert rep["results"]["upper"] == 1
     assert rep["results"]["certified"]
+
+
+def test_shifted_basis_layer(capsys, tmp_path):
+    # zeta7plus on the basis 1, 1 + theta, theta + theta^2, where gamma's
+    # image -2 + theta^2 has coordinates -1 -1 1: the bundled example's numbers.
+    (tmp_path / "shifted.field").write_text("poly -1 -2 1 1\nbasis 1 0 0 / 1 1 0 / 0 1 1\n")
+    ini = tmp_path / "shifted.ini"
+    ini.write_text(cli._data_path("example2.ini").read_text()
+                   .replace("zeta7plus.field", "shifted.field")
+                   .replace("gamma = -2 0 1", "gamma = -1 -1 1"))
+    code, out, _ = run_capture(capsys, ["--json", "orbit-check", "--config", str(ini),
+                                        "--X", "181 293"])
+    res = json.loads(out)["results"]
+    assert code == 0 and res["agree"]
+    assert (res["dim_with_X_prime"], res["dim_with_X_tilde"]) == (3, 3)
+    code, out, _ = run_capture(capsys, ["--json", "sandwich", "--config", str(ini),
+                                        "--twisted"])
+    res = json.loads(out)["results"]
+    assert code == 0
+    assert (res["lower"], res["upper"], res["certified"], res["mode"]) == \
+        (2, 2, True, "twisted-transfer")

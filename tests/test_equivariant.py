@@ -3,23 +3,29 @@ from fractions import Fraction
 import pytest
 
 from tclab import cli, equivariant as eq, rayclass as rc, selmer as sm
-from tclab.numberfield import NumberField, Q
+from tclab.numberfield import NumberField, Q, is_prime
+from tclab.polys import poly_eval
 
 from conftest import quadratic_field
+
+GAMMA5 = [1, -2]  # sqrt 5 -> -sqrt 5 in the [1, (1+sqrt5)/2] basis
+GAMMA7 = [-2, 0, 1]
+
+
+def _zeta7plus_layer():
+    L = NumberField((-1, -2, 1, 1), label="zeta7plus")
+    return eq.make_layer(Q, L, [Fraction(0), Fraction(0), Fraction(0)], [L.elt(GAMMA7)])
 
 
 @pytest.fixture(scope="module")
 def layer5():
     L = quadratic_field(5)
-    gamma = L.elt([1, -2])  # sqrt 5 -> -sqrt 5 in the [1, (1+sqrt5)/2] basis
-    return eq.make_layer(Q, L, [Fraction(0), Fraction(0)], [gamma])
+    return eq.make_layer(Q, L, [Fraction(0), Fraction(0)], [L.elt(GAMMA5)])
 
 
 @pytest.fixture(scope="module")
 def layer7():
-    L = NumberField((-1, -2, 1, 1), label="zeta7plus")
-    gamma = L.elt([-2, 0, 1])
-    return eq.make_layer(Q, L, [Fraction(0), Fraction(0), Fraction(0)], [gamma])
+    return _zeta7plus_layer()
 
 
 def test_layer_orders(layer5, layer7):
@@ -36,13 +42,57 @@ def test_automorphism_respects_arithmetic(layer5):
     assert g(a + b) == g(a) + g(b)
 
 
+def test_matrix_action_matches_substitution(layer5, layer7, rng):
+    # The reference is the substitution theta -> image on power coordinates.
+    for layer, image in ((layer5, GAMMA5), (layer7, GAMMA7)):
+        L = layer.L_field
+        image = L.elt(image)
+        g = layer.gamma_gens[0]
+        for _ in range(20):
+            x = L.elt([Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+                       for _ in range(L.degree)])
+            gx = poly_eval(x.power_coords(), image)
+            assert g(x) == gx
+            assert g.compose(g)(x) == poly_eval(gx.power_coords(), image)
+            orbit = {x}
+            while gx not in orbit:
+                orbit.add(gx)
+                gx = poly_eval(gx.power_coords(), image)
+            assert {e(x) for e in layer.elements} == orbit
+
+
 def test_prime_orbits(layer7):
     L = layer7.L_field
     # 13 splits completely; Gamma permutes the three primes transitively
-    orbit = layer7.prime_orbit(L.factor_prime(13)[0])
+    orbit = layer7.orbit_closure([L.factor_prime(13)[0]])
     assert sorted(P.label for P in orbit) == ["13_1", "13_2", "13_3"]
     # 7 is totally ramified, a singleton orbit
-    assert len(layer7.prime_orbit(L.factor_prime(7)[0])) == 1
+    assert len(layer7.orbit_closure([L.factor_prime(7)[0]])) == 1
+
+
+def test_orbit_closure_matches_group_closure(layer7, rng):
+    L = layer7.L_field
+    pool = [P for q in range(2, 120) if is_prime(q) for P in L.factor_prime(q)]
+    for _ in range(25):
+        X = rng.sample(pool, rng.randint(0, 6))
+        ref = eq.prime_set(e.prime_image(P) for e in layer7.elements for P in X)
+        assert layer7.orbit_closure(X) == ref
+        assert layer7.is_stable(X) == (len(ref) == len(X))
+
+
+def test_prime_images_found_once(monkeypatch):
+    layer = _zeta7plus_layer()
+    L = layer.L_field
+    seen = []
+    real = eq.Automorphism.prime_image
+    monkeypatch.setattr(eq.Automorphism, "prime_image",
+                        lambda g, P: seen.append((g, P.q, P.index)) or real(g, P))
+    sets = [[L.factor_prime(q)[0] for q in qs] for qs in ((7,), (13, 181), (7, 13, 293))]
+    for _ in range(3):
+        for X in sets:
+            assert layer.is_stable(layer.orbit_closure(X))
+            layer.is_stable(X)
+    assert len(seen) == len(set(seen)) == 1 + 3 + 3 + 3
 
 
 def test_orbit_closure_and_stability(layer7):
