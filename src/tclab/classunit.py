@@ -610,22 +610,26 @@ def _relations(field: NumberField, gens):
     - quadratic: the handle is the key of the ideal form (_class_key),
       products are composed forms, and the h with P^e h principal is the
       one keyed by the inverse (a, -b, c) of P^e, a dict lookup; the row's
-      element is then principal_generator of its power product;
+      element is then principal_generator of its power product.  For
+      D > 0 all keys of one enumeration share one dict of the forms their
+      rho-walks met, so no form is walked twice;
     - other degrees: the handle is the ideal's HNF lattice, as a tuple of
       rows, and each h in the table is tried by principal_generator of
       P^e h, which also gives the row's element."""
     k = len(gens)
     D = field.disc
     if field.degree == 2:
+        keys: dict = {}  # form -> key, shared by every rho-walk below
+
         def handle(lat):
-            return _class_key(ideal_form(field, lat), D)
+            return _class_key(ideal_form(field, lat), D, keys)
 
         def mul(f, g):
-            return _class_key(_compose(f, g, D), D)
+            return _class_key(_compose(f, g, D), D, keys)
 
         def find(f, table):
             a, b, c = f
-            return table.get(_class_key((a, -b, c), D)), None
+            return table.get(_class_key((a, -b, c), D, keys)), None
     else:
         def handle(lat):
             return tuple(map(tuple, lat))
@@ -670,7 +674,7 @@ def _relations(field: NumberField, gens):
     return rows, elements, len(table)
 
 
-def _class_key(form, D):
+def _class_key(form, D, keys: dict | None = None):
     """The key of the class of a primitive form, itself a reduced form of
     that class.  The ideal form of a lattice on its positively oriented
     HNF basis (ideal_form) is a homomorphism from ideals to proper classes
@@ -690,16 +694,30 @@ def _class_key(form, D):
       and -f are forms of one wide ideal class, and the key depends on
       the wide class only.  Conversely a reduced form has ac < 0, so
       (|a|, b, |c|) fixes it up to sign: equal keys mean forms equal up
-      to sign on the two cycles, so one wide class."""
+      to sign on the two cycles, so one wide class.
+
+    For D > 0, keys maps forms met on earlier walks to their keys, and
+    the walk from f stops at the first of them; every form of the walk
+    is then recorded with f's key.  This is exact without class theory:
+    rho is a function, so the walk from any form on f's walk is the rest
+    of f's walk.  It ends on the same cycle, with the same least form.
+    One dict shared across an enumeration hands each form to rho at most
+    once."""
     if D < 0:
         return _reduce_definite(form, la.identity(2))[0]
+    if keys is None:
+        keys = {}
     seen: dict = {}
-    while form not in seen:
+    while form not in keys and form not in seen:
         seen[form] = len(seen)
         form = _rho(form, D)[0]
-    cycle = list(seen)[seen[form]:]
-    a, b, c = min(cycle, key=lambda g: (abs(g[0]), g[1], abs(g[2])))
-    return abs(a), b, -abs(c)
+    key = keys.get(form)
+    if key is None:
+        cycle = list(seen)[seen[form]:]
+        a, b, c = min(cycle, key=lambda g: (abs(g[0]), g[1], abs(g[2])))
+        key = abs(a), b, -abs(c)
+    keys.update(dict.fromkeys(seen, key))
+    return key
 
 
 def _compose(f, g, D):
@@ -719,6 +737,8 @@ def _ideal_power_product(field, gens, exps):
     """prod P_i^exps[i] for exps >= 0, each power by square-and-multiply."""
     lat = None
     for P, e in zip(gens, exps):
+        if not e:
+            continue
         base = P.lattice()
         while e:
             if e & 1:

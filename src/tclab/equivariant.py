@@ -103,7 +103,8 @@ class GaloisLayer:
         return prime_set(closed.values())
 
     def is_stable(self, primes: list[PrimeIdeal]) -> bool:
-        return len(self.orbit_closure(primes)) == len(primes)
+        """Whether the set of primes is Gamma-stable; repeats are ignored."""
+        return len(self.orbit_closure(primes)) == len(prime_set(primes))
 
     def ramified_rational_primes(self) -> list[int]:
         out = []

@@ -185,9 +185,12 @@ def _min_pivot(a: Matrix, t: int):
     return best
 
 
-def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+def smith_normal_form(m: Matrix,
+                      with_v: bool = True) -> tuple[Matrix, Matrix, Matrix | None, Matrix]:
     """Return (d, u, v, u_inv) with u*m*v = d diagonal, divisibility chain
-    on the diagonal, u and v unimodular, and u_inv the inverse of u.
+    on the diagonal, u and v unimodular, and u_inv the inverse of u.  With
+    with_v=False, v is None and its column operations are skipped; d, u
+    and u_inv are the same, since v never feeds back into them.
 
     Classic minimal-pivot reduction: at each step the smallest nonzero
     entry of the trailing block is moved to the pivot and used to reduce
@@ -205,7 +208,7 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     # The columns of u_inv and of v, so that column operations on them are
     # operations on these lists.
     ui_cols = identity(rows)
-    v_cols = identity(cols)
+    v_cols = identity(cols) if with_v else None
     t = 0
     while t < min(rows, cols):
         piv = _min_pivot(a, t)
@@ -219,7 +222,8 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
         if j != t:
             for row in a:
                 row[t], row[j] = row[j], row[t]
-            v_cols[t], v_cols[j] = v_cols[j], v_cols[t]
+            if with_v:
+                v_cols[t], v_cols[j] = v_cols[j], v_cols[t]
         # One reduction sweep; if any remainder survives it becomes the
         # new (strictly smaller) pivot on the next pass.
         at, ut, pivot = a[t], u[t], a[t][t]
@@ -239,7 +243,8 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
                 q = at[j] // pivot
                 for row in live:
                     row[j] -= q * row[t]
-                v_cols[j] = [x - q * y for x, y in zip(v_cols[j], v_cols[t])]
+                if with_v:
+                    v_cols[j] = [x - q * y for x, y in zip(v_cols[j], v_cols[t])]
                 if at[j]:
                     clean = False
         if not clean:
@@ -258,7 +263,7 @@ def smith_normal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
             u[t] = [-x for x in ut]
             ui_cols[t] = [-x for x in ui_cols[t]]
         t += 1
-    return a, u, transpose(v_cols), transpose(ui_cols)
+    return a, u, transpose(v_cols) if with_v else None, transpose(ui_cols)
 
 
 @dataclass
@@ -300,7 +305,7 @@ def present(relations: Matrix, n: int) -> Presentation:
     """
     if n == 0:
         return Presentation(FinAbGroup(), [], [], [])
-    d, u, _, u_inv = smith_normal_form(transpose(relations))
+    d, u, _, u_inv = smith_normal_form(transpose(relations), with_v=False)
     diag = [d[i][i] if i < len(d) and i < len(d[0]) else 0 for i in range(n)]
     if 0 in diag:
         raise ValueError("relations do not present a finite group")

@@ -104,6 +104,15 @@ def test_orbit_closure_and_stability(layer7):
     assert not layer7.is_stable(X)
 
 
+def test_stability_ignores_repeated_primes(layer7):
+    L = layer7.L_field
+    P7, P181 = L.factor_prime(7)[0], L.factor_prime(181)[0]
+    closed = layer7.orbit_closure([P181])
+    assert layer7.is_stable([P7, P7])
+    assert layer7.is_stable(closed + closed[:1] + [P7, P7])
+    assert not layer7.is_stable([P181, P181, P181])
+
+
 def test_gamma_module_invariants():
     # sign action of order 2 on F_3: no invariants
     m = eq.gamma_module(3, [[[2]]])

@@ -334,7 +334,9 @@ def test_smith_normal_form_matches_reference_random():
         bound = rng.choice((1, 2, 9, 60))
         m = [[rng.randint(-bound, bound) if rng.random() < 0.7 else 0 for _ in range(cols)]
              for _ in range(rows)]
-        assert la.smith_normal_form(m) == ref_smith_normal_form(m), m
+        d, u, v, u_inv = la.smith_normal_form(m)
+        assert (d, u, v, u_inv) == ref_smith_normal_form(m), m
+        assert la.smith_normal_form(m, with_v=False) == (d, u, None, u_inv), m
 
 
 def test_smith_normal_form_matches_reference_on_relation_matrices():
@@ -345,7 +347,9 @@ def test_smith_normal_form_matches_reference_on_relation_matrices():
         cg = cu.class_group(_qfield(d))
         if cg.relation_matrix:
             m = la.transpose(cg.relation_matrix)
-            assert la.smith_normal_form(m) == ref_smith_normal_form(m), d
+            snf = la.smith_normal_form(m)
+            assert snf == ref_smith_normal_form(m), d
+            assert la.smith_normal_form(m, with_v=False) == (*snf[:2], None, snf[3]), d
             checked += 1
     assert checked > 300
 

@@ -192,3 +192,57 @@ def test_imaginary_principal_generator_matches_brute_force(d):
             principal += 1
             assert _member(lat, g.coords) and abs(g.norm()) == lattice_norm(lat)
     assert seen > 100 and principal > 10
+
+
+# Real quadratic fields whose enumerations key many forms: the squarefree d
+# among 20 seeded draws below 10^5, and Q(sqrt 93286), whose class group is
+# trivial on 60 generating primes with long rho-cycles.
+_rng_real = random.Random(20261019)
+REAL_KEY_SAMPLE = [229, 10, 93286] + sorted(
+    d for d in _rng_real.sample(range(2, 10**5), 20) if _squarefree(d))
+
+
+@pytest.mark.parametrize("d", REAL_KEY_SAMPLE)
+def test_shared_keys_match_fresh_keys(monkeypatch, d):
+    K = quadratic_field(d)
+    D = K.disc
+    keyed = []
+    real = cu._class_key
+
+    def spy(form, D, keys=None):
+        key = real(form, D, keys)
+        keyed.append((form, key))
+        return key
+
+    monkeypatch.setattr(cu, "_class_key", spy)
+    data = cu.class_group(K)
+    assert data.certified and len(keyed) > len(data.generating_primes)
+    for form, key in keyed:
+        assert key == real(form, D), (d, form)
+
+
+@pytest.mark.parametrize("d", REAL_KEY_SAMPLE)
+def test_key_walks_hand_each_form_to_rho_once(monkeypatch, d):
+    # principal_generator walks its own cycles (_cycle_generators); only the
+    # rho steps made inside _class_key are counted.
+    K = quadratic_field(d)
+    inside = [False]
+    walked = []
+    real_key, real_rho = cu._class_key, cu._rho
+
+    def key(*args):
+        inside[0] = True
+        try:
+            return real_key(*args)
+        finally:
+            inside[0] = False
+
+    def rho(form, D):
+        if inside[0]:
+            walked.append(form)
+        return real_rho(form, D)
+
+    monkeypatch.setattr(cu, "_class_key", key)
+    monkeypatch.setattr(cu, "_rho", rho)
+    cu.class_group(K)
+    assert walked and len(walked) == len(set(walked)), d
