@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import count, groupby, product
+from functools import cached_property, reduce
+from itertools import count, product
 from operator import itemgetter, mul
 
 from . import intlinalg as la
@@ -159,7 +159,8 @@ def _real_quadratic_fundamental(field: NumberField) -> NFElement:
 def _unit_system_by_t2(field: NumberField, rank: int) -> list[NFElement]:
     """rank independent units of a totally real field of degree >= 3, the
     smallest the T2 shells of O offer: walked from radius 2n (T2 = n only
-    at +-1, by AM-GM), each shell in increasing T2.  A candidate whose log
+    at +-1, by AM-GM), each shell in increasing T2, with the norm of a
+    point tested only when the walk reaches it.  A candidate whose log
     vector is nearly dependent on those of the units chosen so far (float
     Gram determinant below 1e-6, by Gram-Schmidt) is skipped; the float
     logs only filter, and certified_log_rank proves each choice.  Every
@@ -168,9 +169,12 @@ def _unit_system_by_t2(field: NumberField, rank: int) -> list[NFElement]:
     units: list[NFElement] = []
     ortho: list[list[float]] = []  # Gram-Schmidt basis of the chosen logs
     gram_det = 1.0
-    shells = _t2_shells(field, la.identity(n), 1, 2 * n)
-    for _, shell in groupby(shells, key=itemgetter(0)):
-        for _, _, u in sorted(shell, key=itemgetter(1)):
+    has_norm, element, shells = _t2_shells(field, la.identity(n), 1, 2 * n)
+    for shell in shells:
+        for _, x in sorted(shell, key=itemgetter(0)):
+            if not has_norm(x):
+                continue
+            u = element(x)
             if _is_torsion(field, u):
                 continue
             v = _float_logs(field, u)
@@ -224,15 +228,16 @@ def _pth_root_of_product(field: NumberField, units, p: int):
     product order, with r^p = +-prod u^e for some r other than +-1; i is
     the position of e's first nonzero entry.  The vectors with such an r
     form a subspace of F_p^r, so that entry is 1 and putting r in place of
-    units[i] enlarges the unit lattice by index p.  None if no e has one."""
-    powers = [[u**e for e in range(p)] for u in units]
+    units[i] enlarges the unit lattice by index p.  None if no e has one.
+    For odd p, -1 = (-1)^p, so -prod u^e has a p-th root exactly when
+    prod u^e has one, and only the latter is tried."""
+    powers = [[u**e for e in range(1, p)] for u in units]
     for exps in product(range(p), repeat=len(units)):
-        if not any(exps):
+        factors = [pw[e - 1] for pw, e in zip(powers, exps) if e]
+        if not factors:
             continue
-        cand = field.one
-        for pw, e in zip(powers, exps):
-            cand = cand * pw[e]
-        for x in (cand, -cand):
+        cand = reduce(mul, factors)
+        for x in (cand, -cand) if p == 2 else (cand,):
             root = pth_root(x, p)
             if root is not None and not _is_torsion(field, root):
                 return next(i for i, e in enumerate(exps) if e), root
@@ -508,16 +513,20 @@ def _principal_by_t2(field: NumberField, lat) -> NFElement | None:
     ub = unit_group(field)  # refuses fields with complex places
     N = lattice_norm(lat)
     radius, last = _t2_radii(ub, N)
-    return next((g for _, _, g in _t2_shells(field, lat, N, radius, last)), None)
+    has_norm, element, shells = _t2_shells(field, lat, N, radius, last)
+    return next((element(x) for shell in shells for _, x in shell if has_norm(x)), None)
 
 
 def _t2_shells(field: NumberField, lat, N: int, radius: int, last: int | None = None):
-    """(r, T2(x), x) for every x, up to sign, of the ideal lattice lat of a
-    totally real field with |N(x)| = N, shell by shell: T2 in (0, r] for r
-    = radius, then in (r, 4r], and so on, each shell in Fincke-Pohst order
-    over an LLL-reduced basis (Fincke & Pohst, Math. Comp. 44, 1985).  The
-    radii are capped at last, and the walk stops after the shell that
-    ends there; without last it never stops."""
+    """(has_norm, element, shells) for the ideal lattice lat of a totally
+    real field.  shells yields, shell by shell, the list of (T2(x), x) for
+    every point x, up to sign, with T2 in (0, r] for r = radius, then in
+    (r, 4r], and so on, each in Fincke-Pohst order over an LLL-reduced
+    basis (Fincke & Pohst, Math. Comp. 44, 1985).  The radii are capped at
+    last, and the walk stops after the shell that ends there; without last
+    it never stops.  has_norm(x) says whether |N(x)| = N, and element(x)
+    is the field element of x; the callers test norms only as far as they
+    read the points."""
     gram, T = la.lll(la.mat_mul(la.mat_mul(la.transpose(lat), field.trace_form), lat))
     basis = la.mat_mul(lat, T)
     # The point x has the integer multiplication matrix sum_k x_k M_k, for
@@ -525,18 +534,24 @@ def _t2_shells(field: NumberField, lat, N: int, radius: int, last: int | None = 
     # determinant; entry (i, j) of the sum is x . mults[i][j].
     Ms = [field._mult_matrix(col)[0] for col in zip(*basis)]
     mults = [list(zip(*(M[i] for M in Ms))) for i in range(len(gram))]
-    done = 0  # every point with T2 <= done has been tried
-    while True:
-        if last is not None:
-            radius = min(radius, last)
-        for x in la.fincke_pohst(gram, radius):
-            t2 = sum(map(mul, x, la.mat_vec(gram, x)))
-            if t2 > done and abs(la.det([[sum(map(mul, x, e)) for e in row]
-                                         for row in mults])) == N:
-                yield radius, t2, field.elt(la.mat_vec(basis, x))
-        if radius == last:
-            return
-        done, radius = radius, 4 * radius
+
+    def has_norm(x) -> bool:
+        return abs(la.det([[sum(map(mul, x, e)) for e in row] for row in mults])) == N
+
+    def element(x) -> NFElement:
+        return field.elt(la.mat_vec(basis, x))
+
+    def shells(radius):
+        done = 0  # every point with T2 <= done has been listed
+        while True:
+            if last is not None:
+                radius = min(radius, last)
+            yield [(t2, x) for x, t2 in la.fincke_pohst(gram, radius) if t2 > done]
+            if radius == last:
+                return
+            done, radius = radius, 4 * radius
+
+    return has_norm, element, shells(radius)
 
 
 def _t2_radii(ub: UnitBasis, N: int) -> tuple[int, int]:

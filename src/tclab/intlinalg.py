@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 
 Matrix = list[list[int]]
@@ -403,12 +404,18 @@ def lll(gram: Matrix) -> tuple[Matrix, Matrix]:
 
 
 def fincke_pohst(gram: Matrix, bound):
-    """Every nonzero x in Z^n with x^t gram x <= bound, one of each pair
-    +-x (the last nonzero coordinate is positive), for a positive definite
-    integer Gram matrix (Fincke & Pohst, Math. Comp. 44, 1985; Cohen,
-    GTM 138, Alg. 2.7.5).  Exact: the quadratic form is completed into
-    squares over Q, Q(x) = sum_i q_ii (x_i + sum_(j>i) q_ij x_j)^2, and each
-    coordinate runs over the integers its remaining budget allows."""
+    """(x, x^t gram x) for every nonzero x in Z^n with x^t gram x <= bound,
+    one of each pair +-x (the last nonzero coordinate is positive), for a
+    positive definite integer Gram matrix (Fincke & Pohst, Math. Comp. 44,
+    1985; Cohen, GTM 138, Alg. 2.7.5), in increasing order of (x_(n-1),
+    ..., x_0).
+
+    The form is completed into squares over Q once, Q(x) = sum_i q_ii (x_i
+    + sum_(j>i) q_ij x_j)^2, and then scaled to integers: q_ii = a_i / m
+    and q_ij = C_ij / D over common denominators, so m D^2 Q(x) = sum_i
+    a_i (D x_i + C_i)^2 with C_i = sum_(j>i) C_ij x_j.  Q(x) is an integer,
+    so the budget is m D^2 floor(bound), and each coordinate runs over the
+    v with |D v + C_i| <= isqrt(remaining budget // a_i)."""
     n = len(gram)
     q = [[Fraction(x) for x in row] for row in gram]
     for i in range(n):
@@ -418,32 +425,32 @@ def fincke_pohst(gram: Matrix, bound):
         for k in range(i + 1, n):
             for l in range(k, n):
                 q[k][l] -= q[k][i] * q[i][l]
-    bound = Fraction(bound)
+    m = math.lcm(*(q[i][i].denominator for i in range(n)))
+    D = math.lcm(*(q[i][j].denominator for i in range(n) for j in range(i + 1, n)))
+    a = [int(q[i][i] * m) for i in range(n)]
+    C = [[int(q[i][j] * D) for j in range(i + 1, n)] for i in range(n)]
+    scale = m * D * D
+    budget = scale * math.floor(bound)
     x = [0] * n
 
-    def walk(i, budget, above_zero):
+    def walk(i, rem, above_zero):
         # Coordinates above i are fixed; above_zero says they are all 0.
-        c = sum((q[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        r = budget / q[i][i]
-        s = math.isqrt(math.floor(r))  # s <= sqrt(r) < s + 1
-        lo, hi = math.floor(-c) - s - 1, math.ceil(-c) + s + 1
-        while lo <= hi and (lo + c) ** 2 > r:
-            lo += 1
-        while hi >= lo and (hi + c) ** 2 > r:
-            hi -= 1
+        c = sum(map(mul, C[i], x[i + 1:]))
+        s = math.isqrt(rem // a[i])
+        lo, hi = -((s + c) // D), (s - c) // D
         if above_zero:
             lo = max(lo, 0)
         for v in range(lo, hi + 1):
             x[i] = v
-            if i == 0:
-                if not (above_zero and v == 0):
-                    yield list(x)
-            else:
-                yield from walk(i - 1, budget - q[i][i] * (v + c) ** 2, above_zero and v == 0)
+            left = rem - a[i] * (D * v + c) ** 2
+            if i:
+                yield from walk(i - 1, left, above_zero and v == 0)
+            elif not (above_zero and v == 0):
+                yield list(x), (budget - left) // scale
         x[i] = 0
 
-    if n and bound > 0:
-        yield from walk(n - 1, bound, True)
+    if n and budget > 0:
+        yield from walk(n - 1, budget, True)
 
 
 def hnf_column(m: Matrix) -> Matrix:

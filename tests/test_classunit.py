@@ -391,14 +391,28 @@ def test_unit_search_skips_dependent_candidates(monkeypatch):
         return real(field, units, need_rank)
 
     def shells(field, lat, N, radius, last=None):
-        # One shell, listed in the order the search must take it.
-        for t2, u in enumerate(candidates, 1):
-            yield radius, t2, u
+        # One shell of units, listed in the order the search must take it.
+        shell = [(t2, u) for t2, u in enumerate(candidates, 1)]
+        return (lambda u: True), (lambda u: u), iter([shell])
 
     monkeypatch.setattr(cu, "certified_log_rank", counting)
     monkeypatch.setattr(cu, "_t2_shells", shells)
     assert cu._unit_system_by_t2(K, 2) == [u1, u2]
     assert seen == [[u1], [u1, u2]]
+
+
+def test_unit_search_tests_norms_only_until_the_units_are_found(monkeypatch):
+    # x^3 - 9x - 6 (disc 1944): its second unit, of T2 = 579, lies in the
+    # shell (384, 1536] of 2,509 points, and 648 norm tests reach it in T2
+    # order.  A walk that also tests the norms of the next shell, about 8x
+    # as large, makes over 100,000.
+    K = NumberField((-6, -9, 0, 1))
+    K.embeddings
+    tests = []
+    real = la.det
+    monkeypatch.setattr(la, "det", lambda m: tests.append(1) or real(m))
+    units = cu._unit_system_by_t2(K, 2)
+    assert len(units) == 2 and len(tests) <= 2000
 
 
 # Totally real fields for the p-th root tests: Q, Q(sqrt 5), and cubics of
@@ -467,8 +481,11 @@ def test_saturation_still_finds_roots(monkeypatch):
         return real(x, p)
 
     monkeypatch.setattr(cu, "_pth_root_totally_real", counting)
-    for units in ([u1**2, u2], [u1, u2**3]):
-        saturated = cu._saturate(K, units, (2, 3, 5))
+    # The last two systems hide the root behind a sign: -u1^3 = (-u1)^3 is a
+    # cube, and -u1^2 is a square only up to sign.
+    for units, primes in (([u1**2, u2], (2, 3, 5)), ([u1, u2**3], (2, 3, 5)),
+                          ([-u1**3, u2], (3,)), ([-u1**2, u2], (2,))):
+        saturated = cu._saturate(K, units, primes)
         # The regulators agree: the exponent matrix on u1, u2 is unimodular.
         assert abs(la.det([_unit_exponents(K, v, [u1, u2]) for v in saturated])) == 1
     # The squares and cubes have no witness, so the analytic root found them.

@@ -307,7 +307,12 @@ def test_fincke_pohst_matches_box_enumeration():
             continue
         cases += 1
         for bound in bounds:
-            got = sorted(tuple(x) for x in la.fincke_pohst(gram, bound))
+            walk = list(la.fincke_pohst(gram, bound))
+            assert all(q == sum(a * b for a, b in zip(x, la.mat_vec(gram, x))) for x, q in walk)
+            # The walk lists the points in increasing (x_(n-1), ..., x_0).
+            order = [tuple(reversed(x)) for x, _ in walk]
+            assert order == sorted(order)
+            got = sorted(tuple(x) for x, _ in walk)
             assert got == _brute_short_vectors(gram, bound), (gram, bound)
             if bound < least:
                 assert got == []
