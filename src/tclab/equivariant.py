@@ -78,13 +78,9 @@ class GaloisLayer:
     K_field: NumberField
     L_field: NumberField
     gamma_gens: list[Automorphism]
-    elements: list[Automorphism]
+    order: int
     # (generator index, (q, prime index)) -> the image prime, found once.
     prime_images: dict = dfield(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
     def orbit_closure(self, primes: list[PrimeIdeal]) -> list[PrimeIdeal]:
         """The least set containing primes that the generators, and hence
@@ -151,12 +147,12 @@ def make_layer(K_field: NumberField, L_field: NumberField, embedding,
     for g in gens:
         if g(emb) != emb:
             raise FieldError("automorphism does not fix the base field")
-    elements = _closure(gens, Automorphism(L_field, la.identity(L_field.degree)),
-                        Automorphism.compose, 24)
+    order = len(_closure(gens, Automorphism(L_field, la.identity(L_field.degree)),
+                         Automorphism.compose, 24))
     n = L_field.degree // K_field.degree
-    if len(elements) != n:
-        raise FieldError(f"expected a group of order {n}, closed at {len(elements)}")
-    return GaloisLayer(K_field, L_field, gens, elements)
+    if order != n:
+        raise FieldError(f"expected a group of order {n}, closed at {order}")
+    return GaloisLayer(K_field, L_field, gens, order)
 
 
 # ---------------------------------------------------------------------------

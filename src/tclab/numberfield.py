@@ -471,12 +471,18 @@ class PrimeIdeal:
         self.gen = gen
         self.to_gen = to_gen  # basis coordinates -> gen-power coordinates
         self.norm = q**f_deg
-        self.residue_field = ResidueField(q, gpoly)
         self._lattice = None
 
     @property
     def label(self) -> str:
         return f"{self.q}_{self.index}"
+
+    @cached_property
+    def residue_field(self) -> ResidueField:
+        """F_q[t]/(g), built on first use, so that the primes a class
+        group or unit search factors but never reduces build no fold
+        table."""
+        return ResidueField(self.q, self.gpoly)
 
     def second_generator(self) -> NFElement:
         """The element g(gen) of the two-element representation (q, g(gen))."""
@@ -494,17 +500,26 @@ class PrimeIdeal:
         return self.field.elt(acc)
 
     def residue(self, x: NFElement):
-        """Image of x in the residue field; requires x integral at q
-        (gen-power coordinate denominators coprime to q)."""
+        """Image of x in the residue field; requires x integral at q.
+        With x = num / den and to_gen = cols / d, the gen-power
+        coordinates of x are the integer dot products s_j = num . cols[j]
+        over D = den d.  Write D = q^k u with u prime to q: x is integral
+        at q exactly when q^k divides every s_j, and then its residue
+        coordinates are (s_j / q^k) u^-1 mod q."""
         num, den = la.clear_denominators(self.field.elt(x).coords)
         cols, d = self._int_to_gen
-        lifted = []
-        for col in cols:
-            c = Fraction(sum(map(operator.mul, num, col)), den * d)
-            if c.denominator % self.q == 0:
-                raise FieldError(f"element is not integral at {self.q}")
-            lifted.append(c.numerator * pow(c.denominator, -1, self.q) % self.q)
-        return self.residue_field.elt(lifted)
+        q, qk, u = self.q, 1, den * d
+        while u % q == 0:
+            u, qk = u // q, qk * q
+        coords = [sum(map(operator.mul, num, col)) for col in cols]
+        if qk > 1:
+            if any(s % qk for s in coords):
+                raise FieldError(f"element is not integral at {q}")
+            coords = [s // qk for s in coords]
+        if u > 1:
+            inv = pow(u, -1, q)
+            coords = [s * inv for s in coords]
+        return self.residue_field.elt(coords)
 
     def character(self, x: NFElement, m: int) -> int:
         """The tame character of order m | N(P) - 1 at x: the k mod m with

@@ -7,7 +7,10 @@ integer dyadic cells whose Sturm signs come from one integer Horner, and
 an irreducibility test from those cells or from factorization patterns
 mod q (Cohen, GTM 138, 3.3 and 4.1).  Everything over Q stays in
 integers.  A tiny residue-field type F_{q^f} = F_q[t]/(g) sits here too,
-since it is just polynomial arithmetic; its norm to F_q is a resultant.
+since it is just polynomial arithmetic: it reduces integer coefficient
+vectors and products through one table of the rows t^k mod g, taking
+each coefficient mod q once, and its norm to F_q is a resultant.  The
+F_q[x] arithmetic (gfp_*) serves the factorization.
 """
 
 from __future__ import annotations
@@ -463,12 +466,22 @@ def _candidates(n, q):
 # ---------------------------------------------------------------------------
 # Residue fields F_{q^f}
 
+# Every fold table reaches at least degree _FOLD_TOP - 1, so that elt takes
+# the integer coordinate vector of an element of any field of degree <= 6
+# (numberfield refuses more) in one pass.
+_FOLD_TOP = 6
+
 
 class ResidueField:
-    """F_q[t]/(g) with g monic irreducible over F_q.
+    """F_q[t]/(g) with g monic irreducible of degree f over F_q.
 
     Elements are reduced coefficient tuples.  Deliberately minimal: just
-    what power-residue tests and discrete logs in small groups need.
+    what power-residue tests and discrete logs in small groups need.  The
+    field holds one table, the rows t^k mod g for f <= k < max(_FOLD_TOP,
+    2f - 1): an integer coefficient vector is reduced by adding c_k times
+    row k into its low f coefficients for every k >= f, and taking each
+    sum mod q once.  A product is the integer convolution of two
+    elements, reduced the same way.
     """
 
     def __init__(self, q: int, modulus: Poly):
@@ -479,15 +492,40 @@ class ResidueField:
         # a^norm_exp = N(a), the norm to F_q: (q^f - 1)/(q - 1), 1 at f = 1.
         self.norm_exp = (self.order - 1) // (q - 1)
         self._subgroup_gens: dict[int, Poly] = {}  # memo of subgroup_generator
+        # The fold table: row k - f holds the f coefficients of t^k mod g.
+        # Each row is t times the one before: its top coefficient c moves
+        # to c t^f = -c (g_0 + g_1 t + ... + g_(f-1) t^(f-1)).
+        f, g = self.deg, self.modulus
+        row, fold = (0,) * (f - 1) + (1,), []  # t^(f-1)
+        for _ in range(max(_FOLD_TOP, 2 * f - 1) - f):
+            c = row[-1]
+            row = tuple((s - c * gi) % q for s, gi in zip((0,) + row[:-1], g))
+            fold.append(row)
+        self._fold = tuple(fold)
 
     def elt(self, coeffs) -> Poly:
-        return gfp_mod(tuple(coeffs), self.modulus, self.q)
-
-    def add(self, a, b):
-        return gfp_add(a, b, self.q)
+        """The reduced element sum_k coeffs[k] t^k, for integers coeffs of
+        length at most max(_FOLD_TOP, 2f - 1)."""
+        f, q, fold = self.deg, self.q, self._fold
+        low = list(coeffs[:f])
+        low += [0] * (f - len(low))
+        for k in range(f, len(coeffs)):
+            c = coeffs[k]
+            if c:
+                for i, r in enumerate(fold[k - f]):
+                    low[i] += c * r
+        while low and low[-1] % q == 0:
+            low.pop()
+        return tuple(c % q for c in low)
 
     def mul(self, a, b):
-        return gfp_mod(gfp_mul(a, b, self.q), self.modulus, self.q)
+        if not a or not b:
+            return ()
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        return self.elt(prod)
 
     def norm(self, a) -> int:
         """N(a) in 0..q-1, the norm to F_q: the product a a^q ...
@@ -504,12 +542,19 @@ class ResidueField:
         """a^e for e >= 0.  When norm_exp divides e, which for e = (q^f -
         1)/m is exactly when m | q - 1, a^e = N(a)^(e/norm_exp) lies in
         F_q and is one integer power mod q; otherwise square-and-multiply
-        over F_q[t]/(g)."""
+        with mul."""
         if e < 0:
             raise ValueError("negative exponent")
         k = self.norm_exp
         if e % k:
-            return gfp_powmod(a, e, self.modulus, self.q)
+            out = self.one
+            while e:
+                if e & 1:
+                    out = self.mul(out, a)
+                e >>= 1
+                if e:
+                    a = self.mul(a, a)
+            return out
         n = pow(self.norm(a), e // k, self.q)
         return (n,) if n else ()
 

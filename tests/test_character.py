@@ -5,12 +5,20 @@ mu_m in the residue field.  Every check here rebuilds its answer without
 ResidueField.pow, dlog or subgroup_generator: powers are repeated
 products, m-th powers are enumerated, the ray-class discrete log is
 recomputed from the formula it replaced, and the order of Frobenius in a
-Kummer layer is read from its exponent formula.
+Kummer layer is read from its exponent formula.  The residue field's own
+arithmetic is checked against the polynomial reference gfp_mod, gfp_mul
+and gfp_powmod on random moduli.
 """
 
 import random
 
 import pytest
+
+try:
+    from hypothesis import given, settings, strategies as st
+    HAVE_HYP = True
+except ImportError:  # pragma: no cover
+    HAVE_HYP = False
 
 from tclab import polys, rayclass as rc
 from tclab.numberfield import FieldError, NumberField, Q
@@ -167,3 +175,35 @@ def test_pow_off_the_norm_exponent(P):
         powers = _powers(F, a, max(es, default=0))
         for e in es:
             assert F.pow(a, e) == powers[e] == polys.gfp_powmod(a, e, F.modulus, q)
+
+
+def _irreducible(q, f, start):
+    """The first monic irreducible polynomial of degree f over F_q at or
+    after the start-th monic one, in the order of their low coefficients
+    read as base-q digits (cyclically)."""
+    for i in range(q**f):
+        k = (start + i) % q**f
+        g = tuple(k // q**j % q for j in range(f)) + (1,)
+        if polys.gfp_factor(g, q) == [(g, 1)]:
+            return g
+    raise AssertionError("no irreducible polynomial")  # pragma: no cover
+
+
+if HAVE_HYP:
+    _coeffs = st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=11)
+
+    @given(st.sampled_from((2, 3, 5, 7, 13, 101)), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0), _coeffs, _coeffs, _coeffs, st.integers(min_value=0, max_value=10**4))
+    @settings(max_examples=300, deadline=None)
+    def test_residue_field_arithmetic_matches_gfp_reference_hyp(q, f, start, c, a, b, e):
+        g = _irreducible(q, f, start)
+        F = polys.ResidueField(q, g)
+        # elt takes up to max(6, 2f - 1) coefficients: longer than 2f - 1
+        # at f <= 3, so that f = 1 folds up to t^5.
+        reach = max(6, 2 * f - 1)
+        assert F.elt(c[:reach]) == polys.gfp_mod(c[:reach], g, q)
+        a, b = F.elt(a[:reach]), F.elt(b[:reach])
+        assert F.mul(a, b) == polys.gfp_mod(polys.gfp_mul(a, b, q), g, q)
+        # Both branches of pow: the norm when norm_exp | e, else products.
+        for exp in (e, e * F.norm_exp, e * F.norm_exp + 1):
+            assert F.pow(a, exp) == polys.gfp_powmod(a, exp, g, q)
