@@ -151,9 +151,9 @@ def _real_quadratic_fundamental(field: NumberField) -> NFElement:
     # u = a + b omega = (x + y sqrt(D))/2 with x = 2a + bt, y = b, where
     # t = Tr(omega); +-u and its conjugate only flip the signs of x and y.
     t, _ = quadratic_trace_norm(field)
-    a, b = u.coords
+    a, b = u.nums
     x, y = abs(2 * a + b * t), abs(b)
-    return field.elt([(x - y * t) / 2, y])
+    return field.elt([(x - y * t) // 2, y])
 
 
 def _unit_system_by_t2(field: NumberField, rank: int) -> list[NFElement]:
@@ -275,7 +275,7 @@ def _residue_witness(x: NFElement, p: int) -> bool:
     order, for q dividing neither disc(f) nor the denominator of x, and
     the search gives up after _WITNESS_TESTS of them."""
     field = x.field
-    den = x.denominator()
+    den = x.den
     tests = 0
     for q in count(p + 1, p):
         if not is_prime(q) or field.disc_poly % q == 0 or den % q == 0:
@@ -314,7 +314,7 @@ def _pth_root_totally_real(x: NFElement, p: int) -> NFElement | None:
     signs = emb.element_signs(x)
     if p % 2 == 0 and any(s < 0 for s in signs):
         return None
-    den = x.denominator()
+    den = x.den
     n = field.degree
     # A p-th root moves by at most d^(1/p) when its argument moves by d,
     # so enclosing each conjugate of x to within (2^8 den)^-p puts den
@@ -359,7 +359,7 @@ def _pth_root_imag_quadratic(x: NFElement, p: int) -> NFElement | None:
     1-coordinate) among the p-th roots of x, or None."""
     import mpmath
     field = x.field
-    den = x.denominator()
+    den = x.den
     y = x * (den**p)
     if _iroot(int(y.norm()), p) is None:
         return None
@@ -368,7 +368,7 @@ def _pth_root_imag_quadratic(x: NFElement, p: int) -> NFElement | None:
     # of sigma(y); each is rounded to integral coordinates and checked
     # exactly.  Working precision covers the size of sigma(y).
     t, _ = quadratic_trace_norm(field)
-    a, b = (int(c) for c in y.coords)
+    a, b = y.nums
     with mpmath.workprec((abs(a) + abs(b)).bit_length() + field.disc.bit_length() + 64):
         sq = mpmath.sqrt(-field.disc)
         z0 = mpmath.root(mpmath.mpc(a + b * mpmath.mpf(t) / 2, b * sq / 2), p)
@@ -381,7 +381,7 @@ def _pth_root_imag_quadratic(x: NFElement, p: int) -> NFElement | None:
                 roots.append(cand)
     if not roots:
         return None
-    return min(roots, key=lambda z: (z.coords[1], -z.coords[0])) / den
+    return min(roots, key=lambda z: (z.nums[1], -z.nums[0])) / den
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +431,7 @@ def _principal_imag(field: NumberField, lat) -> NFElement | None:
     if form[0] != 1:
         return None
     g = field.elt(la.mat_vec(lat, [m[0][0], m[1][0]]))
-    if (la.solve_integer(lat, [int(c) for c in g.coords]) is None
+    if (la.solve_integer(lat, list(g.nums)) is None
             or abs(g.norm()) != lattice_norm(lat)):
         raise CertificationError(f"reduced ideal form {form} gave no generator")
     return g
@@ -532,7 +532,7 @@ def _t2_shells(field: NumberField, lat, N: int, radius: int, last: int | None = 
     # The point x has the integer multiplication matrix sum_k x_k M_k, for
     # M_k that of the k-th reduced basis vector, and its norm is the
     # determinant; entry (i, j) of the sum is x . mults[i][j].
-    Ms = [field._mult_matrix(col)[0] for col in zip(*basis)]
+    Ms = [field._mult_matrix(col) for col in zip(*basis)]
     mults = [list(zip(*(M[i] for M in Ms))) for i in range(len(gram))]
 
     def has_norm(x) -> bool:

@@ -90,6 +90,13 @@ def parse_prime_set(field: NumberField, spec: str):
     return out
 
 
+def _prime_p(p: int | None) -> int | None:
+    """p, refused if given and not a rational prime: every command with a p needs one."""
+    if p is not None and not is_prime(p):
+        raise FieldError(f"p = {p} is not a prime")
+    return p
+
+
 def _load_layer_config(path):
     cfg = configparser.ConfigParser()
     if os.path.exists(path):
@@ -113,7 +120,7 @@ def _load_layer_config(path):
     for part in cfg["layer"]["gamma"].split("/"):
         gammas.append(L.elt([Fraction(t) for t in part.split()]))
     layer = eq.make_layer(K, L, emb, gammas)
-    p = cfg.getint("run", "p")
+    p = _prime_p(cfg.getint("run", "p"))
     twist = None
     if cfg.has_section("twist"):
         rows = [[int(t) for t in r.split()] for r in cfg["twist"]["matrix"].split("/")]
@@ -532,6 +539,8 @@ def _error_kind(exc: Exception) -> tuple[str, int]:
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.command == "sandwich" and not args.config and None in (args.field, args.p):
+            raise UsageError("sandwich needs --config, or both --field and --p")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
@@ -539,6 +548,7 @@ def run(argv=None) -> int:
     if seed is None and os.environ.get("TCLAB_SEED"):
         seed = int(os.environ["TCLAB_SEED"])
     try:
+        _prime_p(getattr(args, "p", None))
         report = args.fn(args, seed)
     except CommandFailure as exc:
         out = json.dumps(exc.report, sort_keys=True, indent=2, default=str)

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
-from . import intlinalg as la
 from .polys import _scaled_value, _sign_at
 
 # Bits of fixed-point precision beyond the cell grid in a Newton snap,
@@ -36,12 +36,6 @@ class RealEmbeddings:
     def __init__(self, field):
         self.field = field
         self._roots = [_Root(field.min_poly, *cell) for cell in field._root_cells]
-        # The power-basis coordinates of the integral basis, as integers
-        # over one denominator.
-        n = field.degree
-        flat, self._basis_den = la.clear_denominators(
-            [c for row in field._basis_rows for c in row])
-        self._basis = [flat[i * n:(i + 1) * n] for i in range(n)]
         # A degree-1 polynomial's rational root is bracketed like any other
         # root; its interval is a point only if the root is a grid point.
         self.refine_all(Fraction(1, 2**20))
@@ -63,11 +57,11 @@ class RealEmbeddings:
             root.extend(root.depth)
 
     def _power_numerators(self, x) -> tuple[list[int], int]:
-        """Integers c and den with c / den the power-basis coordinates of x."""
-        num, den = la.clear_denominators(x.coords)
-        B = self._basis
-        return ([sum(num[i] * B[i][j] for i in range(len(num))) for j in range(len(num))],
-                den * self._basis_den)
+        """Integers c and d with c / d the power-basis coordinates of x: x.nums
+        times the field's integral basis as integer rows over one denominator."""
+        field = self.field
+        return ([sum(map(mul, x.nums, col)) for col in zip(*field._basis_num)],
+                x.den * field._basis_den)
 
     def element_intervals(self, x, eps: Fraction | None = None):
         """Rational interval for each real embedding of the element x."""

@@ -13,7 +13,6 @@ plain linear algebra over F_p.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from fractions import Fraction
 
 from . import intlinalg as la
 from .numberfield import (
@@ -44,14 +43,14 @@ class Automorphism:
         image = field.elt(image)
         if not poly_eval(field.min_poly, image).is_zero():
             raise FieldError("image is not a root of the minimal polynomial")
-        cols = [poly_eval(row, image).coords for row in field._basis_rows]
-        assert all(c.denominator == 1 for col in cols for c in col)
-        return cls(field, zip(*(map(int, col) for col in cols)))
+        cols = [poly_eval(row, image) for row in field._basis_rows]
+        assert all(c.den == 1 for c in cols)
+        return cls(field, zip(*(c.nums for c in cols)))
 
     def __call__(self, x: NFElement) -> NFElement:
-        num, den = la.clear_denominators(self.field.elt(x).coords)
-        y = la.mat_vec(self.matrix, num)
-        return NFElement(self.field, tuple(Fraction(c, den) for c in y))
+        """gamma(x); the matrix is unimodular, so nums stay prime to den."""
+        x = self.field.elt(x)
+        return NFElement(self.field, tuple(la.mat_vec(self.matrix, x.nums)), x.den)
 
     def __eq__(self, other):
         return isinstance(other, Automorphism) and self.matrix == other.matrix

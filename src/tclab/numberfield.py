@@ -2,8 +2,8 @@
 factorization, residue fields and power-residue classes.
 
 Fields are given by a monic irreducible integer polynomial f of degree
-n <= 6.  Elements carry rational coordinates with respect to a fixed
-integral basis; their arithmetic reads integer multiplication matrices
+n <= 6.  An element is integer numerators over one denominator in a fixed
+integral basis; its arithmetic reads integer multiplication matrices
 built from the basis's integer structure constants.  Everything is exact.
 """
 
@@ -27,25 +27,36 @@ class FieldError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NFElement:
+    """nums / den in the coordinates of the integral basis: integers with
+    den > 0 and gcd(nums, den) = 1 (Cohen, GTM 138, 4.2).  Arithmetic reads
+    nums and den directly; elements of different fields are never equal."""
+
     field: "NumberField"
-    coords: tuple[Fraction, ...]  # w.r.t. the integral basis
+    nums: tuple[int, ...]
+    den: int
+
+    @cached_property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions, for reports."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def __add__(self, other):
         other = self.field.elt(other)
-        return NFElement(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        a, b = self.den, other.den
+        return _reduced(self.field, [x * b + y * a for x, y in zip(self.nums, other.nums)], a * b)
 
     def __sub__(self, other):
-        other = self.field.elt(other)
-        return NFElement(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self + -self.field.elt(other)
 
     def __neg__(self):
-        return NFElement(self.field, tuple(-a for a in self.coords))
+        return NFElement(self.field, tuple(-c for c in self.nums), self.den)
 
     def __mul__(self, other):
         other = self.field.elt(other)
-        return self.field._mul(self, other)
+        m = self.field._mult_matrix(self.nums)
+        return _reduced(self.field, la.mat_vec(m, other.nums), self.den * other.den)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -65,49 +76,51 @@ class NFElement:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.elt(other)
-        return isinstance(other, NFElement) and self.coords == other.coords
+        return (isinstance(other, NFElement) and other.field is self.field
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.nums, self.den))
 
     def inverse(self) -> "NFElement":
-        """The solution y of (den * self) y = den, the element whose
-        coordinates are den e_0 as the basis starts with 1, solved in
-        integers on the multiplication matrix of den * self."""
-        m, den = self.field._mult_matrix(self.coords)
-        y, d = la.bareiss_solve(m, [den] + [0] * (self.field.degree - 1))
-        return NFElement(self.field, tuple(Fraction(c, d) for c in y))
+        """y / d for the Bareiss solution of M y = d den e_0, M the
+        multiplication matrix of nums: nums y / d is den, the element
+        whose coordinates are den e_0 as the basis starts with 1."""
+        m = self.field._mult_matrix(self.nums)
+        return _reduced(self.field, *la.bareiss_solve(m, [self.den] + [0] * (len(m) - 1)))
 
     def __truediv__(self, other):
         other = self.field.elt(other)
         return self * other.inverse()
 
     def norm(self) -> Fraction:
-        """det(M) / den^n, where den = self.denominator() and M is the
-        integer multiplication matrix of den * self."""
-        m, den = self.field._mult_matrix(self.coords)
-        return Fraction(la.det(m), den**self.field.degree)
+        """det(M) / den^n for M the multiplication matrix of nums."""
+        return Fraction(la.det(self.field._mult_matrix(self.nums)), self.den**self.field.degree)
 
     def trace(self) -> Fraction:
-        m, den = self.field._mult_matrix(self.coords)
-        return Fraction(sum(m[i][i] for i in range(len(m))), den)
+        m = self.field._mult_matrix(self.nums)
+        return Fraction(sum(m[i][i] for i in range(len(m))), self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def power_coords(self) -> tuple[Fraction, ...]:
         """Coordinates in the power basis 1, theta, ..., theta^(n-1)."""
-        B = self.field._basis_rows
-        n = self.field.degree
-        return tuple(
-            sum(self.coords[i] * B[i][j] for i in range(n)) for j in range(n)
-        )
-
-    def denominator(self) -> int:
-        return math.lcm(*(c.denominator for c in self.coords)) if self.coords else 1
+        den = self.den * self.field._basis_den
+        return tuple(Fraction(sum(map(operator.mul, self.nums, col)), den)
+                     for col in zip(*self.field._basis_num))
 
     def __repr__(self):
-        return f"NFElement({list(self.coords)})"
+        return f"NFElement({list(self.nums)} / {self.den})"
+
+
+def _reduced(field, nums, den: int) -> NFElement:
+    """The element nums / den, normalised by one gcd to den > 0 and
+    gcd(nums, den) = 1."""
+    if den != 1:
+        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+        nums, den = [c // g for c in nums], den // g
+    return NFElement(field, tuple(nums), den)
 
 
 class NumberField:
@@ -205,23 +218,21 @@ class NumberField:
         Refuses a basis whose products leave the lattice it spans.
 
         In integers: with the basis rows B = R / r and B^-1 = V / v over
-        one denominator each, b_i b_j has power coordinates (R_i R_j mod
-        f) / r^2 and basis coordinates (R_i R_j mod f) V / (r^2 v).  For
-        Z[theta] the power coordinates are the basis coordinates."""
+        one denominator each, kept as _basis_num, _basis_den, _inv_num and
+        _inv_den, b_i b_j has power coordinates (R_i R_j mod f) / r^2 and
+        basis coordinates (R_i R_j mod f) V / (r^2 v)."""
         n = self.degree
         flat, r = la.clear_denominators([c for row in self._basis_rows for c in row])
         R = [flat[i * n:(i + 1) * n] for i in range(n)]
-        if R == la.identity(n):
-            V, scale = None, 1
-        else:
-            flat, v = la.clear_denominators([c for row in self._basis_inv for c in row])
-            V, scale = [flat[i * n:(i + 1) * n] for i in range(n)], r * r * v
+        flat, v = la.clear_denominators([c for row in self._basis_inv for c in row])
+        V = [flat[i * n:(i + 1) * n] for i in range(n)]
+        self._basis_num, self._basis_den, self._inv_num, self._inv_den = R, r, V, v
+        scale = r * r * v
         table = [[[0] * n for _ in range(n)] for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 coords = self._mul_power(R[i], R[j])
-                if V is not None:
-                    coords = [sum(map(operator.mul, coords, col)) for col in zip(*V)]
+                coords = [sum(map(operator.mul, coords, col)) for col in zip(*V)]
                 if any(c % scale for c in coords):
                     raise FieldError(
                         f"integral basis not closed under multiplication at b{i}*b{j}"
@@ -255,48 +266,41 @@ class NumberField:
                     vec[k - n + j] -= c * f[j]
         return vec[:n]
 
-    def _power_to_basis(self, vec):
-        inv = self._basis_inv
-        n = self.degree
-        return [sum(Fraction(vec[i]) * inv[i][j] for i in range(n)) for j in range(n)]
-
     # -- element constructors ------------------------------------------------
 
     def elt(self, value) -> NFElement:
+        """An element of this field, a rational number or integral-basis
+        coordinates: ints as they are, Fractions cleared once to the lcm of
+        their denominators, which leaves nums prime to it."""
         if isinstance(value, NFElement):
             if value.field is not self:
                 raise FieldError("element belongs to a different field")
             return value
         if isinstance(value, (int, Fraction)):
-            return NFElement(self, (Fraction(value),) + (Fraction(0),) * (self.degree - 1))
-        coords = tuple(Fraction(c) for c in value)
-        if len(coords) != self.degree:
+            value = [value] + [0] * (self.degree - 1)
+        if len(value) != self.degree:
             raise FieldError("wrong coordinate length")
-        return NFElement(self, coords)
+        if all(type(c) is int for c in value):
+            return NFElement(self, tuple(value), 1)
+        nums, den = la.clear_denominators([Fraction(c) for c in value])
+        return NFElement(self, tuple(nums), den)
 
     def from_power(self, vec) -> NFElement:
         """The element sum_i vec[i] theta^i; vec may be longer than the
         degree (in degree 1, theta is the rational -min_poly[0])."""
-        vec = self._reduce_power([Fraction(v) for v in vec])
-        return NFElement(self, tuple(self._power_to_basis(vec)))
+        nums, den = la.clear_denominators([Fraction(v) for v in vec])
+        nums = self._reduce_power(nums)
+        nums = [sum(map(operator.mul, nums, col)) for col in zip(*self._inv_num)]
+        return _reduced(self, nums, den * self._inv_den)
 
     @cached_property
     def theta(self) -> NFElement:
         return self.from_power([0, 1])
 
-    def _mul(self, a: NFElement, b: NFElement) -> NFElement:
-        m, da = self._mult_matrix(a.coords)
-        nb, db = la.clear_denominators(b.coords)
-        den = da * db
-        return NFElement(self, tuple(Fraction(c, den) for c in la.mat_vec(m, nb)))
-
-    def _mult_matrix(self, coords) -> tuple[la.Matrix, int]:
-        """(M, den) for the element with the given integral-basis
-        coordinates (ints or Fractions): den is the lcm of their
-        denominators and M the integer matrix of multiplication by den
-        times the element, acting on coordinate columns."""
-        num, den = la.clear_denominators(coords)
-        return [[sum(map(operator.mul, num, c)) for c in row] for row in self._structure], den
+    def _mult_matrix(self, nums) -> la.Matrix:
+        """The integer matrix of multiplication by the element with integer
+        integral-basis coordinates nums, acting on coordinate columns."""
+        return [[sum(map(operator.mul, nums, c)) for c in row] for row in self._structure]
 
     # -- discriminant-scale data ----------------------------------------------
 
@@ -492,7 +496,7 @@ class PrimeIdeal:
         """The element sum_i coeffs[i] gen^i; lifts a residue coefficient
         tuple.  gen is integral, so Horner's rule runs on the integer
         coordinates with gen's integer multiplication matrix."""
-        m, _ = self.field._mult_matrix(self.gen.coords)
+        m = self.field._mult_matrix(self.gen.nums)
         acc = [0] * self.field.degree
         for c in reversed(coeffs):
             acc = la.mat_vec(m, acc)
@@ -501,17 +505,17 @@ class PrimeIdeal:
 
     def residue(self, x: NFElement):
         """Image of x in the residue field; requires x integral at q.
-        With x = num / den and to_gen = cols / d, the gen-power
-        coordinates of x are the integer dot products s_j = num . cols[j]
+        With x = nums / den and to_gen = cols / d, the gen-power
+        coordinates of x are the integer dot products s_j = nums . cols[j]
         over D = den d.  Write D = q^k u with u prime to q: x is integral
         at q exactly when q^k divides every s_j, and then its residue
         coordinates are (s_j / q^k) u^-1 mod q."""
-        num, den = la.clear_denominators(self.field.elt(x).coords)
+        x = self.field.elt(x)
         cols, d = self._int_to_gen
-        q, qk, u = self.q, 1, den * d
+        q, qk, u = self.q, 1, x.den * d
         while u % q == 0:
             u, qk = u // q, qk * q
-        coords = [sum(map(operator.mul, num, col)) for col in cols]
+        coords = [sum(map(operator.mul, x.nums, col)) for col in cols]
         if qk > 1:
             if any(s % qk for s in coords):
                 raise FieldError(f"element is not integral at {q}")
@@ -561,18 +565,18 @@ class PrimeIdeal:
         vector of the F_q kernel of the multiplication matrix of pi.  Then
         beta / q has valuation -1 at P and is integral at every other
         prime above q."""
-        m, _ = self.field._mult_matrix(self.second_generator().coords)
+        m = self.field._mult_matrix(self.second_generator().nums)
         beta = la.fp_kernel(la.FpMatrix.from_rows(m, self.q))[0]
-        return self.field._mult_matrix(beta)[0]
+        return self.field._mult_matrix(beta)
 
     def valuation(self, x: NFElement) -> int:
-        """v_P(x) for nonzero x (possibly non-integral): with x = num / den,
-        the number of times num <- beta num / q stays integral, minus
-        e v_q(den)."""
+        """v_P(x) for nonzero x (possibly non-integral): with x = nums / den,
+        the number of times num <- beta num / q stays integral from num =
+        nums, minus e v_q(den)."""
         x = self.field.elt(x)
         if x.is_zero():
             raise FieldError("valuation of zero")
-        num, den = la.clear_denominators(x.coords)
+        num, den = x.nums, x.den
         q, beta = self.q, self._anti_uniformizer
         v = 0
         while True:
@@ -590,8 +594,8 @@ class PrimeIdeal:
 def _ideal_lattice(field, q, alpha):
     """HNF column basis of the ideal (q, alpha) for integral alpha."""
     n = field.degree
-    prod, den = field._mult_matrix(alpha.coords)
-    assert den == 1
+    assert alpha.den == 1
+    prod = field._mult_matrix(alpha.nums)
     m = [[q * int(i == j) for j in range(n)] + prod[i] for i in range(n)]
     return la.hnf_column(m)
 
@@ -608,7 +612,7 @@ def lattice_mul(field, lat1, lat2):
     cols2 = list(zip(*lat2))
     gens = []
     for c1 in zip(*lat1):
-        m, _ = field._mult_matrix(c1)
+        m = field._mult_matrix(c1)
         gens += [la.mat_vec(m, c2) for c2 in cols2]
     return la.hnf_column(la.transpose(gens))
 

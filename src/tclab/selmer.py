@@ -64,7 +64,7 @@ def _support(field: NumberField, x: NFElement):
     nrm = x.norm()
     qs = set(prime_factors(abs(nrm.numerator)))
     qs |= set(prime_factors(nrm.denominator))
-    qs |= set(prime_factors(x.denominator()))
+    qs |= set(prime_factors(x.den))
     out = []
     for q in sorted(qs):
         out.extend(field.factor_prime(q))

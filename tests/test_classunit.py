@@ -312,7 +312,7 @@ def test_cubic_class_groups(f, disc, group):
 def _ideal_of(x):
     """HNF of the principal ideal x O."""
     K = x.field
-    m, den = K._mult_matrix(x.coords)
+    m, den = K._mult_matrix(x.nums), x.den
     assert den == 1
     return la.hnf_column(m)
 

@@ -92,6 +92,45 @@ def test_precondition_exit_code(capsys):
     assert "wild" in rep["error"]["reason"]
 
 
+P_COMMANDS = {
+    "selmer": ["--S", "11"],
+    "rusb": ["--S", "11"],
+    "rayclass": ["--modulus", "11"],
+    "search-x": [],
+    "sandwich": ["--T", "11", "--V", "11"],
+}
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, -3])
+@pytest.mark.parametrize("command", sorted(P_COMMANDS))
+def test_non_prime_p_is_precondition(capsys, command, p):
+    argv = [command, "--field", "sqrt5.field", "--p", str(p)] + P_COMMANDS[command]
+    code, out, err = run_capture(capsys, ["--json"] + argv)
+    assert code == 2 and out == ""
+    rep = json.loads(err.strip())
+    assert rep["error"]["kind"] == "precondition"
+    assert f"p = {p} " in rep["error"]["reason"]
+
+
+def test_non_prime_p_in_layer_config_is_precondition(capsys, tmp_path):
+    ini = tmp_path / "p4.ini"
+    ini.write_text(cli._data_path("example1.ini").read_text().replace("p = 3", "p = 4"))
+    code, _, err = run_capture(capsys, ["sandwich", "--config", str(ini), "--twisted"])
+    assert code == 2
+    rep = json.loads(err.strip())
+    assert rep["error"]["kind"] == "precondition"
+    assert "p = 4 " in rep["error"]["reason"]
+
+
+@pytest.mark.parametrize("argv", [["--p", "3", "--T", "7"],
+                                  ["--field", "sqrt5.field", "--T", "11", "--V", "11"]],
+                         ids=["no-field", "no-p"])
+def test_sandwich_without_config_needs_field_and_p(capsys, argv):
+    code, _, err = run_capture(capsys, ["sandwich"] + argv)
+    assert code == 64
+    assert "--field and --p" in err
+
+
 def test_bad_field_file_is_precondition(capsys, tmp_path):
     f = tmp_path / "bad.field"
     f.write_text("poly -1 0 2\n")

@@ -161,7 +161,7 @@ def ref_lattice_mul(field, lat1, lat2):
     cols2 = list(zip(*lat2))
     gens = []
     for c1 in zip(*lat1):
-        m, _ = field._mult_matrix(c1)
+        m = field._mult_matrix(c1)
         gens += [la.mat_vec(m, c2) for c2 in cols2]
     return ref_hnf_column(la.transpose(gens))
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -211,7 +212,7 @@ def test_integer_norm_matches_fraction_determinant(poly, basis):
         x = K.elt([Fraction(rng.randint(-50, 50), den) for _ in range(K.degree)])
         # Column j of the reference is x * b_j, multiplied in the power basis.
         ref = la.transpose([K.from_power(poly_mul(x.power_coords(), b)).coords for b in K._basis_rows])
-        m, d = K._mult_matrix(x.coords)
+        m, d = K._mult_matrix(x.nums), x.den
         assert [[Fraction(c, d) for c in row] for row in m] == ref
         assert x.norm() == la.frac_det(ref)
         y = K.elt([Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(K.degree)])
@@ -244,16 +245,40 @@ def _random_element(K, rng):
     return K.elt([Fraction(rng.randint(-50, 50), den) for _ in range(K.degree)])
 
 
+def _assert_normal(x):
+    """nums / den in lowest terms with den > 0, and coords its Fraction view."""
+    assert x.den > 0 and math.gcd(x.den, *x.nums) == 1
+    assert x.coords == tuple(Fraction(c, x.den) for c in x.nums)
+
+
 @pytest.mark.parametrize("poly,basis", ARITH_FIELDS, ids=ARITH_IDS)
 def test_products_and_inverses_match_power_basis(poly, basis):
     # The integer multiplication matrix against polynomial products mod f.
+    # Every result, whatever route built it, is in lowest terms, so equal
+    # elements have equal numerators, denominators and hashes.
     K = NumberField(poly, integral_basis=basis)
     rng = random.Random(f"mul{poly}")
     for _ in range(40):
         x, y = _random_element(K, rng), _random_element(K, rng)
-        assert x * y == K.from_power(poly_mul(x.power_coords(), y.power_coords()))
+        prod = K.from_power(poly_mul(x.power_coords(), y.power_coords()))
+        assert x * y == prod
+        zero = x + (-x)
+        assert zero == K.zero and hash(zero) == hash(K.zero)
+        results = [x, y, prod, zero, x + y, x - y, -x, x * 6, Fraction(3, 4) * x]
         if not x.is_zero():
             assert x * x.inverse() == 1
+            back = (x * y) / x
+            assert back == y and hash(back) == hash(y)
+            results += [x.inverse(), back, y / x, x ** -2, x ** -3]
+        for z in results:
+            _assert_normal(z)
+
+
+def test_elements_of_different_fields_differ():
+    K, L = NumberField((-3, 0, 1)), NumberField((-2, 0, 1))
+    assert K.elt([0, 1]) == K.elt([0, 1]) and hash(K.elt([0, 1])) == hash(K.elt([0, 1]))
+    assert K.elt([0, 1]) != L.elt([0, 1])
+    assert K.one != L.one and K.elt(Fraction(1, 2)) != L.elt(Fraction(1, 2))
 
 
 @pytest.mark.parametrize("poly", [
@@ -269,7 +294,7 @@ def test_inverse_matches_fraction_solve(poly):
         x = _random_element(K, rng)
         if x.is_zero():
             continue
-        m, den = K._mult_matrix(x.coords)
+        m, den = K._mult_matrix(x.nums), x.den
         assert x.inverse().coords == tuple(la.frac_solve(m, [den] + [0] * (K.degree - 1)))
     with pytest.raises(ZeroDivisionError):
         K.zero.inverse()
