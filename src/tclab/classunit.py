@@ -11,26 +11,28 @@ through binary quadratic forms (Gauss reduction in the definite case,
 reduction cycles in the indefinite case).  In a totally real field
 of degree >= 3 it is decided by enumerating the ideal's points of T2 =
 Tr(x^2) up to a radius that provably holds a generator when there is one:
-Fincke-Pohst over an LLL-reduced basis, with the radius taken from unit
-log enclosures rounded outward.  The units of such a field come from
-the same walk over T2 shells (_t2_shells), on O itself: the smallest
-units whose independence certified_log_rank proves, then saturated.
-So no GRH and no floating point enter the certified path.  mpmath, for
-the analytic guesses that exact checks then confirm, is imported by the
-functions that use it.
+Fincke-Pohst over an LLL-reduced basis, with the radius an exact
+rational bound read off the units' embedding enclosures.  The units of
+such a field come from the same walk over T2 shells (_t2_shells), on O
+itself: the smallest units whose independence certified_log_rank proves
+by tame characters, then saturated.  So no GRH and no floating point
+enter the certified path: float logs only filter unit candidates, and
+mpmath only proposes p-th roots (_pth_root_totally_real,
+_pth_root_imag_quadratic) that are checked exactly.  It is imported by
+the functions that use it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import count, product
 from operator import itemgetter, mul
 
 from . import intlinalg as la
-from .embeddings import certified_log_rank, log_abs_interval
+from .embeddings import certified_log_rank
 from .numberfield import (
     FieldError,
     NFElement,
@@ -69,20 +71,20 @@ class UnitBasis:
         return 1 if self.torsion_order % p == 0 else 0
 
     @cached_property
-    def t2_spread(self):
-        """An mpmath interval, rounded outward, holding sum_i exp(sum_j
-        |log|sigma_i(u_j)||) over the real embeddings sigma_i and the
-        fundamental units u_j: the unit part of _principal_by_t2's
-        radius, which only the N(I)^(2/n) scale of the ideal joins."""
-        import mpmath
+    def t2_spread(self) -> Fraction:
+        """An upper bound for sum_i exp(sum_j |log|sigma_i(u_j)||) over the
+        real embeddings sigma_i and the fundamental units u_j: the unit
+        part of _principal_by_t2's radius, which only the N(I)^(2/n) scale
+        of the ideal joins.  exp|log a| = max(a, 1/a), which on an
+        enclosure [a, b] of |sigma_i(u_j)|, 0 < a, is at most max(b, 1/a):
+        the bound is exact rational arithmetic on the enclosures."""
         emb = self.field.embeddings
-        logs = []
+        bounds = []
         for u in self.fundamental_units:
             emb.element_signs(u)  # refines until no enclosure contains 0
-            logs.append([log_abs_interval(iv) for iv in emb.element_intervals(u)])
-        iv = mpmath.iv
-        return sum((iv.exp(sum((abs(row[i]) for row in logs), iv.mpf(0)))
-                    for i in range(self.field.degree)), iv.mpf(0))
+            bounds.append([max(hi, 1 / lo) if lo > 0 else max(-lo, -1 / hi)
+                           for lo, hi in emb.element_intervals(u)])
+        return sum(math.prod(row[i] for row in bounds) for i in range(self.field.degree))
 
 
 class UnitRankError(RuntimeError):
@@ -94,11 +96,18 @@ class UnitRankError(RuntimeError):
 
 def unit_group(field: NumberField, p: int | None = None) -> UnitBasis:
     """Torsion and independent units, saturated at 2, 3, 5 and p.  The
-    cached group is reused when it is saturated at p already, so the
-    result does not depend on which p an earlier call asked for."""
+    cached group is reused, and saturated at p alone when it is not yet:
+    each root taken enlarges the unit lattice by index p, which keeps the
+    units independent and saturated at the primes done before (see
+    _saturate)."""
     saturate_at = tuple(sorted({2, 3, 5, p} - {None}))
     cached = field._unit_cache
-    if cached is not None and set(saturate_at) <= set(cached.saturated_at):
+    if cached is not None:
+        new = sorted(set(saturate_at) - set(cached.saturated_at))
+        if new:
+            cached = field._unit_cache = replace(
+                cached, fundamental_units=_saturate(field, cached.fundamental_units, new),
+                saturated_at=tuple(sorted(cached.saturated_at + tuple(new))))
         return cached
     r1, r2 = field.signature
     if r2 and field.degree >= 3:
@@ -117,7 +126,7 @@ def unit_group(field: NumberField, p: int | None = None) -> UnitBasis:
     else:
         units = _unit_system_by_t2(field, rank)
         units = _saturate(field, units, saturate_at)
-        witness = certified_log_rank(field, units, rank)
+        witness = certified_log_rank(field, units)
         if not witness:
             raise UnitRankError(rank, 0)
         ub = UnitBasis(field, w, tgen, units, saturate_at, witness)
@@ -182,7 +191,7 @@ def _unit_system_by_t2(field: NumberField, rank: int) -> list[NFElement]:
                 c = _dot(v, w) / _dot(w, w)
                 v = [a - c * b for a, b in zip(v, w)]
             det = gram_det * _dot(v, v)
-            if det < 1e-6 or not certified_log_rank(field, units + [u], len(units) + 1):
+            if det < 1e-6 or not certified_log_rank(field, units + [u]):
                 continue
             units.append(u)
             ortho.append(v)
@@ -292,8 +301,8 @@ def _residue_witness(x: NFElement, p: int) -> bool:
                 return False
 
 
-def _iroot(m: int, k: int) -> int | None:
-    """The integer k-th root of m >= 0 if m is a k-th power, else None."""
+def _floor_root(m: int, k: int) -> int:
+    """floor(m^(1/k)) for an integer m >= 0."""
     if m < 2:
         return m
     # Newton's iteration from above, starting at 2^ceil(bits/k) >= m^(1/k),
@@ -302,8 +311,13 @@ def _iroot(m: int, k: int) -> int | None:
     while True:
         s = ((k - 1) * r + m // r ** (k - 1)) // k
         if s >= r:
-            break
+            return r
         r = s
+
+
+def _iroot(m: int, k: int) -> int | None:
+    """The integer k-th root of m >= 0 if m is a k-th power, else None."""
+    r = _floor_root(m, k)
     return r if r**k == m else None
 
 
@@ -507,9 +521,9 @@ def _principal_by_t2(field: NumberField, lat) -> NFElement | None:
     log lattice, so some generator has log vector (log N(I))/n + sum_j c_j
     L(u_j) with |c_j| <= 1/2, for any independent units u_j, and hence
     T2 <= R = N(I)^(2/n) sum_i exp(sum_j |log|sigma_i(u_j)||).  The T2
-    shells of I are walked from C = ceil(n N(I)^(2/n)) (no element of norm
-    N(I) has smaller T2, by AM-GM) up to R itself, and the first element
-    of norm N(I) found is returned."""
+    shells of I are walked from C, the least integer above n N(I)^(2/n)
+    (no element of norm N(I) has smaller T2, by AM-GM), up to R itself,
+    and the first element of norm N(I) found is returned."""
     ub = unit_group(field)  # refuses fields with complex places
     N = lattice_norm(lat)
     radius, last = _t2_radii(ub, N)
@@ -555,14 +569,15 @@ def _t2_shells(field: NumberField, lat, N: int, radius: int, last: int | None = 
 
 
 def _t2_radii(ub: UnitBasis, N: int) -> tuple[int, int]:
-    """(ceil(n N^(2/n)), R) for the T2 enumeration of _principal_by_t2, from
-    interval enclosures rounded outward: R bounds the least T2 of a
-    generator of any principal ideal of norm N."""
-    import mpmath
-    iv = mpmath.iv
+    """The least integers above n N^(2/n) and above R = N^(2/n) t2_spread,
+    for the T2 enumeration of _principal_by_t2: R bounds the least T2 of a
+    generator of any principal ideal of norm N.  For rational c > 0, an
+    integer m exceeds c N^(2/n) iff m^n exceeds c^n N^2, so iff it exceeds
+    the integer floor(c^n N^2): the least such m is one more than that
+    integer's floor n-th root."""
     n = ub.field.degree
-    scale = iv.exp(iv.log(N) * 2 / n)
-    return tuple(int(mpmath.ceil(mpmath.mpf(r.b))) for r in (scale * n, scale * ub.t2_spread))
+    return tuple(_floor_root(c.numerator**n * N**2 // c.denominator**n, n) + 1
+                 for c in (Fraction(n), ub.t2_spread))
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,13 @@ asked for.  A refinement runs Newton's method in fixed point, snaps the
 approximation to that cell and proves the snap by two exact sign
 evaluations of f; while f' may vanish on the cell, the cell is halved
 instead.  Elements are enclosed by naive interval Horner on integer
-numerators.  Logs and determinants for unit-lattice certification go
-through mpmath interval arithmetic, whose endpoints are dyadic
-rationals, so every sign decision is rigorous.  mpmath is imported by the
-functions that use it, so a process that takes no logarithm (quadratic
-class groups, residue arithmetic) never loads it.
+numerators.  Unit independence is certified by exact tame characters
+(certified_log_rank), so no logarithm and no floating point enters here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from operator import mul
 
 from .polys import _scaled_value, _sign_at
@@ -256,75 +252,21 @@ def _poly_interval(nums, den: int, L: int, H: int, q: int) -> tuple[Fraction, Fr
     return Fraction(lo, d), Fraction(hi, d)
 
 
-def log_abs_interval(iv):
-    """mpmath interval of log|x| for a rational interval not containing 0."""
-    import mpmath
-    lo, hi = iv
-    if lo <= 0 <= hi:
-        raise ValueError("interval straddles zero")
-    a, b = (lo, hi) if lo > 0 else (-hi, -lo)
-    # Interval division rounds outward: take the lower end of a's
-    # enclosure and the upper end of b's.
-    a = mpmath.iv.mpf(a.numerator) / a.denominator
-    b = mpmath.iv.mpf(b.numerator) / b.denominator
-    return mpmath.iv.log(mpmath.iv.mpf([a.a, b.b]))
+def certified_log_rank(field, units) -> bool:
+    """Certify that the units of a totally real field are multiplicatively
+    independent, so that their log vectors have full rank: True at the
+    first l in 3, 5, 7 at which numberfield.certify_independence, with no
+    prime skipped, finds tame characters of order l whose matrix on the
+    units has full rank over F_l.
 
-
-def interval_det_sign(mat) -> int:
-    """Sign of the determinant of a matrix of mpmath intervals; 0 means
-    the enclosure straddles zero (caller should refine and retry)."""
-    d = _iv_det([list(r) for r in mat])
-    if d.a > 0:
-        return 1
-    if d.b < 0:
-        return -1
-    return 0
-
-
-def _iv_det(rows):
-    import mpmath
-    if len(rows) == 1:
-        return rows[0][0]
-    total = mpmath.iv.mpf(0)
-    for j in range(len(rows)):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _iv_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def certified_log_rank(field, units, need_rank: int) -> bool:
-    """Certify that the given units have multiplicatively independent log
-    vectors of rank need_rank, using interval determinants on the first
-    embeddings.  Returns True only when a nonzero determinant enclosure is
-    found."""
-    import mpmath
-    if need_rank == 0:
-        return True
-    emb = field.embeddings
-    eps = Fraction(1, 2**40)
-    # Interval arithmetic reads the precision of the mpmath.iv context,
-    # which mpmath.workprec (the mp context's) leaves alone.
-    prec = mpmath.iv.prec
-    try:
-        for _ in range(8):
-            try:
-                logmat = []
-                for u in units:
-                    ivs = emb.element_intervals(u, eps)
-                    logmat.append([log_abs_interval(iv) for iv in ivs])
-            except ValueError:
-                eps /= 2**40
-                continue
-            # Any need_rank x need_rank minor with nonzero determinant will
-            # do; try the leading columns first, then all column subsets.
-            ncols = len(logmat[0])
-            for colset in combinations(range(ncols), need_rank):
-                sub = [[row[c] for c in colset] for row in logmat]
-                if interval_det_sign(sub) != 0:
-                    return True
-            eps /= 2**40
-            mpmath.iv.prec = max(prec, 200)
-    finally:
-        mpmath.iv.prec = prec
-    return False
+    Sound because l is odd and the roots of unity are +-1: -1 = (-1)^l is
+    an l-th power.  Take a relation prod u_j^a_j = +-1 with a != 0.  While
+    l divides every a_j, a / l is again a relation, as the l-th roots of
+    +-1 in the field are +-1; so some a_j is not divisible by l.  The
+    product is then an l-th power, every character vanishes on it, and a
+    mod l, not 0, lies in the kernel of the matrix, which full rank rules
+    out.  Fields with complex places are refused."""
+    from .numberfield import certify_independence
+    if field.signature[1]:
+        raise ValueError("certified_log_rank needs a totally real field")
+    return any(certify_independence(field, units, (), ell)[0] for ell in (3, 5, 7))

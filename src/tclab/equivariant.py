@@ -20,12 +20,13 @@ from .numberfield import (
     NFElement,
     NumberField,
     PrimeIdeal,
+    certify_independence,
     ideal_sum_contains_one,
     lattice_mul,
 )
 from .polys import poly_eval, prime_factors
 from .rayclass import RayClassData, kernel_presentation
-from .selmer import SelmerBasis, _certify_independence, power_residue_class
+from .selmer import SelmerBasis, power_residue_class
 
 
 class Automorphism:
@@ -257,7 +258,7 @@ def selmer_module(layer: GaloisLayer, sb: SelmerBasis) -> GammaModule:
     p, gens = sb.p, sb.generators
     if not gens:
         return trivial_module(p, 0, len(layer.gamma_gens), layer.order)
-    ok, aux, rows = _certify_independence(layer.L_field, gens, sb.S, p)
+    ok, aux, rows = certify_independence(layer.L_field, gens, sb.S, p)
     if not ok:  # pragma: no cover
         raise FieldError("auxiliary primes failed to separate the basis")
     B = la.FpMatrix.from_rows(rows, p, cols=len(gens))

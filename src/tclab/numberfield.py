@@ -591,6 +591,38 @@ class PrimeIdeal:
         return v
 
 
+def certify_independence(field, gens, skip, p: int):
+    """(certified, aux, rows): auxiliary tame primes aux whose characters
+    of order p on gens, rows[i] at aux[i], have full rank over F_p, which
+    certifies gens independent mod K^{xp}.  The primes above q = 3, 5, 7,
+    ..., 10007 (the first prime past 10^4), q != p, are scanned in order,
+    skipping those in skip, those of norm not 1 mod p and those at which
+    some generator is not a unit; a prime is kept when it raises the rank."""
+    if not gens:
+        return True, [], []
+    skip = {P.label for P in skip}
+    cols, aux = [], []  # each kept column raised the rank, so it is len(cols)
+    q = 2
+    while q < 10**4:
+        q = next_prime(q)
+        if q == p:
+            continue
+        for P in field.factor_prime(q):
+            if P.label in skip or (P.norm - 1) % p != 0:
+                continue
+            try:
+                col = [P.character(g, p) for g in gens]
+            except FieldError:
+                continue
+            trial = la.FpMatrix.from_rows(la.transpose(cols + [col]), p, cols=len(cols) + 1)
+            if la.fp_rank(trial) > len(cols):
+                cols.append(col)
+                aux.append(P)
+                if len(cols) == len(gens):
+                    return True, aux, cols
+    return False, aux, cols
+
+
 def _ideal_lattice(field, q, alpha):
     """HNF column basis of the ideal (q, alpha) for integral alpha."""
     n = field.degree

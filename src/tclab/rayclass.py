@@ -80,6 +80,8 @@ def ray_class_p_part(field: NumberField, modulus: list[PrimeIdeal], p: int) -> R
     for P in modulus:
         if P.q == p:
             raise FieldError(f"modulus prime {P.label} is wild at {p}")
+    if len({P.label for P in modulus}) < len(modulus):
+        raise FieldError("a prime repeats in the modulus; a tame modulus is squarefree")
     cls = class_group(field)
     for P in cls.generating_primes:
         if any(Q.q == P.q and Q.index == P.index for Q in modulus):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import intlinalg as la
 from .classunit import class_group, pth_root, solve_relation_element, unit_group
-from .numberfield import FieldError, NFElement, NumberField, PrimeIdeal, next_prime
+from .numberfield import FieldError, NFElement, NumberField, PrimeIdeal, certify_independence
 from .polys import prime_factors
 from .rayclass import ray_class_p_part
 
@@ -116,44 +116,10 @@ def selmer_basis(field: NumberField, S: list[PrimeIdeal], p: int) -> SelmerBasis
         for g, e in zip(gens, vec):
             x = x * g**e
         sel_gens.append(x)
-    certified, aux, _ = _certify_independence(field, gens, S, p)
+    certified, aux, _ = certify_independence(field, gens, S, p)
     certified = certified and cls.certified and ub.regulator_nonzero_witness
     return SelmerBasis(field, list(S), p, sel_gens, local, gens, labels,
                        kernel, certified, aux)
-
-
-def _certify_independence(field, gens, S, p):
-    """Auxiliary tame primes whose power-residue matrix on the given
-    generators has full rank certify independence mod K^{xp}.  Returns
-    (certified, aux, rows), rows[i] holding the classes of the generators
-    at aux[i]."""
-    if not gens:
-        return True, [], []
-    skip = {P.label for P in S}
-    cols = []
-    aux = []
-    rank = 0
-    q = 2
-    while q < 10**4:
-        q = next_prime(q)
-        if q == p:
-            continue
-        for P in field.factor_prime(q):
-            if P.label in skip or (P.norm - 1) % p != 0:
-                continue
-            try:
-                col = [power_residue_class(g, P, p) for g in gens]
-            except FieldError:
-                continue
-            trial = cols + [col]
-            r = la.fp_rank(la.FpMatrix.from_rows(la.transpose(trial), p, cols=len(trial)))
-            if r > rank:
-                cols.append(col)
-                aux.append(P)
-                rank = r
-            if rank == len(gens):
-                return True, aux, cols
-    return False, aux, cols
 
 
 @dataclass

@@ -7,7 +7,6 @@ import pytest
 
 from tclab import classunit as cu
 from tclab import intlinalg as la
-from tclab.embeddings import log_abs_interval
 from tclab.numberfield import NumberField, Q, lattice_mul, lattice_norm
 from tclab.selmer import is_exceptional
 
@@ -343,6 +342,17 @@ def test_cubic_non_principal_prime():
     assert g is not None and _ideal_of(g) == square
 
 
+def log_abs_interval(iv):
+    """mpmath interval of log|x| for a rational interval not containing 0."""
+    lo, hi = iv
+    a, b = (lo, hi) if lo > 0 else (-hi, -lo)
+    # Interval division rounds outward: take the lower end of a's
+    # enclosure and the upper end of b's.
+    a = mpmath.iv.mpf(a.numerator) / a.denominator
+    b = mpmath.iv.mpf(b.numerator) / b.denominator
+    return mpmath.iv.log(mpmath.iv.mpf([a.a, b.b]))
+
+
 def _t2_radii_from_scratch(field, units, N):
     """The radii of _t2_radii with the unit part computed afresh from the
     units: the reference for UnitBasis.t2_spread."""
@@ -386,9 +396,9 @@ def test_unit_search_skips_dependent_candidates(monkeypatch):
     seen = []
     real = cu.certified_log_rank
 
-    def counting(field, units, need_rank):
+    def counting(field, units):
         seen.append(list(units))
-        return real(field, units, need_rank)
+        return real(field, units)
 
     def shells(field, lat, N, radius, last=None):
         # One shell of units, listed in the order the search must take it.
@@ -504,6 +514,22 @@ def test_saturation_takes_one_pass_per_prime(monkeypatch):
     saturated = cu._saturate(K, [u1, u2**3], (2, 3, 5))
     assert asked.count(2) == 6 and 3 in asked
     assert abs(la.det([_unit_exponents(K, v, [u1, u2]) for v in saturated])) == 1
+
+
+def test_unit_group_saturates_the_cached_group_at_a_new_p(monkeypatch):
+    # x^3 + 3x^2 - 4x - 1: one T2 walk serves every p, each new p only
+    # saturates the cached units further, and no p is dropped.
+    K = NumberField((-1, -4, 3, 1))
+    walks = []
+    real = cu._unit_system_by_t2
+    monkeypatch.setattr(cu, "_unit_system_by_t2",
+                        lambda field, rank: walks.append(rank) or real(field, rank))
+    first = cu.unit_group(K).fundamental_units
+    for p in (7, 11, 7, 13):
+        ub = cu.unit_group(K, p)
+    assert walks == [2]
+    assert ub.saturated_at == (2, 3, 5, 7, 11, 13) and cu.unit_group(K, 11) is ub
+    assert abs(la.det([_unit_exponents(K, v, first) for v in ub.fundamental_units])) == 1
 
 
 # The saturated unit systems that the coordinate-box search, which the T2

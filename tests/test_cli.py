@@ -92,6 +92,16 @@ def test_precondition_exit_code(capsys):
     assert "wild" in rep["error"]["reason"]
 
 
+@pytest.mark.parametrize("command,option", [("rayclass", "--modulus"), ("rusb", "--S")])
+def test_repeated_modulus_prime_is_precondition(capsys, command, option):
+    code, out, err = run_capture(capsys, ["--json", command, "--field", "sqrt5.field",
+                                          "--p", "5", option, "11,11"])
+    assert code == 2 and out == ""
+    rep = json.loads(err.strip())
+    assert rep["error"]["kind"] == "precondition"
+    assert "repeats" in rep["error"]["reason"]
+
+
 P_COMMANDS = {
     "selmer": ["--S", "11"],
     "rusb": ["--S", "11"],

@@ -14,7 +14,7 @@ except ImportError:  # pragma: no cover
 
 from tclab import intlinalg as la
 from tclab import polys
-from tclab.embeddings import RealEmbeddings, _poly_interval, certified_log_rank, log_abs_interval
+from tclab.embeddings import RealEmbeddings, _poly_interval, certified_log_rank
 from tclab.numberfield import FieldError, NumberField
 
 from conftest import fresh_python, quadratic_field
@@ -383,19 +383,19 @@ def test_refined_intervals_match_bisection(f, basis):
 
 
 def test_certified_log_rank_cubic():
+    # -1 is a cube, so the characters of order 3 see u1 and -u1 alike; they
+    # vanish on the cube u1^3, which those of order 5 tell apart from u2.
+    # Independent systems are certified; dependent ones never, whatever
+    # the signs.
     from tclab.classunit import unit_group
     L = NumberField((-1, -2, 1, 1), label="zeta7plus")
-    ub = unit_group(L)
-    assert certified_log_rank(L, ub.fundamental_units, 2)
-
-
-def test_log_abs_interval_rounds_outward():
-    # |x| = 1 + 2^-60 rounds to 1.0 in double precision, but log|x| > 0
-    # must stay inside the enclosure.
-    a = Fraction(2**60 + 1, 2**60)
-    for iv in ((a, a), (-a, -a)):
-        enc = log_abs_interval(iv)
-        assert enc.a <= 0 < enc.b
+    u1, u2 = unit_group(L).fundamental_units
+    for units in ([u1, u2], [-u1, u2], [u1**3, u2]):
+        assert certified_log_rank(L, units)
+    for units in ([u1, -u1], [u1, u1**3]):
+        assert not certified_log_rank(L, units)
+    with pytest.raises(ValueError):
+        certified_log_rank(quadratic_field(-5), [])
 
 
 def test_certified_log_rank_without_classunit():
@@ -404,7 +404,7 @@ def test_certified_log_rank_without_classunit():
     code = ("from tclab.numberfield import NumberField\n"
             "from tclab.embeddings import certified_log_rank\n"
             "K = NumberField([-1, -1, 1])\n"
-            "print(certified_log_rank(K, [K.elt([0, 1])], 1))\n")
+            "print(certified_log_rank(K, [K.elt([0, 1])]))\n")
     proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True\n"

@@ -53,6 +53,15 @@ def test_wild_prime_refused():
         rc.ray_class_p_part(Q, Q.factor_prime(3), 3)
 
 
+def test_repeated_modulus_prime_refused():
+    # A tame modulus is squarefree: 11 * 11 is refused, not read as 11.
+    K = quadratic_field(5)
+    P = K.factor_prime(11)[0]
+    assert rc.ray_class_p_part(K, [P], 5).p_group.is_trivial
+    with pytest.raises(FieldError, match="repeats"):
+        rc.ray_class_p_part(K, [P, P], 5)
+
+
 def test_trivial_modulus_gives_class_group():
     K = quadratic_field(-23)
     rcd = rc.ray_class_p_part(K, [], 3)
