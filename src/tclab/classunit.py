@@ -16,10 +16,7 @@ rational bound read off the units' embedding enclosures.  The units of
 such a field come from the same walk over T2 shells (_t2_shells), on O
 itself: the smallest units whose independence certified_log_rank proves
 by tame characters, then saturated.  So no GRH and no floating point
-enter the certified path: float logs only filter unit candidates, and
-mpmath only proposes p-th roots (_pth_root_totally_real,
-_pth_root_imag_quadratic) that are checked exactly.  It is imported by
-the functions that use it.
+enter the certified path: float logs only filter unit candidates.
 """
 
 from __future__ import annotations
@@ -32,6 +29,7 @@ from itertools import count, product
 from operator import itemgetter, mul
 
 from . import intlinalg as la
+from . import polys
 from .embeddings import certified_log_rank
 from .numberfield import (
     FieldError,
@@ -261,7 +259,7 @@ def pth_root(x: NFElement, p: int) -> NFElement | None:
     r^((q-1)/p) != 1 (mod q).  A p-th power y^p reduces to s^p with
     s^(q-1) = 1 there, so the witness proves that x has no p-th root.
     Without one among the first _WITNESS_TESTS such primes, the root is
-    sought from the embeddings and checked exactly."""
+    sought in integers and checked exactly."""
     field = x.field
     if x.is_zero():
         raise FieldError("p-th root of zero")
@@ -322,7 +320,6 @@ def _iroot(m: int, k: int) -> int | None:
 
 
 def _pth_root_totally_real(x: NFElement, p: int) -> NFElement | None:
-    import mpmath
     field = x.field
     emb = field.embeddings
     signs = emb.element_signs(x)
@@ -337,65 +334,57 @@ def _pth_root_totally_real(x: NFElement, p: int) -> NFElement | None:
     bits = max(abs(c.numerator).bit_length() + c.denominator.bit_length()
                for c in x.power_coords())
     prec = max(80, bits + p * (den.bit_length() + 8))
-    with mpmath.workdps(max(60, prec // 3)):
-        ivs = emb.element_intervals(x, Fraction(1, 2**prec))
-        mags = [mpmath.root(abs(_mid(iv)), p) for iv in ivs]
-        # A[i][j] = sigma_i(basis element j), whose power coordinates are
-        # row j of the basis matrix.
-        A = mpmath.matrix([[sum(mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) * tv**k
-                                for k, c in enumerate(row))
-                            for row in field._basis_rows]
-                           for tv in map(_mid, emb.intervals)])
-        # For odd p the root tracks the sign of x at each embedding; for
-        # even p any sign pattern is possible, so try them all (up to a
-        # global sign).  The final equality check is exact either way.
-        if p % 2:
-            patterns = [tuple(1 if s >= 0 else -1 for s in signs)]
-        else:
-            patterns = [(1,) + rest for rest in la.product_first_fastest([(1, -1)] * (n - 1))]
-        for pat in patterns:
-            roots = [s * m for s, m in zip(pat, mags)]
-            sol = mpmath.lu_solve(A, mpmath.matrix(roots))
-            cand = field.elt([Fraction(int(mpmath.nint(sol[i] * den)), den) for i in range(n)])
-            if cand**p == x:
-                return cand
+    # In units of 2^-prec, from the midpoints of the enclosures:
+    # mags[i] = |sigma_i(x)|^(1/p) and conj[j][i] = sigma_i(b_j).
+    ivs = emb.element_intervals(x, Fraction(1, 2**prec))
+    mags = [_floor_root(math.floor(abs(lo + hi) * 2 ** (p * prec - 1)), p) for lo, hi in ivs]
+    conj = [[math.floor((lo + hi) * 2 ** (prec - 1)) for lo, hi in emb.element_intervals(b)]
+            for b in map(field.elt, la.identity(n))]
+    # For odd p the root tracks the sign of x at each embedding; for
+    # even p any sign pattern is possible, so try them all (up to a
+    # global sign).  The root z, sigma_i(z) = pat[i] mags[i], has
+    # coordinates c with G c = (Tr(z b_j))_j, G the exact trace form,
+    # and rhs is that right side in units of 2^(-2 prec).
+    if p % 2:
+        patterns = [tuple(1 if s >= 0 else -1 for s in signs)]
+    else:
+        patterns = [(1,) + rest for rest in la.product_first_fastest([(1, -1)] * (n - 1))]
+    for pat in patterns:
+        rhs = [sum(s * m * c for s, m, c in zip(pat, mags, row)) for row in conj]
+        sol, d = la.bareiss_solve(field.trace_form, rhs)
+        cand = field.elt([Fraction(round(Fraction(den * v, d << 2 * prec)), den) for v in sol])
+        if cand**p == x:
+            return cand
     return None
-
-
-def _mid(iv):
-    import mpmath
-    s = iv[0] + iv[1]
-    return mpmath.mpf(s.numerator) / mpmath.mpf(s.denominator) / 2
 
 
 def _pth_root_imag_quadratic(x: NFElement, p: int) -> NFElement | None:
     """The root with the least omega-coordinate (then the greatest
-    1-coordinate) among the p-th roots of x, or None."""
-    import mpmath
+    1-coordinate) among the p-th roots of x, or None.  A root z of
+    y = den^p x has norm m = N(y)^(1/p) and a trace s with s^2 <= 4m that
+    solves V_p(s) = Tr y, V the Lucas sequence z^k + zbar^k: V_0 = 2,
+    V_1 = S, V_(k+1) = S V_k - m V_(k-1).  With omega = (t + sqrt D)/2,
+    z = u + v omega has s = 2u + tv and v^2 = (4m - s^2)/|D|."""
     field = x.field
     den = x.den
     y = x * (den**p)
-    if _iroot(int(y.norm()), p) is None:
+    if (m := _iroot(int(y.norm()), p)) is None:
         return None
-    # Under the complex embedding, a + b omega is a + b (t + i sqrt|D|)/2
-    # with t = Tr(omega).  Every root of y lies among the p complex roots
-    # of sigma(y); each is rounded to integral coordinates and checked
-    # exactly.  Working precision covers the size of sigma(y).
+    prev, lucas = (2,), (0, 1)
+    for _ in range(p - 1):
+        prev, lucas = lucas, polys.poly_sub((0,) + lucas, tuple(m * c for c in prev))
+    g = polys.squarefree_part(polys.poly_sub(lucas, (int(y.trace()),)))
     t, _ = quadratic_trace_norm(field)
-    a, b = y.nums
-    with mpmath.workprec((abs(a) + abs(b)).bit_length() + field.disc.bit_length() + 64):
-        sq = mpmath.sqrt(-field.disc)
-        z0 = mpmath.root(mpmath.mpc(a + b * mpmath.mpf(t) / 2, b * sq / 2), p)
-        roots = []
-        for k in range(p):
-            z = z0 * mpmath.expjpi(mpmath.mpf(2 * k) / p)
-            v = int(mpmath.nint(2 * z.imag / sq))
-            cand = field.elt([int(mpmath.nint(z.real - mpmath.mpf(v * t) / 2)), v])
-            if cand**p == y:
+    roots = []
+    for s in polys.integer_roots(g, polys.real_root_cells(g, _floor_root(4 * m, 2) + 1)):
+        q, r = divmod(4 * m - s * s, -field.disc)
+        if r or (w := _iroot(q, 2)) is None:
+            continue
+        for v in {w, -w}:
+            u, odd = divmod(s - t * v, 2)
+            if not odd and (cand := field.elt([u, v]))**p == y:
                 roots.append(cand)
-    if not roots:
-        return None
-    return min(roots, key=lambda z: (z.nums[1], -z.nums[0])) / den
+    return min(roots, key=lambda z: (z.nums[1], -z.nums[0])) / den if roots else None
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 Polynomials are coefficient tuples in ascending degree order.  Over Q
 there are discriminants (resultants as Sylvester determinants), Sturm
-sequences by integer pseudo-division, the isolation of real roots into
-integer dyadic cells whose Sturm signs come from one integer Horner, and
-an irreducibility test from those cells or from factorization patterns
-mod q (Cohen, GTM 138, 3.3 and 4.1).  Everything over Q stays in
+sequences by integer pseudo-division, squarefree parts, the isolation of
+real roots into integer dyadic cells whose Sturm signs come from one
+integer Horner, the integer roots in those cells, and an irreducibility
+test from them or from factorization patterns mod q (Cohen, GTM 138, 3.3
+and 4.1).  Everything over Q stays in
 integers.  A tiny residue-field type F_{q^f} = F_q[t]/(g) sits here too,
 since it is just polynomial arithmetic: it reduces integer coefficient
 vectors and products through one table of the rows t^k mod g, taking
@@ -16,7 +17,7 @@ F_q[x] arithmetic (gfp_*) serves the factorization.
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import product, zip_longest
 
 from .intlinalg import det
 
@@ -34,17 +35,8 @@ def poly_deg(f: Poly) -> int:
     return len(f) - 1
 
 
-def poly_add(f: Poly, g: Poly) -> Poly:
-    n = max(len(f), len(g))
-    return poly_trim([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)])
-
-
-def poly_neg(f: Poly) -> Poly:
-    return tuple(-c for c in f)
-
-
 def poly_sub(f: Poly, g: Poly) -> Poly:
-    return poly_add(f, poly_neg(g))
+    return poly_trim([a - b for a, b in zip_longest(f, g, fillvalue=0)])
 
 
 def poly_mul(f: Poly, g: Poly) -> Poly:
@@ -152,20 +144,20 @@ def _variations_at(seq, X: int, E: int) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def real_root_cells(f: Poly) -> list[tuple[int, int, int]]:
-    """One integer cell (L, W, E) per real root of the monic squarefree
-    integer polynomial f, ascending: the half-open interval
+def real_root_cells(f: Poly, bound: int | None = None) -> list[tuple[int, int, int]]:
+    """One integer cell (L, W, E) per real root in (-B, B] of the monic
+    squarefree integer polynomial f, ascending: the half-open interval
     (L / 2^E, (L + W) / 2^E] holds exactly that root, and is narrower
     than 1.
 
-    All roots lie in (-B, B] for the Cauchy bound B = 1 + max |a_i|;
-    that interval, the cell (-B, 2B, 0), is bisected, the cell (L, W, E)
+    B is bound, by default the Cauchy bound 1 + max |a_i|, which holds
+    every root.  The cell (-B, 2B, 0) is bisected, the cell (L, W, E)
     into (2L, W, E + 1) and (2L + W, W, E + 1), and the Sturm count
     V(lo) - V(hi) gives the number of roots in each piece, also when an
     endpoint is itself a root.
     """
     seq = sturm_sequence(f)
-    B = 1 + max(abs(c) for c in f[:-1])
+    B = bound or 1 + max(abs(c) for c in f[:-1])
     W = 2 * B
     stack = [(-B, 0, _variations_at(seq, -B, 0), _variations_at(seq, B, 0))]
     out = []
@@ -182,6 +174,27 @@ def real_root_cells(f: Poly) -> list[tuple[int, int, int]]:
     return out
 
 
+def squarefree_part(f: Poly) -> Poly:
+    """f / gcd(f, f') for monic f in Z[x].  The gcd g, the last Sturm
+    entry made primitive, divides f, so g[-1] = +-1 and long division by
+    the monic g[-1] g stays in integers."""
+    g = sturm_sequence(f)[-1]
+    g = [c // math.gcd(*g) for c in g]
+    r, q = list(f), []
+    for i in reversed(range(len(f) - len(g) + 1)):
+        q.append(c := r[i + len(g) - 1])
+        for j, gc in enumerate(g):
+            r[i + j] -= c * g[-1] * gc
+    return tuple(reversed(q))
+
+
+def integer_roots(f: Poly, cells) -> list[int]:
+    """The integer roots of f in its real_root_cells cells, ascending: the
+    floor of a cell's right end is the only integer it can hold."""
+    return [k for L, W, E in cells
+            if (k := (L + W) >> E) << E > L and poly_eval(f, k) == 0]
+
+
 # Primes q not dividing disc(f) whose factorization patterns is_irreducible
 # reads before it gives up and asks sympy.
 _PATTERN_PRIMES = 30
@@ -192,20 +205,18 @@ def is_irreducible(f: Poly, cells) -> bool:
     whose real_root_cells are cells, is irreducible over Q.
 
     Degree <= 3: f is reducible exactly when it has a rational root, and
-    a rational root of a monic integer polynomial is an integer.  Each
-    cell is narrower than 1, so the floor of its right end is the only
-    integer it can hold.  Degree 4-6: a factor of degree d over Q reduces
-    to a product of irreducible factors mod q, so d is a sum of some of
-    the factor degrees of f mod q for every prime q not dividing disc(f).
-    When no d in 1..n-1 is such a sum for all the primes read, f is
-    irreducible.  Some polynomials (x^4 + 1, x^4 - 10x^2 + 1, and every
-    reducible one) leave a d at every q; only these reach sympy, imported
-    here so that nothing else pays for it.
+    a rational root of a monic integer polynomial is an integer.  Degree
+    4-6: a factor of degree d over Q reduces to a product of irreducible
+    factors mod q, so d is a sum of some of the factor degrees of f mod q
+    for every prime q not dividing disc(f).  When no d in 1..n-1 is such
+    a sum for all the primes read, f is irreducible.  Some polynomials
+    (x^4 + 1, x^4 - 10x^2 + 1, and every reducible one) leave a d at
+    every q; only these reach sympy, imported here so that nothing else
+    pays for it.
     """
     n = poly_deg(f)
     if n <= 3:
-        return n == 1 or all(
-            (k := (L + W) >> E) << E <= L or poly_eval(f, k) for L, W, E in cells)
+        return n == 1 or not integer_roots(f, cells)
     disc = discriminant(f)
     if disc == 0:
         return False  # f has a repeated factor
@@ -239,17 +250,11 @@ def gfp_trim(f, q):
 
 
 def gfp_add(f, g, q):
-    return gfp_trim([(a + b) for a, b in _zip_pad(f, g)], q)
+    return gfp_trim([a + b for a, b in zip_longest(f, g, fillvalue=0)], q)
 
 
 def gfp_sub(f, g, q):
-    return gfp_trim([(a - b) for a, b in _zip_pad(f, g)], q)
-
-
-def _zip_pad(f, g):
-    n = max(len(f), len(g))
-    for i in range(n):
-        yield (f[i] if i < len(f) else 0), (g[i] if i < len(g) else 0)
+    return gfp_trim([a - b for a, b in zip_longest(f, g, fillvalue=0)], q)
 
 
 def gfp_mul(f, g, q):

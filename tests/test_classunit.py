@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,10 +8,10 @@ import pytest
 
 from tclab import classunit as cu
 from tclab import intlinalg as la
-from tclab.numberfield import NumberField, Q, lattice_mul, lattice_norm
+from tclab.numberfield import NumberField, Q, is_prime, lattice_mul, lattice_norm
 from tclab.selmer import is_exceptional
 
-from conftest import CUBICS_WITH_CLASSES, TRIVIAL_CUBICS, quadratic_field
+from conftest import CUBICS_WITH_CLASSES, TRIVIAL_CUBICS, fresh_python, quadratic_field
 from test_polys_embeddings import CUBIC_CORPUS
 
 # class numbers of quadratic fields, from standard tables
@@ -203,6 +204,65 @@ def test_pth_root_imaginary():
         r = cu.pth_root(x * x, 2)
         assert r is not None and r * r == x * x
     assert cu.pth_root(K.elt([3**300, 3**300]) ** 2 * 3, 2) is None
+
+
+@pytest.mark.parametrize("n", [-1, -3, -7, -2])
+def test_pth_root_imaginary_odd_p(n):
+    # The roots of y^p are y zeta for the roots of unity zeta with
+    # zeta^p = 1 (three cube roots in Q(sqrt -3), one otherwise), and the
+    # pick is the least omega-coordinate, then the greatest 1-coordinate.
+    # pi^2 / N(pi), for pi of prime norm prime to the discriminant, has
+    # norm 1 but valuation 1 at the prime that pi generates: never a p-th
+    # power.
+    K = quadratic_field(n)
+    ub = cu.unit_group(K)
+    mu = [ub.torsion_gen**k for k in range(ub.torsion_order)]
+    pi = next(x for a in range(1, 20) for b in (1, 2)
+              if is_prime(q := (x := K.elt([a, b])).norm().numerator) and K.disc % q)
+    rng = random.Random(n)
+    for p in (3, 5, 7):
+        assert sum(z**p == K.one for z in mu) == (3 if n == -3 and p == 3 else 1)
+        for _ in range(4):
+            y = K.elt([Fraction(rng.randint(-10**6, 10**6), rng.choice((1, 2, 3, 10)))
+                       for _ in range(2)])
+            roots = [y * z for z in mu if z**p == K.one]
+            expected = min(roots, key=lambda r: (r.coords[1], -r.coords[0]))
+            assert cu.pth_root(y**p, p) == expected
+            for x in (y**p * 2, y**p * pi**2 / pi.norm()):
+                assert cu.pth_root(x, p) is None
+                assert cu._pth_root_imag_quadratic(x, p) is None
+
+
+def test_pth_root_without_mpmath(tmp_path):
+    # A fresh interpreter in which importing mpmath fails: the units of
+    # x^4 - 5x^2 + 5 (which take p-th roots with no residue witness), the
+    # witnesses of Q(i) and a cube root with a tiny conjugate.
+    (tmp_path / "q4.field").write_text("poly 5 0 -5 0 1\n")
+    (tmp_path / "qi.field").write_text("poly 1 0 1\n")
+    commands = [["units", "--field", str(tmp_path / "q4.field")],
+                ["exceptional", "--field", str(tmp_path / "qi.field")]]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from tclab import classunit as cu, cli\n"
+        "from tclab.numberfield import NumberField\n"
+        f"for argv in {commands!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert cli.run(['--json'] + argv) == 0\n"
+        "    print(json.dumps(json.loads(out.getvalue())['results']))\n"
+        "K = NumberField((-33331, 0, 1))\n"
+        "y = cu.unit_group(K).fundamental_units[0] ** 2 * K.elt([3, 1])\n"
+        "print(cu.pth_root(y**3, 3) in (y, -y))\n"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    units, exceptional, cube = proc.stdout.splitlines()
+    assert json.loads(units)["fundamental_units"] == ["[-3, 0, 1, 0]", "[-1, 1, 0, 0]",
+                                                      "[-1, -3, 0, 1]"]
+    exceptional = json.loads(exceptional)
+    assert (exceptional["witness_a"], exceptional["witness_b"]) == ("[0, -1]", "[1/2, -1/2]")
+    assert cube == "True"
 
 
 def test_iroot():
@@ -463,12 +523,18 @@ def test_residue_witness_is_sound(name):
         assert witnessed >= 4
 
 
+def _mid(iv):
+    """The midpoint of a rational interval as an mpmath number."""
+    s = iv[0] + iv[1]
+    return mpmath.mpf(s.numerator) / mpmath.mpf(s.denominator) / 2
+
+
 def _unit_exponents(K, v, units):
     """Integers e with v = +-prod u_j^e_j: proposed from the log vectors,
     then checked exactly."""
     emb = K.embeddings
     with mpmath.workdps(30):
-        logs = [[mpmath.log(abs(cu._mid(iv))) for iv in emb.element_intervals(x, Fraction(1, 2**100))]
+        logs = [[mpmath.log(abs(_mid(iv))) for iv in emb.element_intervals(x, Fraction(1, 2**100))]
                 for x in units + [v]]
         rows = [row[:len(units)] for row in logs]
         sol = mpmath.lu_solve(mpmath.matrix(rows[:-1]).T, mpmath.matrix(rows[-1]))

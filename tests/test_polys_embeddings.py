@@ -94,6 +94,24 @@ def test_is_irreducible_matches_sympy():
         assert polys.is_irreducible(f, polys.real_root_cells(f)) == sympy_poly(f).is_irreducible, f
 
 
+def test_integer_roots_of_the_squarefree_part():
+    # Products of (x - r) with repeated r, some times an irreducible
+    # factor: the squarefree part is sympy's, and its integer roots in
+    # (-B, B] are the r found by brute force.
+    rng = random.Random(25)
+    for _ in range(300):
+        f = (1,)
+        for r in (rng.randint(-9, 9) for _ in range(rng.randint(1, 5))):
+            f = polys.poly_mul(f, (-r, 1))
+        f = polys.poly_mul(f, rng.choice([(1,), (1, 0, 1), (-2, 0, 1), (1, 1, 1)]))
+        g = polys.squarefree_part(f)
+        assert sympy_poly(g) == sympy.sqf_part(sympy_poly(f)), f
+        roots = [r for r in range(-10, 10) if polys.poly_eval(f, r) == 0]
+        assert polys.integer_roots(g, polys.real_root_cells(g)) == roots, f
+        B = rng.randint(1, 10)
+        assert polys.integer_roots(g, polys.real_root_cells(g, B)) == [r for r in roots if -B < r <= B]
+
+
 # The reference for real_root_cells: the Sturm isolation in Fraction
 # arithmetic that it replaced, bisecting (-B, B] for B = 1 + max |a_i / a_n|
 # until each half-open piece holds one root and, when width is given, is
