@@ -151,10 +151,13 @@ def _torsion(field: NumberField) -> tuple[int, NFElement]:
 
 
 def _real_quadratic_fundamental(field: NumberField) -> NFElement:
-    """Fundamental unit (x + y sqrt(D))/2 with x, y > 0: the first unit
-    other than +-1 on the reduction cycle of O (Cohen, GTM 138, Alg. 5.7.2)."""
-    u = next(g for g in _cycle_generators(field, la.identity(2))
-             if g not in (field.one, -field.one))
+    """Fundamental unit (x + y sqrt(D))/2 with x, y > 0.  The walk on the
+    reduction cycle of O ends at the first form with |a| = 1 after its
+    first reduced one.  Both are reduced, so their generators are
+    successive unit minima of O, which differ by eps or 1/eps (Cohen,
+    GTM 138, 5.7)."""
+    *_, g0, g1 = _cycle_generators(field, la.identity(2))
+    u = g1 / g0
     # u = a + b omega = (x + y sqrt(D))/2 with x = 2a + bt, y = b, where
     # t = Tr(omega); +-u and its conjugate only flip the signs of x and y.
     t, _ = quadratic_trace_norm(field)
@@ -464,16 +467,20 @@ def _cycle_generators(field: NumberField, lat):
     form f to f o m, so at each form with leading coefficient +-1 the
     first column (s, t) of m gives s v1 + t v2 of norm +-N(I): a
     generator.  The ideal is principal iff one turns up before a reduced
-    form repeats, which ends the walk."""
+    form repeats, which ends the walk; but once the walk has passed a
+    reduced form with |a| = 1, it ends at the next form with |a| = 1."""
     form = ideal_form(field, lat)
     D = field.disc
     assert form[1] ** 2 - 4 * form[0] * form[2] == D
     m = [[1, 0], [0, 1]]
-    seen = set()
+    seen, on_cycle = set(), False
     while True:
         if abs(form[0]) == 1:
             yield field.elt(la.mat_vec(lat, [m[0][0], m[1][0]]))
-        if _is_reduced(form, D):
+            if on_cycle:
+                return
+            on_cycle = _is_reduced(form, D)
+        elif _is_reduced(form, D) and not on_cycle:
             if form in seen:
                 return
             seen.add(form)

@@ -379,30 +379,16 @@ class NumberField:
 
 
 def dedekind_is_maximal(f, q: int) -> bool:
-    """Dedekind's criterion: is Z[theta] maximal at q?"""
-    fq = gfp_trim(f, q)
-    factors = gfp_factor(fq, q)
-    gbar = (1,)
-    hbar = (1,)
-    for g, e in factors:
-        gbar = polys.gfp_mul(gbar, g, q)
-        hbar = polys.gfp_mul(hbar, _gfp_pow(g, e - 1, q), q)
-    glift = tuple(int(c) for c in gbar)
-    hlift = tuple(int(c) for c in hbar)
-    gh = polys.poly_mul(glift, hlift)
-    diff = polys.poly_sub(gh, f)
-    F = tuple(c // q for c in diff)
+    """Dedekind's criterion: is Z[theta] maximal at q?  With g the product
+    of the distinct irreducible factors of f mod q (its radical) and h =
+    f/g mod q, Z[theta] is maximal at q iff (g h - f)/q, g and h have no
+    common factor mod q."""
+    gbar = polys.gfp_radical(f, q)
+    hbar = polys.gfp_divmod(f, gbar, q)[0]
+    diff = polys.poly_sub(polys.poly_mul(gbar, hbar), f)
     assert all(c % q == 0 for c in diff)
-    gcd1 = gfp_gcd(gfp_trim(F, q), gbar, q)
-    gcd2 = gfp_gcd(gcd1, hbar, q)
-    return polys.poly_deg(gcd2) <= 0
-
-
-def _gfp_pow(g, e, q):
-    out = (1,)
-    for _ in range(e):
-        out = polys.gfp_mul(out, g, q)
-    return out
+    F = gfp_trim([c // q for c in diff], q)
+    return polys.poly_deg(gfp_gcd(gfp_gcd(F, gbar, q), hbar, q)) <= 0
 
 
 # The primes below _sieve_limit, ascending: one sieve for the module,

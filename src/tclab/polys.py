@@ -5,19 +5,21 @@ there are discriminants (resultants as Sylvester determinants), Sturm
 sequences by integer pseudo-division, squarefree parts, the isolation of
 real roots into integer dyadic cells whose Sturm signs come from one
 integer Horner, the integer roots in those cells, and an irreducibility
-test from them or from factorization patterns mod q (Cohen, GTM 138, 3.3
-and 4.1).  Everything over Q stays in
-integers.  A tiny residue-field type F_{q^f} = F_q[t]/(g) sits here too,
-since it is just polynomial arithmetic: it reduces integer coefficient
-vectors and products through one table of the rows t^k mod g, taking
-each coefficient mod q once, and its norm to F_q is a resultant.  The
-F_q[x] arithmetic (gfp_*) serves the factorization.
+test from them, from factorization patterns mod q, or from Hensel lifts
+of the factors mod q (Cohen, GTM 138, 3.3, 3.5 and 4.1).  Everything over
+Q stays in integers.  A tiny residue-field type F_{q^f} = F_q[t]/(g) sits
+here too, since it is just polynomial arithmetic: it reduces integer
+coefficient vectors and products through one table of the rows t^k mod
+g, taking each coefficient mod q once, and its norm to F_q is a
+resultant.  The F_q[x] arithmetic (gfp_*) serves the factorization and
+its Hensel lifts.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product, zip_longest
+from functools import reduce
+from itertools import combinations, product, zip_longest
 
 from .intlinalg import det
 
@@ -196,7 +198,7 @@ def integer_roots(f: Poly, cells) -> list[int]:
 
 
 # Primes q not dividing disc(f) whose factorization patterns is_irreducible
-# reads before it gives up and asks sympy.
+# reads before it tests for a factor directly.
 _PATTERN_PRIMES = 30
 
 
@@ -211,8 +213,14 @@ def is_irreducible(f: Poly, cells) -> bool:
     for every prime q not dividing disc(f).  When no d in 1..n-1 is such
     a sum for all the primes read, f is irreducible.  Some polynomials
     (x^4 + 1, x^4 - 10x^2 + 1, and every reducible one) leave a d at
-    every q; only these reach sympy, imported here so that nothing else
-    pays for it.
+    every q.  Then the read prime q with the fewest factors decides
+    (Zassenhaus, J. Number Theory 1, 1969; Cohen, GTM 138, 3.5): a monic
+    factor G of f over Z with deg G <= n/2 has coefficients of absolute
+    value at most B = 2^(n/2) |f|_2 (Mignotte), and G mod q is the
+    product of some subset of the factors of f mod q.  f is squarefree
+    mod q, so the split f = G H mod q lifts uniquely to mod m = q^k > 2B,
+    and the symmetric residues of the lift of that subset are G.  f is
+    irreducible when no subset gives a divisor of f.
     """
     n = poly_deg(f)
     if n <= 3:
@@ -221,21 +229,49 @@ def is_irreducible(f: Poly, cells) -> bool:
     if disc == 0:
         return False  # f has a repeated factor
     possible = set(range(1, n))
-    q, tried = 1, 0
+    q, tried, fewest = 1, 0, None
     while tried < _PATTERN_PRIMES:
         q += 1
         if prime_factors(q) != [q] or disc % q == 0:
             continue
         tried += 1
+        factors = [g for g, _ in gfp_factor(f, q)]
         sums = {0}
-        for g, _ in gfp_factor(f, q):
+        for g in factors:
             sums |= {s + poly_deg(g) for s in sums}
         possible &= sums
         if not possible:
             return True
-    import sympy
+        if fewest is None or len(factors) < len(fewest[1]):
+            fewest = q, factors
+    q, factors = fewest
+    m, bound = q, 2 ** (n // 2) * (math.isqrt(sum(a * a for a in f)) + 1)
+    while m <= 2 * bound:
+        m *= q
+    for r in range(1, len(factors)):
+        for subset in combinations(factors, r):
+            if (d := sum(map(poly_deg, subset))) > n // 2 or d not in possible:
+                continue
+            g = reduce(lambda a, b: gfp_mul(a, b, q), subset)
+            g = _hensel_lift(f, g, gfp_divmod(f, g, q)[0], q, m)
+            if not _rem(f, tuple(c - m if 2 * c > m else c for c in g)):
+                return False
+    return True
 
-    return sympy.Poly(list(reversed(f)), sympy.Symbol("x")).is_irreducible
+
+def _hensel_lift(f: Poly, g, h, q: int, m: int):
+    """The monic lift mod m = q^k of g, for monic g, h over F_q coprime
+    with f = g h mod q: linear Hensel steps from q^j to q^(j+1), each
+    adding q^j times the corrections t e mod g and s e mod h, where e =
+    (f - g h)/q^j and s g + t h = 1 mod q."""
+    _, s, t = gfp_xgcd(g, h, q)
+    Q = q
+    while Q < m:
+        e = [c // Q for c in poly_sub(f, poly_mul(g, h))]
+        g = gfp_add(g, [Q * c for c in gfp_mod(gfp_mul(t, e, q), g, q)], Q * q)
+        h = gfp_add(h, [Q * c for c in gfp_mod(gfp_mul(s, e, q), h, q)], Q * q)
+        Q *= q
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +330,19 @@ def gfp_gcd(f, g, q):
     f, g = gfp_trim(f, q), gfp_trim(g, q)
     while g:
         f, g = g, gfp_mod(f, g, q)
-    if f:
-        inv = pow(f[-1], -1, q)
-        f = gfp_trim([c * inv for c in f], q)
-    return f
+    return gfp_monic(f, q)
+
+
+def gfp_xgcd(f, g, q):
+    """(d, s, t) with s f + t g = d, the monic gcd of f and g over F_q."""
+    r0, r1, s0, s1, t0, t1 = gfp_trim(f, q), gfp_trim(g, q), (1,), (), (), (1,)
+    while r1:
+        quo, r = gfp_divmod(r0, r1, q)
+        r0, r1 = r1, r
+        s0, s1 = s1, gfp_sub(s0, gfp_mul(quo, s1, q), q)
+        t0, t1 = t1, gfp_sub(t0, gfp_mul(quo, t1, q), q)
+    inv = pow(r0[-1], -1, q)
+    return tuple(gfp_trim([c * inv for c in x], q) for x in (r0, s0, t0))
 
 
 def gfp_monic(f, q):

@@ -8,7 +8,8 @@ import pytest
 
 from tclab import classunit as cu
 from tclab import intlinalg as la
-from tclab.numberfield import NumberField, Q, is_prime, lattice_mul, lattice_norm
+from tclab.numberfield import (FieldError, NumberField, Q, is_prime, lattice_mul, lattice_norm,
+                               quadratic_trace_norm)
 from tclab.selmer import is_exceptional
 
 from conftest import CUBICS_WITH_CLASSES, TRIVIAL_CUBICS, fresh_python, quadratic_field
@@ -93,6 +94,30 @@ def test_real_quadratic_units_match_continued_fraction():
             continue
         u = cu.unit_group(quadratic_field(d)).fundamental_units[0]
         assert tuple(u.coords) == _cf_fundamental_unit(d), d
+
+
+def test_real_quadratic_units_on_every_defining_polynomial():
+    # x^2 + a x + b with |a| <= 8, |b| <= 30 and a^2 - 4b > 1 not a square.
+    # With t = Tr omega, 2 omega - t is a square root of the discriminant
+    # D, so eps = (x + y sqrt D)/2 from quadratic_field is (x - y t)/2 +
+    # y omega on the basis of x^2 + a x + b, and its unit is +-eps^(+-1).
+    count = 0
+    for a in range(-8, 9):
+        for b in range(-30, 31):
+            if a * a - 4 * b <= 1 or math.isqrt(a * a - 4 * b) ** 2 == a * a - 4 * b:
+                continue
+            try:
+                K = NumberField((b, a, 1))
+            except FieldError:  # Z[theta] is not maximal
+                continue
+            n = K.disc if K.disc % 4 == 1 else K.disc // 4
+            e0 = cu.unit_group(quadratic_field(n)).fundamental_units[0]
+            x, y = 2 * e0.coords[0] + e0.coords[1] * (n % 4 == 1), e0.coords[1]
+            t, _ = quadratic_trace_norm(K)
+            eps = K.elt([Fraction(x - y * t, 2), y])
+            assert cu.unit_group(K).fundamental_units[0] in (eps, -eps, eps.inverse(), -eps.inverse()), (a, b)
+            count += 1
+    assert count == 363
 
 
 def test_imaginary_quadratic_torsion():

@@ -163,6 +163,20 @@ def test_reducible_field_file_is_precondition(capsys, tmp_path, poly):
     assert "reducible" in rep["error"]["reason"]
 
 
+def test_real_quadratic_commands_on_a_nonstandard_polynomial(capsys, tmp_path):
+    # x^2 + 3x - 3 generates Q(sqrt 21), with unit 4 + theta = (5 + sqrt 21)/2;
+    # its reduction cycle has period 2.
+    f = tmp_path / "sqrt21.field"
+    f.write_text("poly -3 3 1\n")
+    code, out, _ = run_capture(capsys, ["--json", "units", "--field", str(f)])
+    assert code == 0
+    assert json.loads(out)["results"]["fundamental_units"] == ["[4, 1]"]
+    code, out, _ = run_capture(capsys, ["--json", "selmer", "--field", str(f),
+                                        "--p", "5", "--S", "11"])
+    assert code == 0
+    assert json.loads(out)["results"]["dim"] == 1
+
+
 def test_out_of_scope_exit_code(capsys, tmp_path):
     f = tmp_path / "cbrt2.field"
     f.write_text("poly -2 0 0 1\n")
@@ -303,8 +317,8 @@ def test_classgroup_of_q_sqrt_minus_11311(tmp_path):
 
 
 def test_reproduce_leaves_sympy_unloaded():
-    # sympy costs more start-up time than both examples' arithmetic; only
-    # the rare irreducibility fallback in polys may import it.
+    # sympy costs more start-up time than both examples' arithmetic, and
+    # no command imports it.
     code = ("import contextlib, io, sys\n"
             "from tclab import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"

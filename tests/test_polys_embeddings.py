@@ -89,8 +89,24 @@ def test_count_real_roots_matches_sympy():
         assert len(polys.real_root_cells(f)) == sympy_poly(f).count_roots(), f
 
 
+# Products of monic factors of degrees 2+2, 2+3, 3+3, 2+4 and 2+2+2, with
+# coefficients up to 10 or up to 10^6, the latter near the Mignotte bound's
+# reach.
+def _products(count=60):
+    rng = random.Random(20261020)
+    out = []
+    for i in range(count):
+        split = [(2, 2), (2, 3), (3, 3), (2, 4), (2, 2, 2)][i % 5]
+        B = 10**6 if i % 3 == 0 else 10
+        f = (1,)
+        for d in split:
+            f = polys.poly_mul(f, tuple(rng.randint(-B, B) for _ in range(d)) + (1,))
+        out.append(f)
+    return out
+
+
 def test_is_irreducible_matches_sympy():
-    for f in SAMPLE:
+    for f in SAMPLE + _products():
         assert polys.is_irreducible(f, polys.real_root_cells(f)) == sympy_poly(f).is_irreducible, f
 
 
@@ -236,13 +252,10 @@ def test_one_sturm_isolation_per_field(monkeypatch):
     ((1, 0, 0, 0, 0, 0, 1), False),    # x^6 + 1
 ])
 def test_is_irreducible_fallback(monkeypatch, f, expected):
-    cells = polys.real_root_cells(f)
-    assert polys.is_irreducible(f, cells) == expected
-    # Every pattern mod q leaves a factor degree open, so the answer must
-    # come from sympy.
+    # Every pattern mod q leaves a factor degree open, so the answer comes
+    # from the Hensel lift, with sympy blocked.
     monkeypatch.setitem(sys.modules, "sympy", None)
-    with pytest.raises(ImportError):
-        polys.is_irreducible(f, cells)
+    assert polys.is_irreducible(f, polys.real_root_cells(f)) == expected
 
 
 @pytest.mark.parametrize("f", [
