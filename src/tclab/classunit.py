@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import count, product
+from itertools import accumulate, count, product
 from operator import itemgetter, mul
 
 from . import intlinalg as la
@@ -97,7 +97,8 @@ def unit_group(field: NumberField, p: int | None = None) -> UnitBasis:
     cached group is reused, and saturated at p alone when it is not yet:
     each root taken enlarges the unit lattice by index p, which keeps the
     units independent and saturated at the primes done before (see
-    _saturate)."""
+    _saturate).  The T2 walk certifies the units it returns, so their
+    independence is certified again only when saturation took a root."""
     saturate_at = tuple(sorted({2, 3, 5, p} - {None}))
     cached = field._unit_cache
     if cached is not None:
@@ -122,9 +123,9 @@ def unit_group(field: NumberField, p: int | None = None) -> UnitBasis:
         u = _real_quadratic_fundamental(field)
         ub = UnitBasis(field, w, tgen, [u], saturate_at, True)
     else:
-        units = _unit_system_by_t2(field, rank)
-        units = _saturate(field, units, saturate_at)
-        witness = certified_log_rank(field, units)
+        walked = _unit_system_by_t2(field, rank)
+        units = _saturate(field, walked, saturate_at)
+        witness = units == walked or certified_log_rank(field, units)
         if not witness:
             raise UnitRankError(rank, 0)
         ub = UnitBasis(field, w, tgen, units, saturate_at, witness)
@@ -237,20 +238,22 @@ def _pth_root_of_product(field: NumberField, units, p: int):
     """(i, r) for the first nonzero exponent vector e in [0, p)^r, in
     product order, with r^p = +-prod u^e for some r other than +-1; i is
     the position of e's first nonzero entry.  The vectors with such an r
-    form a subspace of F_p^r, so that entry is 1 and putting r in place of
-    units[i] enlarges the unit lattice by index p.  None if no e has one.
-    For odd p, -1 = (-1)^p, so -prod u^e has a p-th root exactly when
-    prod u^e has one, and only the latter is tried."""
-    powers = [[u**e for e in range(1, p)] for u in units]
-    for exps in product(range(p), repeat=len(units)):
-        factors = [pw[e - 1] for pw, e in zip(powers, exps) if e]
-        if not factors:
-            continue
-        cand = reduce(mul, factors)
-        for x in (cand, -cand) if p == 2 else (cand,):
-            root = pth_root(x, p)
-            if root is not None and not _is_torsion(field, root):
-                return next(i for i, e in enumerate(exps) if e), root
+    form a subspace of F_p^r: with c e in it, e = c^-1 (c e) is in it and
+    comes first in product order.  So only the (p^r - 1)/(p - 1) vectors
+    whose first nonzero entry is 1, one per line, are tried, the first hit
+    is unchanged, and putting r in place of units[i] enlarges the unit
+    lattice by index p.  None if no e has one.  For odd p, -1 = (-1)^p, so
+    -prod u^e has a p-th root exactly when prod u^e has one, and only the
+    latter is tried."""
+    powers = [list(accumulate([u] * (p - 1), mul)) for u in units]  # u, ..., u^(p-1)
+    # In product order, the later the leading 1, the earlier the vector.
+    for i in reversed(range(len(units))):
+        for rest in product(range(p), repeat=len(units) - 1 - i):
+            cand = reduce(mul, [pw[e - 1] for pw, e in zip(powers[i + 1:], rest) if e], units[i])
+            for x in (cand, -cand) if p == 2 else (cand,):
+                root = pth_root(x, p)
+                if root is not None and not _is_torsion(field, root):
+                    return i, root
     return None
 
 

@@ -62,16 +62,18 @@ class NFElement:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
+        """Square-and-multiply with no product by one and no square past
+        the top bit of e: x**2 is one multiplication."""
+        if e <= 0:
+            return self.inverse() ** (-e) if e else self.field.one
+        result, base = None, self
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -12,7 +12,7 @@ here too, since it is just polynomial arithmetic: it reduces integer
 coefficient vectors and products through one table of the rows t^k mod
 g, taking each coefficient mod q once, and its norm to F_q is a
 resultant.  The F_q[x] arithmetic (gfp_*) serves the factorization and
-its Hensel lifts.
+its Hensel lifts; gfp_powmod reduces through such a table of its modulus.
 """
 
 from __future__ import annotations
@@ -294,14 +294,7 @@ def gfp_sub(f, g, q):
 
 
 def gfp_mul(f, g, q):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % q
-    return gfp_trim(out, q)
+    return gfp_trim(_convolve(f, g), q)
 
 
 def gfp_divmod(f, g, q):
@@ -354,14 +347,57 @@ def gfp_monic(f, q):
 
 
 def gfp_powmod(f, e, g, q):
-    result = (1,)
-    f = gfp_mod(f, g, q)
+    """f^e mod g over F_q, e >= 0: square-and-multiply on integer
+    convolutions, each reduced through the fold table of g (_fold_table)."""
+    g = gfp_monic(g, q)
+    n = poly_deg(g)
+    table = _fold_table(g, q, 2 * n - 1)
+    result, f = (1,), gfp_mod(f, g, q)
     while e:
         if e & 1:
-            result = gfp_mod(gfp_mul(result, f, q), g, q)
-        f = gfp_mod(gfp_mul(f, f, q), g, q)
+            result = _fold(_convolve(result, f), n, q, table)
         e >>= 1
+        if e:
+            f = _fold(_convolve(f, f), n, q, table)
     return result
+
+
+def _fold_table(g, q, top):
+    """The rows t^k mod g for f = deg g <= k < top, g monic over F_q, for
+    gfp_powmod and ResidueField.  Each row is t times the one before: its
+    top coefficient c moves to c t^f = -c (g_0 + ... + g_(f-1) t^(f-1))."""
+    f = poly_deg(g)
+    row, table = (0,) * (f - 1) + (1,), []  # t^(f-1)
+    for _ in range(top - f):
+        c = row[-1]
+        row = tuple((s - c * gi) % q for s, gi in zip((0,) + row[:-1], g))
+        table.append(row)
+    return tuple(table)
+
+
+def _fold(coeffs, f, q, table):
+    """sum_k coeffs[k] t^k mod g over F_q, for table = _fold_table(g, q,
+    top), f = deg g and integers coeffs of length at most top: c_k times
+    row k is added into the low f coefficients, each sum mod q once."""
+    low = list(coeffs[:f])
+    low += [0] * (f - len(low))
+    for k in range(f, len(coeffs)):
+        c = coeffs[k]
+        if c:
+            for i, r in enumerate(table[k - f]):
+                low[i] += c * r
+    while low and low[-1] % q == 0:
+        low.pop()
+    return tuple(c % q for c in low)
+
+
+def _convolve(a, b) -> list[int]:
+    """The integer coefficients of the product of a and b, unreduced."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return prod
 
 
 def gfp_factor(f, q) -> list[tuple[Poly, int]]:
@@ -369,24 +405,28 @@ def gfp_factor(f, q) -> list[tuple[Poly, int]]:
     sorted by (degree, coefficient tuple) so the ordering is deterministic.
 
     A quadratic is split in closed form (_factor_quadratic).  Any other
-    degree goes through squarefree decomposition, then distinct-degree
-    splitting, then a derandomized Cantor-Zassenhaus that tries shift
-    polynomials x + c, x^2 + c, ... in a fixed order.
+    degree goes through its radical, then distinct-degree splitting, then
+    a derandomized Cantor-Zassenhaus that tries shift polynomials x + c,
+    x^2 + c, ... in a fixed order; both take powers mod a factor by
+    gfp_powmod.  The multiplicities are counted by division only when f
+    is not squarefree, i.e. not its own radical.
     """
     f = gfp_monic(f, q)
     if poly_deg(f) < 1:
         return []
     if poly_deg(f) == 2:
         return _factor_quadratic(f, q)
+    radical = gfp_radical(f, q)
     out = []
-    for g in _factor_squarefree(gfp_radical(f, q), q):
-        mult = 0
-        rem = f
-        while True:
-            quo, r = gfp_divmod(rem, g, q)
-            if r:
-                break
-            rem, mult = quo, mult + 1
+    for g in _factor_squarefree(radical, q):
+        mult, rem = 1, f
+        if radical != f:  # else f is squarefree and every multiplicity is 1
+            mult = 0
+            while True:
+                quo, r = gfp_divmod(rem, g, q)
+                if r:
+                    break
+                rem, mult = quo, mult + 1
         out.append((g, mult))
     return sorted(out, key=lambda t: (poly_deg(t[0]), t[0]))
 
@@ -452,6 +492,8 @@ def gfp_radical(f, q):
         h = gfp_trim([f[i] for i in range(0, len(f), q)], q)
         return gfp_radical(h, q)
     s = gfp_gcd(f, d, q)
+    if s == (1,):
+        return f
     r1 = gfp_divmod(f, s, q)[0]
     r2 = gfp_radical(s, q) if poly_deg(s) > 0 else (1,)
     g = gfp_gcd(r1, r2, q)
@@ -542,40 +584,15 @@ class ResidueField:
         # a^norm_exp = N(a), the norm to F_q: (q^f - 1)/(q - 1), 1 at f = 1.
         self.norm_exp = (self.order - 1) // (q - 1)
         self._subgroup_gens: dict[int, Poly] = {}  # memo of subgroup_generator
-        # The fold table: row k - f holds the f coefficients of t^k mod g.
-        # Each row is t times the one before: its top coefficient c moves
-        # to c t^f = -c (g_0 + g_1 t + ... + g_(f-1) t^(f-1)).
-        f, g = self.deg, self.modulus
-        row, fold = (0,) * (f - 1) + (1,), []  # t^(f-1)
-        for _ in range(max(_FOLD_TOP, 2 * f - 1) - f):
-            c = row[-1]
-            row = tuple((s - c * gi) % q for s, gi in zip((0,) + row[:-1], g))
-            fold.append(row)
-        self._fold = tuple(fold)
+        self._fold = _fold_table(self.modulus, q, max(_FOLD_TOP, 2 * self.deg - 1))
 
     def elt(self, coeffs) -> Poly:
         """The reduced element sum_k coeffs[k] t^k, for integers coeffs of
         length at most max(_FOLD_TOP, 2f - 1)."""
-        f, q, fold = self.deg, self.q, self._fold
-        low = list(coeffs[:f])
-        low += [0] * (f - len(low))
-        for k in range(f, len(coeffs)):
-            c = coeffs[k]
-            if c:
-                for i, r in enumerate(fold[k - f]):
-                    low[i] += c * r
-        while low and low[-1] % q == 0:
-            low.pop()
-        return tuple(c % q for c in low)
+        return _fold(coeffs, self.deg, self.q, self._fold)
 
     def mul(self, a, b):
-        if not a or not b:
-            return ()
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-        return self.elt(prod)
+        return self.elt(_convolve(a, b))
 
     def norm(self, a) -> int:
         """N(a) in 0..q-1, the norm to F_q: the product a a^q ...

@@ -1,5 +1,8 @@
+import functools
+import itertools
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -605,6 +608,45 @@ def test_saturation_takes_one_pass_per_prime(monkeypatch):
     saturated = cu._saturate(K, [u1, u2**3], (2, 3, 5))
     assert asked.count(2) == 6 and 3 in asked
     assert abs(la.det([_unit_exponents(K, v, [u1, u2]) for v in saturated])) == 1
+
+
+def _first_root_in_product_order(K, units, p):
+    """Reference for _pth_root_of_product: the first hit over every
+    nonzero e in [0, p)^r in product order, with u^1, ..., u^(p-1) from
+    **.  Returns (i, root, e)."""
+    powers = [[u**e for e in range(1, p)] for u in units]
+    for exps in itertools.product(range(p), repeat=len(units)):
+        factors = [pw[e - 1] for pw, e in zip(powers, exps) if e]
+        if not factors:
+            continue
+        cand = functools.reduce(operator.mul, factors)
+        for x in (cand, -cand) if p == 2 else (cand,):
+            root = cu.pth_root(x, p)
+            if root is not None and root not in (K.one, -K.one):
+                return next(i for i, e in enumerate(exps) if e), root, exps
+    return None
+
+
+def test_pth_root_of_product_tries_one_vector_per_line(monkeypatch):
+    # The first p-th root in product order: u1 (u1 u2^3)^2 = (u1 u2^2)^3,
+    # u1 (u1^2 u2^5)^2 = (u1 u2^2)^5, (u1 u2^2) (-u1) = -(u1 u2)^2, and
+    # (u2^3)^1, which comes before (u1^3)^1.
+    K = NumberField((-1, -2, 1, 1), label="zeta7plus")
+    u1, u2 = cu.unit_group(K).fundamental_units
+    for units, p, hit in (([u1, u1 * u2**3], 3, (1, 2)), ([u1, u1**2 * u2**5], 5, (1, 2)),
+                          ([u1 * u2**2, -u1], 2, (1, 1)), ([u1**3, u2**3], 3, (0, 1))):
+        i, root, exps = _first_root_in_product_order(K, units, p)
+        assert exps == hit and cu._pth_root_of_product(K, units, p) == (i, root)
+        prod = units[0]**hit[0] * units[1]**hit[1]
+        assert root**p in (prod, -prod)
+    # On a saturated system every line is tried once: 3 vectors with both
+    # signs at p = 2, (p^2 - 1)/(p - 1) = p + 1 vectors at p = 3 and 5.
+    asked = []
+    real = cu.pth_root
+    monkeypatch.setattr(cu, "pth_root", lambda x, p: asked.append(p) or real(x, p))
+    for p in (2, 3, 5):
+        assert cu._pth_root_of_product(K, [u1, u2], p) is None
+    assert [asked.count(p) for p in (2, 3, 5)] == [6, 4, 6]
 
 
 def test_unit_group_saturates_the_cached_group_at_a_new_p(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tclab import intlinalg as la
-from tclab.numberfield import FieldError, Q, NumberField, lattice_mul
+from tclab.numberfield import FieldError, NFElement, Q, NumberField, lattice_mul
 from tclab.polys import poly_eval, poly_mul
 
 from conftest import SQUAREFREE, quadratic_field
@@ -342,3 +342,23 @@ def test_valuation_matches_lattice_membership_and_norm(poly, basis):
             assert vals == [_valuation_by_lattices(P, x) for P in primes]
             assert [P.is_unit_at(x) for P in primes] == [v == 0 for v in vals]
             assert sum(P.f_deg * v for P, v in zip(primes, vals)) == _rational_valuation(x.norm(), q)
+
+
+@pytest.mark.parametrize("K", [NumberField((-1, -2, 1, 1), label="zeta7plus"), quadratic_field(-3)],
+                         ids=["zeta7plus", "sqrt-3"])
+def test_pow_is_repeated_multiplication(K, monkeypatch):
+    rng = random.Random(7)
+    xs = [K.elt([Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(K.degree)])
+          for _ in range(6)]
+    xs = [x for x in xs if not x.is_zero()] + [K.theta, -K.one]
+    for x in xs:
+        for e in (0, 1, 2, 3, 4, 7, -1, -3):
+            expected = K.one
+            for _ in range(abs(e)):
+                expected = expected * (x if e > 0 else x.inverse())
+            assert x**e == expected, (x, e)
+    # x**2 is one product, and it goes through NFElement.__mul__.
+    calls = []
+    real = NFElement.__mul__
+    monkeypatch.setattr(NFElement, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    assert xs[0]**2 == real(xs[0], xs[0]) and len(calls) == 1

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -31,6 +32,59 @@ def test_gfp_factor_irreducible():
     factors = polys.gfp_factor((1, 0, 1), 7)  # x^2 + 1 mod 7
     assert len(factors) == 1
     assert len(factors[0][0]) - 1 == 2
+
+
+def _monic_polys(q, d):
+    """Every monic polynomial of degree d over F_q."""
+    return [tail + (1,) for tail in itertools.product(range(q), repeat=d)]
+
+
+def _gfp_power(g, e, q):
+    out = (1,)
+    for _ in range(e):
+        out = polys.gfp_mul(out, g, q)
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_gfp_factor_of_every_monic_quartic_by_brute_force(q):
+    # Every monic f of degree <= 4, squarefree or not: the factors multiply
+    # back to f, come sorted by (degree, coefficients), and are
+    # irreducible, since no monic h of degree <= deg g / 2 divides g.
+    small = [h for d in (1, 2) for h in _monic_polys(q, d)]
+    irreducible = {}
+    for d in range(1, 5):
+        for f in _monic_polys(q, d):
+            factors = polys.gfp_factor(f, q)
+            prod = (1,)
+            for g, e in factors:
+                prod = polys.gfp_mul(prod, _gfp_power(g, e, q), q)
+            assert prod == f, (q, f, factors)
+            keys = [(len(g), g) for g, _ in factors]
+            assert keys == sorted(set(keys)) and all(e >= 1 for _, e in factors)
+            for g, _ in factors:
+                if g not in irreducible:
+                    irreducible[g] = g[-1] == 1 and all(
+                        polys.gfp_mod(g, h, q) for h in small if 2 * (len(h) - 1) <= len(g) - 1)
+                assert irreducible[g], (q, f, g)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_gfp_powmod_on_reducible_moduli(q):
+    # gfp_powmod against repeated gfp_mul and gfp_mod, on x - 1 and on
+    # reducible moduli of degree 2 to 4 with repeated and distinct factors,
+    # given monic or scaled by 2, and on bases given unreduced.
+    rng = random.Random(q)
+    moduli = [(q - 1, 1), polys.gfp_mul((1, 1), (1, 1), q), polys.gfp_mul((0, 1), (1, 0, 1), q),
+              _gfp_power((1, 1), 4, q), polys.gfp_mul((0, 1, 1), (2, 1, 1), q)]
+    moduli += [tuple(c * 2 for c in g) for g in moduli if q > 2]
+    for g in moduli:
+        for _ in range(12):
+            f = tuple(rng.randrange(-3 * q, 3 * q) for _ in range(rng.randrange(7)))
+            expected = polys.gfp_mod((1,), g, q)
+            for e in range(40):
+                assert polys.gfp_powmod(f, e, g, q) == expected, (q, f, e, g)
+                expected = polys.gfp_mod(polys.gfp_mul(expected, f, q), g, q)
 
 
 def test_residue_field_cyclic():
