@@ -417,12 +417,12 @@ def principal_generator(field: NumberField, lat) -> NFElement | None:
     every field it accepts, so None proves the ideal is not principal:
 
     - imaginary quadratic: Gauss reduction of the ideal form f with its
-      SL2(Z) transform m.  Reduced forms are unique in their proper
-      class, so I is principal iff the reduced form is the principal one,
-      i.e. has a = 1; then f(s, t) = 1 for the first column (s, t) of m,
-      and s v1 + t v2 has norm N(I): a generator.  The candidate is
-      accepted only if it lies in the lattice and has |N| = N(I), else
-      CertificationError;
+      SL2(Z) transform [[p, q], [r, s]].  Reduced forms are unique in
+      their proper class, so I is principal iff the reduced form is the
+      principal one, i.e. has a = 1; then f(p, r) = 1 for the first
+      column (p, r), and p v1 + r v2 has norm N(I): a generator.  The
+      candidate is accepted only if it lies in the lattice and has |N| =
+      N(I), else CertificationError;
     - real quadratic: the form's reduction cycle (_cycle_generators);
     - totally real of degree >= 3: an enumeration of the ideal's points
       up to a proven T2 radius (_principal_by_t2)."""
@@ -436,75 +436,83 @@ def principal_generator(field: NumberField, lat) -> NFElement | None:
 
 
 def _principal_imag(field: NumberField, lat) -> NFElement | None:
-    form, m = _reduce_definite(ideal_form(field, lat), la.identity(2))
+    form, (p, _, r, _) = _reduce_definite(ideal_form(field, lat))
     if form[0] != 1:
         return None
-    g = field.elt(la.mat_vec(lat, [m[0][0], m[1][0]]))
+    g = field.elt(la.mat_vec(lat, [p, r]))
     if (la.solve_integer(lat, list(g.nums)) is None
             or abs(g.norm()) != lattice_norm(lat)):
         raise CertificationError(f"reduced ideal form {form} gave no generator")
     return g
 
 
-def _reduce_definite(form, m):
+def _reduce_definite(form):
     """Gauss reduction of a positive definite form f: the reduced form
     (|b| <= a <= c, and b >= 0 if |b| = a or a = c) properly equivalent
-    to f, and m t for the SL2(Z) transform t with f o t that form."""
+    to f, and the SL2(Z) transform t = [[p, q], [r, s]] with f o t that
+    form, as (p, q, r, s)."""
     a, b, c = form
+    p, q, r, s = 1, 0, 0, 1
     while True:
         # (x, y) -> (x + k y, y) takes b to b + 2ak, into (-a, a].
         k = (a - b) // (2 * a)
         if k:
             b, c = b + 2 * a * k, c + k * (b + a * k)
-            m = [[row[0], row[1] + k * row[0]] for row in m]
+            q += k * p
+            s += k * r
         if a < c or (a == c and b >= 0):
-            return (a, b, c), m
+            return (a, b, c), (p, q, r, s)
         # (x, y) -> (-y, x) takes (a, b, c) to (c, -b, a).
         a, b, c = c, -b, a
-        m = [[row[1], -row[0]] for row in m]
+        p, q, r, s = q, -p, s, -r
 
 
 def _cycle_generators(field: NumberField, lat):
     """Generators of a real quadratic ideal lattice, read off its form's
-    reduction cycle.  The tracked SL2(Z) transform m carries the ideal
-    form f to f o m, so at each form with leading coefficient +-1 the
-    first column (s, t) of m gives s v1 + t v2 of norm +-N(I): a
-    generator.  The ideal is principal iff one turns up before a reduced
-    form repeats, which ends the walk; but once the walk has passed a
-    reduced form with |a| = 1, it ends at the next form with |a| = 1."""
+    reduction cycle.  The tracked SL2(Z) transform t = [[p, q], [r, s]]
+    carries the ideal form f to f o t, so at each form with leading
+    coefficient +-1 its first column (p, r) gives p v1 + r v2 of norm
+    +-N(I): a generator.  The ideal is principal iff one turns up before
+    a reduced form repeats, which ends the walk; but once the walk has
+    passed a reduced form with |a| = 1, it ends at the next form with
+    |a| = 1.  A form (a, b, c) is reduced when 0 < b <= isqrt(D) and
+    isqrt(D) - 2|a| < b."""
     form = ideal_form(field, lat)
     D = field.disc
     assert form[1] ** 2 - 4 * form[0] * form[2] == D
-    m = [[1, 0], [0, 1]]
+    root = math.isqrt(D)
+    (v11, v12), (v21, v22) = lat
+    p, q, r, s = 1, 0, 0, 1
     seen, on_cycle = set(), False
     while True:
-        if abs(form[0]) == 1:
-            yield field.elt(la.mat_vec(lat, [m[0][0], m[1][0]]))
+        a, b, _ = form
+        reduced = 0 < b <= root and root - 2 * abs(a) < b
+        if a == 1 or a == -1:
+            yield field.elt([v11 * p + v12 * r, v21 * p + v22 * r])
             if on_cycle:
                 return
-            on_cycle = _is_reduced(form, D)
-        elif _is_reduced(form, D) and not on_cycle:
+            on_cycle = reduced
+        elif reduced and not on_cycle:
             if form in seen:
                 return
             seen.add(form)
-        form, k = _rho(form, D)
+        form, k = _rho_step(form, D, root)
         # rho corresponds to right-multiplication by [[0, -1], [1, k]].
-        m = [[row[1], k * row[1] - row[0]] for row in m]
-
-
-def _is_reduced(form, D):
-    a, b, c = form
-    s = math.isqrt(D)
-    return 0 < b <= s and s - 2 * abs(a) < b
+        p, q, r, s = q, k * q - p, s, k * s - r
 
 
 def _rho(form, D):
+    """rho(f) of an indefinite form f of discriminant D and the k of its
+    transform, by _rho_step."""
+    return _rho_step(form, D, math.isqrt(D))
+
+
+def _rho_step(form, D, root):
     """rho(f) of an indefinite form f (Cohen, GTM 138, section 5.6) and the
-    k of its transform [[0, -1], [1, k]]."""
+    k of its transform [[0, -1], [1, k]], given root = isqrt(D)."""
     a, b, c = form
-    s = math.isqrt(D)
     ac = abs(c)
-    lo = -ac if ac > s else s - 2 * ac
+    lo = -ac if ac > root else root - 2 * ac
     # r = -b + 2*c*k with lo < r <= lo + 2|c|
     r = lo + 1 + (-b - lo - 1) % (2 * ac)
     k = (b + r) // (2 * c)
@@ -639,7 +647,8 @@ def _relations(field: NumberField, gens):
     - quadratic: the handle is the key of the ideal form (_class_key),
       products are composed forms, and the h with P^e h principal is the
       one keyed by the inverse (a, -b, c) of P^e, a dict lookup; the row's
-      element is then principal_generator of its power product.  For
+      element is then principal_generator of its power product, whose
+      prime squares P_j^(2^t) come from one dict per enumeration.  For
       D > 0 all keys of one enumeration share one dict of the forms their
       rho-walks met, so no form is walked twice;
     - other degrees: the handle is the ideal's HNF lattice, as a tuple of
@@ -675,6 +684,7 @@ def _relations(field: NumberField, gens):
 
     table = {handle(la.identity(field.degree)): [0] * k}
     rows, elements = [], []
+    squares: dict = {}  # (j, t) -> P_j^(2^t), shared by every row's product
     for i, P in enumerate(gens):
         f = handle(P.lattice())
         powers = [f]  # the handles of P, P^2, ...
@@ -690,7 +700,7 @@ def _relations(field: NumberField, gens):
             raise CertificationError(f"no power of {P.label} met the classes enumerated")
         row = v[:i] + [len(powers)] + v[i + 1:]
         if g is None:
-            g = principal_generator(field, _ideal_power_product(field, gens, row))
+            g = principal_generator(field, _ideal_power_product(field, gens, row, squares))
             if g is None:
                 raise CertificationError(f"relation {row} has no generator")
         rows.append(row)
@@ -733,7 +743,7 @@ def _class_key(form, D, keys: dict | None = None):
     One dict shared across an enumeration hands each form to rho at most
     once."""
     if D < 0:
-        return _reduce_definite(form, la.identity(2))[0]
+        return _reduce_definite(form)[0]
     if keys is None:
         keys = {}
     seen: dict = {}
@@ -762,19 +772,31 @@ def _compose(f, g, D):
     return a3, b3, (b3 * b3 - D) // (4 * a3)
 
 
-def _ideal_power_product(field, gens, exps):
-    """prod P_i^exps[i] for exps >= 0, each power by square-and-multiply."""
+def _ideal_power_product(field, gens, exps, squares: dict | None = None):
+    """prod P_i^exps[i] for exps >= 0, each power by square-and-multiply.
+
+    squares maps (i, t) to the lattice of P_i^(2^t), t >= 1, for the
+    primes gens, and is filled with the squares this product needs; a
+    caller that passes one dict to every product over the same gens has
+    each square computed once."""
+    if squares is None:
+        squares = {}
     lat = None
-    for P, e in zip(gens, exps):
+    for i, (P, e) in enumerate(zip(gens, exps)):
         if not e:
             continue
         base = P.lattice()
+        t = 0
         while e:
             if e & 1:
                 lat = base if lat is None else lattice_mul(field, lat, base)
             e >>= 1
             if e:
-                base = lattice_mul(field, base, base)
+                t += 1
+                square = squares.get((i, t))
+                if square is None:
+                    square = squares[i, t] = lattice_mul(field, base, base)
+                base = square
     if lat is None:
         return la.identity(field.degree)
     return lat

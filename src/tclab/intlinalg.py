@@ -161,14 +161,20 @@ class FinAbGroup:
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) >= 0 and x a + y b = g."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+    """(g, x, y) with g = gcd(a, b) >= 0 and x a + y b = g: the triple of
+    the extended Euclidean loop, with gcd and inverse computed in C.
+
+    For b != 0, x is the inverse of a/g modulo m = |b|/g in (-m/2, m/2],
+    except x = -1 for m = 2 and b < 0, so |x| <= |b|/(2g); and y = (g -
+    a x)/b.  For b = 0 it is (|a|, 1, 0), or (-a, -1, 0) for a < 0."""
+    if not b:
+        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
+    g = math.gcd(a, b)
+    m = abs(b) // g
+    x = pow(a // g, -1, m)
+    if 2 * x > m or (2 * x == m and b < 0):
+        x -= m
+    return g, x, (g - a * x) // b
 
 
 def _min_pivot(a: Matrix, t: int):
@@ -495,11 +501,22 @@ def hnf_column(m: Matrix) -> Matrix:
 
 
 def solve_integer(a: Matrix, b: list[int]) -> list[int] | None:
-    """One integer solution x of a @ x = b, or None if unsolvable over Z."""
+    """One integer solution x of a @ x = b, or None if unsolvable over Z.
+
+    A nonsingular square a has one rational solution y / d (bareiss_solve),
+    so x exists iff d divides every y_i.  Other matrices, singular ones
+    included, go through the Smith normal form."""
     if not a:
         return [] if not any(b) else None
-    d, u, v, _ = smith_normal_form(a)
     rows, cols = len(a), len(a[0])
+    if rows == cols:
+        try:
+            y, den = bareiss_solve(a, b)
+        except ZeroDivisionError:
+            pass
+        else:
+            return None if any(v % den for v in y) else [v // den for v in y]
+    d, u, v, _ = smith_normal_form(a)
     c = mat_vec(u, b)
     y = [0] * cols
     for i in range(min(rows, cols)):

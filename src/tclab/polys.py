@@ -549,8 +549,12 @@ def _equal_degree_split(f, d, q):
 
 
 def _candidates(n, q):
-    # x + c, then higher-degree shifts; deterministic enumeration.
-    for deg in range(1, n + 1):
+    # x + c, then higher-degree shifts; deterministic enumeration.  The
+    # x + c come straight from range(q): product would first copy it into
+    # a tuple, O(q) for a search that mostly stops at a small c.
+    if n:
+        yield from ((c, 1) for c in range(q))
+    for deg in range(2, n + 1):
         for tail in product(range(q), repeat=deg):
             yield gfp_trim(tail + (1,), q)
 

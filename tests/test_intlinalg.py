@@ -84,6 +84,97 @@ def test_solve_integer():
     assert la.solve_integer(m, [1, 0]) is None
 
 
+def _euclid_xgcd(a, b):
+    """Extended Euclid's loop, the reference for la.xgcd."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def test_xgcd_matches_euclid():
+    rng = random.Random(28)
+    big = 2**1000
+    pairs = [(a, b) for a in range(-12, 13) for b in range(-12, 13)]
+    pairs += [(a, s * a) for a in (1, 7, 2**64 + 13, big + 1) for s in (1, -1)]
+    pairs += [(0, big - 1), (big + 3, 0), (-big, 2), (big * 6, -big * 4)]
+    for bits in (4, 30, 64, 200, 1000):
+        for _ in range(300):
+            a = rng.getrandbits(bits) * rng.choice((1, -1))
+            b = rng.getrandbits(bits) * rng.choice((1, -1))
+            g = rng.getrandbits(bits // 2 + 1) + 1
+            pairs += [(a, b), (a * g, b * g)]
+    for a, b in pairs:
+        g, x, y = la.xgcd(a, b)
+        assert g == math.gcd(a, b) and x * a + y * b == g, (a, b)
+        # Balanced: |x| <= |b| / (2g), as Euclid's loop leaves it.
+        assert not b or 2 * g * abs(x) <= abs(b), (a, b)
+        assert (g, x, y) == _euclid_xgcd(a, b), (a, b)
+
+
+def _solve_by_snf(a, b):
+    """solve_integer's Smith normal form route, the reference for its
+    square route."""
+    d, u, v, _ = la.smith_normal_form(a)
+    rows, cols = len(a), len(a[0])
+    c = la.mat_vec(u, b)
+    y = [0] * cols
+    for i in range(min(rows, cols)):
+        if d[i][i]:
+            if c[i] % d[i][i]:
+                return None
+            y[i] = c[i] // d[i][i]
+        elif c[i]:
+            return None
+    if any(c[min(rows, cols):]):
+        return None
+    return la.mat_vec(v, y)
+
+
+def test_solve_integer_square_route_matches_snf(monkeypatch):
+    rng = random.Random(2828)
+    solved = unsolvable = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        a = random_matrix(rng, n, n, bound=rng.choice((3, 30, 10**12)))
+        if la.det(a) == 0:
+            continue
+        x = [rng.randint(-50, 50) for _ in range(n)]
+        b = la.mat_vec(a, x)
+        # A nonsingular system has one solution: both routes give x.
+        assert la.solve_integer(a, b) == x == _solve_by_snf(a, b)
+        solved += 1
+        b[rng.randrange(n)] += 1
+        ref = _solve_by_snf(a, b)
+        assert la.solve_integer(a, b) == ref
+        unsolvable += ref is None
+    assert solved > 250 and unsolvable > 100
+    # A singular square matrix falls back to the SNF route.
+    calls = []
+    real_snf = la.smith_normal_form
+
+    def snf(*args, **kw):
+        calls.append(args)
+        return real_snf(*args, **kw)
+
+    monkeypatch.setattr(la, "smith_normal_form", snf)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        a = random_matrix(rng, n - 1, n, bound=9)
+        t = [rng.randint(-3, 3) for _ in range(n - 1)]
+        a.insert(rng.randrange(n), [sum(c * row[j] for c, row in zip(t, a)) for j in range(n)])
+        x = [rng.randint(-9, 9) for _ in range(n)]
+        for b in (la.mat_vec(a, x), [rng.randint(-9, 9) for _ in range(n)]):
+            before = len(calls)
+            got = la.solve_integer(a, b)
+            assert len(calls) == before + 1
+            assert got == _solve_by_snf(a, b)
+            assert got is None or la.mat_vec(a, got) == b
+
+
 def test_finabgroup():
     g = la.FinAbGroup([2, 12])
     assert g.order() == 24
@@ -221,11 +312,13 @@ def test_enumeration_orders_match_reference():
         if n:
             coord_candidates = chain.from_iterable(la.shell(n, h) for h in (1, 2, 3))
             assert list(coord_candidates) == [v for h in (1, 2, 3) for v in _ref_shell(n, h)]
-        for q in (2, 3):
+        for q in (2, 3, 5, 7):
             assert list(product(range(q), repeat=n)) == list(_ref_tuples(n, q))
             assert list(polys._candidates(n, q)) == [
                 polys.gfp_trim(t + (1,), q) for d in range(1, n + 1) for t in _ref_tuples(d, q)]
         assert list(la.product_first_fastest([(1, -1)] * n)) == list(_ref_sign_patterns(n))
+    # Lazy in q: the first candidate comes without a pass over range(q).
+    assert next(polys._candidates(2, 2**61 - 1)) == (0, 1)
     for orders in ([], [2], [3, 2], [2, 3, 4], [3, 3, 3]):
         assert (list(la.product_first_fastest([range(d) for d in orders]))
                 == list(_ref_group_elements(orders)))

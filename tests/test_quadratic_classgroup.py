@@ -246,3 +246,104 @@ def test_key_walks_hand_each_form_to_rho_once(monkeypatch, d):
     monkeypatch.setattr(cu, "_rho", rho)
     cu.class_group(K)
     assert walked and len(walked) == len(set(walked)), d
+
+
+# The reduction walks as they stood with the SL2(Z) transform a list of
+# lists, the references for the walks on four ints.
+
+
+def _ref_reduce_definite(form, m):
+    a, b, c = form
+    while True:
+        k = (a - b) // (2 * a)
+        if k:
+            b, c = b + 2 * a * k, c + k * (b + a * k)
+            m = [[row[0], row[1] + k * row[0]] for row in m]
+        if a < c or (a == c and b >= 0):
+            return (a, b, c), m
+        a, b, c = c, -b, a
+        m = [[row[1], -row[0]] for row in m]
+
+
+def _ref_is_reduced(form, D):
+    a, b, c = form
+    s = math.isqrt(D)
+    return 0 < b <= s and s - 2 * abs(a) < b
+
+
+def _ref_rho(form, D):
+    a, b, c = form
+    s = math.isqrt(D)
+    ac = abs(c)
+    lo = -ac if ac > s else s - 2 * ac
+    r = lo + 1 + (-b - lo - 1) % (2 * ac)
+    k = (b + r) // (2 * c)
+    return (c, r, (r * r - D) // (4 * c)), k
+
+
+def _ref_cycle_generators(field, lat):
+    form = cu.ideal_form(field, lat)
+    D = field.disc
+    m = [[1, 0], [0, 1]]
+    seen, on_cycle = set(), False
+    while True:
+        if abs(form[0]) == 1:
+            yield field.elt(la.mat_vec(lat, [m[0][0], m[1][0]]))
+            if on_cycle:
+                return
+            on_cycle = _ref_is_reduced(form, D)
+        elif _ref_is_reduced(form, D) and not on_cycle:
+            if form in seen:
+                return
+            seen.add(form)
+        form, k = _ref_rho(form, D)
+        m = [[row[1], k * row[1] - row[0]] for row in m]
+
+
+@pytest.mark.parametrize("K", [quadratic_field(229), quadratic_field(93286),
+                               NumberField((-3, 3, 1), label="x^2+3x-3")], ids=str)
+def test_cycle_generators_match_list_transform_walk(K):
+    data = cu.class_group(K)
+    primes = data.generating_primes
+    lats = [la.identity(2)] + [P.lattice() for P in primes]
+    lats += [lattice_mul(K, P.lattice(), Q.lattice()) for P, Q in zip(primes, primes[1:])]
+    lats += [cu._ideal_power_product(K, primes, row) for row in data.relation_matrix]
+    principal = 0
+    for lat in lats:
+        got = list(cu._cycle_generators(K, lat))
+        assert got == list(_ref_cycle_generators(K, lat)), lat
+        principal += bool(got)
+    assert principal > len(data.relation_matrix)
+
+
+def test_reduce_definite_matches_list_transform_walk():
+    rng = random.Random(2028)
+    for _ in range(3000):
+        a = rng.randint(1, 10 ** rng.randint(1, 12))
+        b = rng.randint(-10 * a, 10 * a)
+        c = rng.randint(b * b // (4 * a) + 1, b * b // (4 * a) + 10 ** rng.randint(1, 12))
+        form, (p, q, r, s) = cu._reduce_definite((a, b, c))
+        ref_form, ref_m = _ref_reduce_definite((a, b, c), la.identity(2))
+        assert (form, [[p, q], [r, s]]) == (ref_form, ref_m), (a, b, c)
+
+
+def test_shared_prime_squares_are_computed_once(monkeypatch):
+    # Q(sqrt -11311): class group Z/73, so the rows hold large exponents.
+    K = NumberField((2828, -1, 1))
+    data = cu.class_group(K)
+    primes, rows = data.generating_primes, data.relation_matrix
+    squared = []
+    real_mul = cu.lattice_mul
+
+    def mul(field, lat1, lat2):
+        if lat1 is lat2:
+            squared.append(lat1)
+        return real_mul(field, lat1, lat2)
+
+    monkeypatch.setattr(cu, "lattice_mul", mul)
+    squares: dict = {}
+    shared = [cu._ideal_power_product(K, primes, row, squares) for row in rows]
+    computed = len(squared)
+    squared.clear()
+    assert shared == [cu._ideal_power_product(K, primes, row) for row in rows]
+    assert computed == len(squares) < len(squared)
