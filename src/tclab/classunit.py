@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate, count, product
+from itertools import accumulate, product
 from operator import itemgetter, mul
 
 from . import intlinalg as la
@@ -36,7 +36,6 @@ from .numberfield import (
     NFElement,
     NumberField,
     PrimeIdeal,
-    is_prime,
     lattice_mul,
     lattice_norm,
     quadratic_trace_norm,
@@ -264,8 +263,10 @@ def pth_root(x: NFElement, p: int) -> NFElement | None:
     degree 1 above a rational prime q = 1 (mod p) with x mod P = r != 0 and
     r^((q-1)/p) != 1 (mod q).  A p-th power y^p reduces to s^p with
     s^(q-1) = 1 there, so the witness proves that x has no p-th root.
-    Without one among the first _WITNESS_TESTS such primes, the root is
-    sought in integers and checked exactly."""
+    The primes come from NumberField.degree_one_primes, the roots of f
+    mod q, so no prime is factored.  Without a witness among the first
+    _WITNESS_TESTS such primes, the root is sought in integers and
+    checked exactly."""
     field = x.field
     if x.is_zero():
         raise FieldError("p-th root of zero")
@@ -284,25 +285,21 @@ _WITNESS_TESTS = 8
 
 def _residue_witness(x: NFElement, p: int) -> bool:
     """True if a prime P of degree 1 shows that x is not a p-th power (see
-    pth_root).  P runs over the primes above q = 1 (mod p) in increasing
-    order, for q dividing neither disc(f) nor the denominator of x, and
-    the search gives up after _WITNESS_TESTS of them."""
-    field = x.field
-    den = x.den
+    pth_root).  P runs over NumberField.degree_one_primes(p), the primes
+    of degree 1 above q = 1 (mod p) with q prime to disc(f), in increasing
+    q and then root, skipping q that divide the denominator of x; the
+    search gives up after _WITNESS_TESTS of them."""
     tests = 0
-    for q in count(p + 1, p):
-        if not is_prime(q) or field.disc_poly % q == 0 or den % q == 0:
+    for P in x.field.degree_one_primes(p):
+        q = P.q
+        if x.den % q == 0:
             continue
-        for P in field.factor_prime(q):
-            if P.f_deg != 1:
-                continue
-            # A residue of degree 1 is () for 0 and (r,) for r != 0.
-            r = P.residue(x)
-            if r and pow(r[0], (q - 1) // p, q) != 1:
-                return True
-            tests += 1
-            if tests == _WITNESS_TESTS:
-                return False
+        r = P.residue(x)
+        if r and pow(r, (q - 1) // p, q) != 1:
+            return True
+        tests += 1
+        if tests == _WITNESS_TESTS:
+            return False
 
 
 def _floor_root(m: int, k: int) -> int:

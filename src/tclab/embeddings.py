@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
+from . import intlinalg as la
 from .polys import _scaled_value, _sign_at
 
 # Bits of fixed-point precision beyond the cell grid in a Newton snap,
@@ -255,9 +256,9 @@ def _poly_interval(nums, den: int, L: int, H: int, q: int) -> tuple[Fraction, Fr
 def certified_log_rank(field, units) -> bool:
     """Certify that the units of a totally real field are multiplicatively
     independent, so that their log vectors have full rank: True at the
-    first l in 3, 5, 7 at which numberfield.certify_independence, with no
-    prime skipped, finds tame characters of order l whose matrix on the
-    units has full rank over F_l.
+    first l in 3, 5, 7 at which the tame characters of order l at the
+    primes of field.degree_one_primes(l, 10^4) have full rank on the units
+    over F_l (_full_character_rank).
 
     Sound because l is odd and the roots of unity are +-1: -1 = (-1)^l is
     an l-th power.  Take a relation prod u_j^a_j = +-1 with a != 0.  While
@@ -265,8 +266,36 @@ def certified_log_rank(field, units) -> bool:
     +-1 in the field are +-1; so some a_j is not divisible by l.  The
     product is then an l-th power, every character vanishes on it, and a
     mod l, not 0, lies in the kernel of the matrix, which full rank rules
-    out.  Fields with complex places are refused."""
-    from .numberfield import certify_independence
+    out.  Any set of primes with full rank is such a proof, so the primes
+    are not kept.  Fields with complex places are refused."""
     if field.signature[1]:
         raise ValueError("certified_log_rank needs a totally real field")
-    return any(certify_independence(field, units, (), ell)[0] for ell in (3, 5, 7))
+    return any(_full_character_rank(field, units, ell) for ell in (3, 5, 7))
+
+
+def _full_character_rank(field, units, ell: int) -> bool:
+    """Whether the characters of order ell of the units reach rank
+    len(units) over F_ell at the degree-1 primes P above q = 1 (mod ell),
+    q <= 10^4, at which every unit is a unit, adding the row of P while
+    it raises the rank.  The character at P sends x to the k mod ell with
+    x^((q-1)/ell) = z^k mod P, for z the first such power other than 1 in
+    the row: z generates mu_ell in F_q as ell is prime, and another z
+    only scales the row."""
+    if not units:
+        return True
+    rows: list[list[int]] = []
+    for P in field.degree_one_primes(ell, 10**4):
+        q = P.q
+        if any(u.den % q == 0 for u in units):
+            continue
+        powers = [pow(P.residue(u), (q - 1) // ell, q) for u in units]
+        z = next((c for c in powers if c != 1), None)
+        if 0 in powers or z is None:
+            continue
+        logs = {pow(z, k, q): k for k in range(ell)}
+        trial = rows + [[logs[c] for c in powers]]
+        if la.fp_rank(la.FpMatrix.from_rows(trial, ell)) > len(rows):
+            rows = trial
+            if len(rows) == len(units):
+                return True
+    return False

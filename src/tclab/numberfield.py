@@ -15,7 +15,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
+from typing import NamedTuple
 
 from . import intlinalg as la
 from . import polys
@@ -157,6 +158,7 @@ class NumberField:
         self.one = self.elt(1)
         self.zero = self.elt(0)
         self._prime_cache: dict[int, tuple] = {}
+        self._degree_one_cache: dict[int, tuple["DegreeOnePrime", ...]] = {}
         # Filled by classunit.unit_group and classunit.class_group.
         self._unit_cache = None
         self._class_cache = None
@@ -360,6 +362,30 @@ class NumberField:
         self._prime_cache[q] = tuple(primes)
         return primes
 
+    def degree_one_primes(self, m: int, bound: int | None = None):
+        """The primes of residue degree 1 above the rational primes
+        q = 1 (mod m), q <= bound (unbounded if None), that do not divide
+        disc(f), as DegreeOnePrime, in increasing q and then root r.  These
+        are the primes (q, theta - r) of factor_prime(q) for the roots r
+        of f mod q, found by polys.gfp_roots with no factorisation, once
+        per q."""
+        for q in count(m + 1, m):
+            if bound is not None and q > bound:
+                return
+            if q in self._degree_one_cache:
+                yield from self._degree_one_cache[q]
+            elif is_prime(q) and self.disc_poly % q:
+                # q does not divide the index, so neither does the basis
+                # denominator d: b_i(r) is R_i(r) / d mod q.
+                dinv = pow(self._basis_den, -1, q)
+                primes = []
+                for r in polys.gfp_roots(self.min_poly, q):
+                    powers = [pow(r, j, q) for j in range(self.degree)]
+                    primes.append(DegreeOnePrime(q, r, tuple(
+                        sum(map(operator.mul, row, powers)) * dinv % q for row in self._basis_num)))
+                self._degree_one_cache[q] = tuple(primes)
+                yield from primes
+
     def prime(self, q: int, index: int = 1) -> "PrimeIdeal":
         """The index-th prime above q in the deterministic ordering."""
         primes = self.factor_prime(q)
@@ -445,6 +471,21 @@ def is_prime(n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # Prime ideals
+
+
+class DegreeOnePrime(NamedTuple):
+    """The prime (q, theta - r) of residue degree 1 above a rational prime
+    q prime to disc(f), for a root r of f mod q, with w_i = b_i(r) mod q
+    for the integral basis b: its residue map is one dot product."""
+
+    q: int
+    r: int
+    w: tuple[int, ...]
+
+    def residue(self, x: NFElement) -> int:
+        """x mod (q, theta - r) for x = nums / den with q prime to den:
+        (nums . w) den^-1 mod q, as PrimeIdeal.residue gives it."""
+        return sum(map(operator.mul, x.nums, self.w)) * pow(x.den, -1, self.q) % self.q
 
 
 class PrimeIdeal:

@@ -11,8 +11,9 @@ Q stays in integers.  A tiny residue-field type F_{q^f} = F_q[t]/(g) sits
 here too, since it is just polynomial arithmetic: it reduces integer
 coefficient vectors and products through one table of the rows t^k mod
 g, taking each coefficient mod q once, and its norm to F_q is a
-resultant.  The F_q[x] arithmetic (gfp_*) serves the factorization and
-its Hensel lifts; gfp_powmod reduces through such a table of its modulus.
+resultant.  The F_q[x] arithmetic (gfp_*) serves the factorization, its
+Hensel lifts and the roots of f mod q (gfp_roots); gfp_powmod reduces
+through such a table of its modulus.
 """
 
 from __future__ import annotations
@@ -431,6 +432,17 @@ def gfp_factor(f, q) -> list[tuple[Poly, int]]:
     return sorted(out, key=lambda t: (poly_deg(t[0]), t[0]))
 
 
+def gfp_roots(f, q) -> list[int]:
+    """The distinct roots of f over F_q, ascending, f nonzero mod q: the
+    linear factors of gcd(x^q - x, f), which _equal_degree_split finds
+    with no factorisation of f."""
+    f = gfp_monic(f, q)
+    g = gfp_gcd(gfp_sub(gfp_powmod((0, 1), q, f, q), (0, 1), q), f, q)
+    if poly_deg(g) < 1:
+        return []
+    return sorted(-h[0] % q for h in _equal_degree_split(g, 1, q))
+
+
 def _factor_quadratic(f, q):
     """gfp_factor of a monic quadratic f = x^2 + b x + c over F_q, from its
     roots: the two residues mod 2 tried directly; for odd q, the
@@ -526,6 +538,9 @@ def _equal_degree_split(f, d, q):
     n = poly_deg(f)
     if n == d:
         return [gfp_monic(f, q)]
+    if n == 2:
+        # n = 2 > d: two linear factors, in closed form.
+        return [g for g, _ in _factor_quadratic(gfp_monic(f, q), q)]
     # Try candidate elements in a fixed order until a split is found.
     e = (q**d - 1) // 2 if q != 2 else None
     cand_iter = _candidates(n, q)

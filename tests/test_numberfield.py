@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tclab import intlinalg as la
-from tclab.numberfield import FieldError, NFElement, Q, NumberField, lattice_mul
+from tclab.numberfield import FieldError, NFElement, Q, NumberField, is_prime, lattice_mul
 from tclab.polys import poly_eval, poly_mul
 
 from conftest import SQUAREFREE, quadratic_field
@@ -93,6 +93,46 @@ def test_primes_of_norm_up_to():
     assert any(P.norm == 2 for P in primes)
     # norms of split primes above q = 1 mod 4 show up once per factor
     assert sum(1 for P in primes if P.norm == 5) == 2
+
+
+# Fields for the degree-1 prime scanner: Q, Q(sqrt 5) (basis denominator
+# 2), the cubics of disc 49 (zeta7plus), 81, 837 and 892, and the quartic
+# x^4 - 5x^2 + 5.
+SCANNER_FIELDS = {
+    "q": lambda: Q,
+    "sqrt5": lambda: quadratic_field(5),
+    "zeta7plus": lambda: NumberField((-1, -2, 1, 1), label="zeta7plus"),
+    "disc81": lambda: NumberField((-1, -3, 0, 1)),
+    "disc837": lambda: NumberField((-1, -6, 0, 1)),
+    "disc892": lambda: NumberField((-2, -7, -2, 1)),
+    "disc2000": lambda: NumberField((5, 0, -5, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCANNER_FIELDS))
+def test_degree_one_primes_match_factor_prime(name):
+    # The scanner finds the roots of f mod q without factoring f: its
+    # primes below 300 must be the degree-1 primes of factor_prime, and
+    # its residues those of PrimeIdeal.residue.
+    K = SCANNER_FIELDS[name]()
+    rng = random.Random(name)
+    elements = [K.elt([Fraction(rng.randint(-99, 99), rng.choice((1, 1, 2, 3, 7, 10)))
+                       for _ in range(K.degree)]) for _ in range(20)]
+    scanned = list(K.degree_one_primes(1, 299))
+    expected = [(q, P) for q in range(2, 300) if is_prime(q) and K.disc_poly % q
+                for P in K.factor_prime(q) if P.f_deg == 1]
+    # factor_prime lists x - r as (q - r, 1): r = 0 first, then descending.
+    assert [(D.q, D.r) for D in scanned] == sorted((q, -P.gpoly[0] % q) for q, P in expected)
+    assert len(scanned) > 20
+    primes = {(q, -P.gpoly[0] % q): P for q, P in expected}
+    for D in scanned:
+        P = primes[D.q, D.r]
+        for x in elements:
+            if x.den % D.q:
+                r = D.residue(x)
+                assert P.residue(x) == ((r,) if r else ()), (D, x)
+    for m in (2, 3, 5, 7):
+        assert list(K.degree_one_primes(m, 299)) == [D for D in scanned if D.q % m == 1]
 
 
 def test_prime_index_out_of_range():

@@ -483,6 +483,29 @@ def test_certified_log_rank_cubic():
         certified_log_rank(quadratic_field(-5), [])
 
 
+def test_certified_log_rank_matches_certify_independence():
+    # certified_log_rank reads degree-1 primes only, found as roots of f
+    # mod q, where numberfield.certify_independence factors every prime
+    # and also reads those of higher residue degree.  The verdicts agree
+    # on the units of the cubic corpus and of x^4 - 5x^2 + 5, and on the
+    # systems of test_certified_log_rank_cubic; the refusals factor no
+    # prime.
+    from tclab.classunit import unit_group
+    from tclab.numberfield import certify_independence
+    systems = []
+    for f in CUBIC_CORPUS + [(5, 0, -5, 0, 1)]:
+        K = NumberField(f)
+        systems.append((K, unit_group(K).fundamental_units))
+    L = NumberField((-1, -2, 1, 1), label="zeta7plus")
+    u1, u2 = unit_group(L).fundamental_units
+    systems += [(L, units) for units in ([u1, u2], [-u1, u2], [u1**3, u2], [u1, -u1], [u1, u1**3])]
+    verdicts = [certified_log_rank(K, units) for K, units in systems]
+    assert not L._prime_cache
+    assert verdicts == [any(certify_independence(K, units, (), ell)[0] for ell in (3, 5, 7))
+                        for K, units in systems]
+    assert verdicts[-2:] == [False, False] and all(verdicts[:-2])
+
+
 def test_certified_log_rank_without_classunit():
     # A fresh interpreter: the embeddings must not depend on which tclab
     # modules happen to be imported already.
