@@ -22,7 +22,6 @@ enter the certified path: float logs only filter unit candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, product
@@ -50,14 +49,16 @@ class CertificationError(RuntimeError):
 # Units
 
 
-@dataclass
 class UnitBasis:
-    field: NumberField
-    torsion_order: int
-    torsion_gen: NFElement
-    fundamental_units: list[NFElement]
-    saturated_at: tuple[int, ...]
-    regulator_nonzero_witness: bool
+    def __init__(self, field: NumberField, torsion_order: int, torsion_gen: NFElement,
+                 fundamental_units: list[NFElement], saturated_at: tuple[int, ...],
+                 regulator_nonzero_witness: bool):
+        self.field = field
+        self.torsion_order = torsion_order
+        self.torsion_gen = torsion_gen
+        self.fundamental_units = fundamental_units
+        self.saturated_at = saturated_at
+        self.regulator_nonzero_witness = regulator_nonzero_witness
 
     @property
     def rank(self) -> int:
@@ -103,9 +104,11 @@ def unit_group(field: NumberField, p: int | None = None) -> UnitBasis:
     if cached is not None:
         new = sorted(set(saturate_at) - set(cached.saturated_at))
         if new:
-            cached = field._unit_cache = replace(
-                cached, fundamental_units=_saturate(field, cached.fundamental_units, new),
-                saturated_at=tuple(sorted(cached.saturated_at + tuple(new))))
+            cached = field._unit_cache = UnitBasis(
+                field, cached.torsion_order, cached.torsion_gen,
+                _saturate(field, cached.fundamental_units, new),
+                tuple(sorted(cached.saturated_at + tuple(new))),
+                cached.regulator_nonzero_witness)
         return cached
     r1, r2 = field.signature
     if r2 and field.degree >= 3:
@@ -588,15 +591,21 @@ def _t2_radii(ub: UnitBasis, N: int) -> tuple[int, int]:
 # Class group
 
 
-@dataclass
 class ClassGroupData:
-    field: NumberField
-    group: la.FinAbGroup
-    generating_primes: list[PrimeIdeal]
-    relation_matrix: list[list[int]]  # rows = relations on generating_primes
-    relation_elements: list[NFElement]  # generator of prod P^row
-    certified: bool
-    pres: la.Presentation  # the cokernel of relation_matrix
+    __slots__ = ("field", "group", "generating_primes", "relation_matrix",
+                 "relation_elements", "certified", "pres")
+
+    def __init__(self, field: NumberField, group: la.FinAbGroup,
+                 generating_primes: list[PrimeIdeal], relation_matrix: list[list[int]],
+                 relation_elements: list[NFElement], certified: bool,
+                 pres: la.Presentation):
+        self.field = field
+        self.group = group
+        self.generating_primes = generating_primes
+        self.relation_matrix = relation_matrix  # rows = relations on generating_primes
+        self.relation_elements = relation_elements  # generator of prod P^row
+        self.certified = certified
+        self.pres = pres  # the cokernel of relation_matrix
 
     def p_rank(self, p: int) -> int:
         return self.group.p_rank(p)

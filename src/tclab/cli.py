@@ -335,6 +335,10 @@ def cmd_orbit_check(args, seed):
 
 def cmd_search_x(args, seed):
     t0 = time.time()
+    if args.count < 1:
+        raise FieldError(f"--count = {args.count} is not positive")
+    if args.norm_bound < 2:
+        raise FieldError(f"--norm-bound = {args.norm_bound} is below 2, the least norm of a prime")
     K = _load_field(args.field)
     S = parse_prime_set(K, args.S) if args.S else []
     ps = pl.find_preserving_primes(K, S, args.p, args.count, args.norm_bound)

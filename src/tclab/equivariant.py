@@ -12,8 +12,6 @@ plain linear algebra over F_p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
-
 from . import intlinalg as la
 from .numberfield import (
     FieldError,
@@ -73,14 +71,17 @@ class Automorphism:
         return Q
 
 
-@dataclass
 class GaloisLayer:
-    K_field: NumberField
-    L_field: NumberField
-    gamma_gens: list[Automorphism]
-    order: int
-    # (generator index, (q, prime index)) -> the image prime, found once.
-    prime_images: dict = dfield(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("K_field", "L_field", "gamma_gens", "order", "prime_images")
+
+    def __init__(self, K_field: NumberField, L_field: NumberField,
+                 gamma_gens: list[Automorphism], order: int):
+        self.K_field = K_field
+        self.L_field = L_field
+        self.gamma_gens = gamma_gens
+        self.order = order
+        # (generator index, (q, prime index)) -> the image prime, found once.
+        self.prime_images = {}
 
     def orbit_closure(self, primes: list[PrimeIdeal]) -> list[PrimeIdeal]:
         """The least set containing primes that the generators, and hence
@@ -159,20 +160,20 @@ def make_layer(K_field: NumberField, L_field: NumberField, embedding,
 # Gamma-modules
 
 
-@dataclass
 class GammaModule:
     """F_p^dim with one action matrix per layer generator, and the order of
     the group they generate."""
 
-    dim: int
-    p: int
-    mats: list[la.FpMatrix]  # one per layer generator
-    group_order: int
+    __slots__ = ("dim", "p", "mats", "group_order")
 
-    def __post_init__(self):
-        for m in self.mats:
-            if la.fp_rank(m) != self.dim:
+    def __init__(self, dim: int, p: int, mats: list[la.FpMatrix], group_order: int):
+        for m in mats:
+            if la.fp_rank(m) != dim:
                 raise ValueError("action matrix is singular")
+        self.dim = dim
+        self.p = p
+        self.mats = mats  # one per layer generator
+        self.group_order = group_order
 
 
 def _eye(p: int, dim: int) -> la.FpMatrix:

@@ -8,7 +8,6 @@ transforms are kept unimodular so results can be certified exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -111,24 +110,36 @@ def _bareiss(a: Matrix, n: int) -> int:
     return sign
 
 
-@dataclass(frozen=True)
 class FinAbGroup:
     """Finite abelian group in Smith normal form.
 
     invariant_factors is the ascending divisibility chain d_1 | d_2 | ...,
-    all >= 2; the trivial group has an empty list.
+    all >= 2; the trivial group has an empty list.  Factors equal to 1 are
+    dropped on construction.  Groups compare and hash by their factors and
+    are not modified after construction.
     """
 
-    invariant_factors: tuple[int, ...] = field(default_factory=tuple)
+    __slots__ = ("invariant_factors",)
 
-    def __post_init__(self):
-        facs = tuple(int(d) for d in self.invariant_factors if int(d) != 1)
-        object.__setattr__(self, "invariant_factors", facs)
+    def __init__(self, invariant_factors=()):
+        facs = tuple(int(d) for d in invariant_factors if int(d) != 1)
         for a, b in zip(facs, facs[1:]):
             if b % a != 0:
                 raise ValueError(f"invariant factors violate divisibility: {facs}")
         if any(d < 2 for d in facs):
             raise ValueError(f"invariant factors must be >= 2 or absent: {facs}")
+        self.invariant_factors = facs
+
+    def __eq__(self, other):
+        if not isinstance(other, FinAbGroup):
+            return NotImplemented
+        return self.invariant_factors == other.invariant_factors
+
+    def __hash__(self):
+        return hash(self.invariant_factors)
+
+    def __repr__(self):
+        return f"FinAbGroup({self.invariant_factors})"
 
     @property
     def is_trivial(self) -> bool:
@@ -273,7 +284,6 @@ def smith_normal_form(m: Matrix,
     return a, u, transpose(v_cols) if with_v else None, transpose(ui_cols)
 
 
-@dataclass
 class Presentation:
     """Z^n modulo a lattice of relations, in Smith normal form.
 
@@ -283,10 +293,13 @@ class Presentation:
     generator.
     """
 
-    group: FinAbGroup
-    U: Matrix
-    U_inv: Matrix
-    diag: list[int]
+    __slots__ = ("group", "U", "U_inv", "diag")
+
+    def __init__(self, group: FinAbGroup, U: Matrix, U_inv: Matrix, diag: list[int]):
+        self.group = group
+        self.U = U
+        self.U_inv = U_inv
+        self.diag = diag
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -545,14 +558,27 @@ def integer_kernel(a: Matrix, cols: int) -> list[list[int]]:
 # F_p matrices
 
 
-@dataclass
 class FpMatrix:
-    """Dense matrix over Z/p with all entries kept reduced."""
+    """Dense matrix over Z/p with all entries kept reduced.  Matrices with
+    the same shape, entries and p compare equal, which the closure of a
+    group of action matrices relies on."""
 
-    rows: int
-    cols: int
-    entries: list[list[int]]
-    p: int
+    __slots__ = ("rows", "cols", "entries", "p")
+
+    def __init__(self, rows: int, cols: int, entries: list[list[int]], p: int):
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+        self.p = p
+
+    def __eq__(self, other):
+        if not isinstance(other, FpMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.entries, self.p) == (
+            other.rows, other.cols, other.entries, other.p)
+
+    def __repr__(self):
+        return f"FpMatrix({self.rows}, {self.cols}, {self.entries}, {self.p})"
 
     @classmethod
     def from_rows(cls, rows: list[list[int]], p: int, cols: int | None = None) -> "FpMatrix":

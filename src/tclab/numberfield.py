@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, count
@@ -28,15 +27,16 @@ class FieldError(ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
 class NFElement:
     """nums / den in the coordinates of the integral basis: integers with
     den > 0 and gcd(nums, den) = 1 (Cohen, GTM 138, 4.2).  Arithmetic reads
-    nums and den directly; elements of different fields are never equal."""
+    nums and den directly; elements of different fields are never equal.
+    Elements are hashed and are not modified after construction."""
 
-    field: "NumberField"
-    nums: tuple[int, ...]
-    den: int
+    def __init__(self, field: "NumberField", nums: tuple[int, ...], den: int):
+        self.field = field
+        self.nums = nums
+        self.den = den
 
     @cached_property
     def coords(self) -> tuple[Fraction, ...]:

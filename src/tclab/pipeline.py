@@ -8,8 +8,6 @@ When the two meet, the dimension is pinned exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .equivariant import (
     GaloisLayer,
     GammaModule,
@@ -40,16 +38,19 @@ def sha_lower_bound(field: NumberField, p: int, T: list[PrimeIdeal],
     }
 
 
-@dataclass
 class ShaSandwich:
-    field: NumberField
-    p: int
-    T: list[PrimeIdeal]
-    V: list[PrimeIdeal]
-    lower: int
-    upper: int
-    certified: bool
-    mode: str
+    __slots__ = ("field", "p", "T", "V", "lower", "upper", "certified", "mode")
+
+    def __init__(self, field: NumberField, p: int, T: list[PrimeIdeal],
+                 V: list[PrimeIdeal], lower: int, upper: int, certified: bool, mode: str):
+        self.field = field
+        self.p = p
+        self.T = T
+        self.V = V
+        self.lower = lower
+        self.upper = upper
+        self.certified = certified
+        self.mode = mode
 
     @property
     def pinned_dim(self) -> int | None:
@@ -121,15 +122,18 @@ def orbit_closure_check(layer: GaloisLayer, S_tilde: list[PrimeIdeal],
     }
 
 
-@dataclass
 class PreservingSet:
-    field: NumberField
-    S: list[PrimeIdeal]
-    p: int
-    X: list[PrimeIdeal]
-    witnesses: dict  # label -> list of residue classes (all zero)
-    shortfall: int  # primes requested but not found below the bound
-    verified: bool
+    __slots__ = ("field", "S", "p", "X", "witnesses", "shortfall", "verified")
+
+    def __init__(self, field: NumberField, S: list[PrimeIdeal], p: int,
+                 X: list[PrimeIdeal], witnesses: dict, shortfall: int, verified: bool):
+        self.field = field
+        self.S = S
+        self.p = p
+        self.X = X
+        self.witnesses = witnesses  # label -> list of residue classes (all zero)
+        self.shortfall = shortfall  # primes requested but not found below the bound
+        self.verified = verified
 
 
 def find_preserving_primes(field: NumberField, S: list[PrimeIdeal], p: int,

@@ -11,8 +11,6 @@ exactly the p-primary part of the ray class group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import intlinalg as la
 from .classunit import ClassGroupData, class_group, unit_group
 from .numberfield import FieldError, NFElement, NumberField, PrimeIdeal
@@ -30,13 +28,15 @@ def p_part_order(P: PrimeIdeal, p: int) -> int:
     return p**a
 
 
-@dataclass
 class ResGen:
     """Generator of the p-part of (O/P)^*, read through P's character of
     order p^a."""
 
-    prime: PrimeIdeal
-    order: int  # p^a
+    __slots__ = ("prime", "order")
+
+    def __init__(self, prime: PrimeIdeal, order: int):
+        self.prime = prime
+        self.order = order  # p^a
 
     @property
     def base(self) -> tuple:
@@ -51,17 +51,23 @@ class ResGen:
         return self.prime.character(x, self.order) * pow(m, -1, self.order) % self.order
 
 
-@dataclass
 class RayClassData:
-    field: NumberField
-    p: int
-    modulus: list[PrimeIdeal]
-    res_gens: list[ResGen]
-    class_data: ClassGroupData
-    relation_rows: list[list[int]]
-    group: la.FinAbGroup  # full cokernel (p-primary part is the RCG's)
-    p_group: la.FinAbGroup
-    pres: la.Presentation  # the cokernel of relation_rows
+    __slots__ = ("field", "p", "modulus", "res_gens", "class_data", "relation_rows",
+                 "group", "p_group", "pres")
+
+    def __init__(self, field: NumberField, p: int, modulus: list[PrimeIdeal],
+                 res_gens: list[ResGen], class_data: ClassGroupData,
+                 relation_rows: list[list[int]], group: la.FinAbGroup,
+                 p_group: la.FinAbGroup, pres: la.Presentation):
+        self.field = field
+        self.p = p
+        self.modulus = modulus
+        self.res_gens = res_gens
+        self.class_data = class_data
+        self.relation_rows = relation_rows
+        self.group = group  # full cokernel (p-primary part is the RCG's)
+        self.p_group = p_group
+        self.pres = pres  # the cokernel of relation_rows
 
     @property
     def n_gens(self) -> int:

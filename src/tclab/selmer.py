@@ -10,8 +10,6 @@ self-test of the whole package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import intlinalg as la
 from .classunit import class_group, pth_root, solve_relation_element, unit_group
 from .numberfield import FieldError, NFElement, NumberField, PrimeIdeal, certify_independence
@@ -27,18 +25,25 @@ def power_residue_class(x: NFElement, P: PrimeIdeal, p: int) -> int:
     return P.character(x, p)
 
 
-@dataclass
 class SelmerBasis:
-    field: NumberField
-    S: list[PrimeIdeal]
-    p: int
-    generators: list[NFElement]
-    local_matrix: la.FpMatrix  # rows = V_emptyset gens, cols = conditions
-    v0_generators: list[NFElement]
-    v0_labels: list[str]
-    kernel_vectors: list[list[int]]  # exponent vectors over v0_generators
-    certified: bool
-    aux_primes: list[PrimeIdeal]
+    __slots__ = ("field", "S", "p", "generators", "local_matrix", "v0_generators",
+                 "v0_labels", "kernel_vectors", "certified", "aux_primes")
+
+    def __init__(self, field: NumberField, S: list[PrimeIdeal], p: int,
+                 generators: list[NFElement], local_matrix: la.FpMatrix,
+                 v0_generators: list[NFElement], v0_labels: list[str],
+                 kernel_vectors: list[list[int]], certified: bool,
+                 aux_primes: list[PrimeIdeal]):
+        self.field = field
+        self.S = S
+        self.p = p
+        self.generators = generators
+        self.local_matrix = local_matrix  # rows = V_emptyset gens, cols = conditions
+        self.v0_generators = v0_generators
+        self.v0_labels = v0_labels
+        self.kernel_vectors = kernel_vectors  # exponent vectors over v0_generators
+        self.certified = certified
+        self.aux_primes = aux_primes
 
     @property
     def dim(self) -> int:
@@ -122,13 +127,16 @@ def selmer_basis(field: NumberField, S: list[PrimeIdeal], p: int) -> SelmerBasis
                        kernel, certified, aux)
 
 
-@dataclass
 class H1FormulaContext:
-    Z: list[PrimeIdeal]
-    delta_p_K: int
-    r: int
-    local_deltas: list[int]
-    dim_h1: int
+    __slots__ = ("Z", "delta_p_K", "r", "local_deltas", "dim_h1")
+
+    def __init__(self, Z: list[PrimeIdeal], delta_p_K: int, r: int,
+                 local_deltas: list[int], dim_h1: int):
+        self.Z = Z
+        self.delta_p_K = delta_p_K
+        self.r = r
+        self.local_deltas = local_deltas
+        self.dim_h1 = dim_h1
 
     @property
     def rusb_dim(self) -> int:
@@ -185,16 +193,22 @@ def crosscheck_rusb(field: NumberField, S: list[PrimeIdeal], p: int) -> dict:
 # p = 2 exceptionality
 
 
-@dataclass
 class ExceptionalityReport:
-    field: NumberField
-    S: list[PrimeIdeal]
-    condition_a: bool  # zeta_4 not in K
-    witness_a: NFElement | None  # a root of x^2 + 1 when condition_a fails
-    condition_b: bool  # unit of the form -4 a^4 exists
-    witness_b: NFElement | None
-    condition_c: bool
-    per_prime_c: list[tuple[str, bool]]
+    __slots__ = ("field", "S", "condition_a", "witness_a", "condition_b", "witness_b",
+                 "condition_c", "per_prime_c")
+
+    def __init__(self, field: NumberField, S: list[PrimeIdeal], condition_a: bool,
+                 witness_a: NFElement | None, condition_b: bool,
+                 witness_b: NFElement | None, condition_c: bool,
+                 per_prime_c: list[tuple[str, bool]]):
+        self.field = field
+        self.S = S
+        self.condition_a = condition_a  # zeta_4 not in K
+        self.witness_a = witness_a  # a root of x^2 + 1 when condition_a fails
+        self.condition_b = condition_b  # unit of the form -4 a^4 exists
+        self.witness_b = witness_b
+        self.condition_c = condition_c
+        self.per_prime_c = per_prime_c
 
     @property
     def exceptional(self) -> bool:

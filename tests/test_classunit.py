@@ -657,12 +657,24 @@ def test_unit_group_saturates_the_cached_group_at_a_new_p(monkeypatch):
     real = cu._unit_system_by_t2
     monkeypatch.setattr(cu, "_unit_system_by_t2",
                         lambda field, rank: walks.append(rank) or real(field, rank))
-    first = cu.unit_group(K).fundamental_units
+    ub0 = cu.unit_group(K)
+    first = ub0.fundamental_units
     for p in (7, 11, 7, 13):
         ub = cu.unit_group(K, p)
     assert walks == [2]
     assert ub.saturated_at == (2, 3, 5, 7, 11, 13) and cu.unit_group(K, 11) is ub
     assert abs(la.det([_unit_exponents(K, v, first) for v in ub.fundamental_units])) == 1
+    # Re-saturation replaces the units and keeps everything else.
+    assert ub is not ub0 and ub0.saturated_at == (2, 3, 5)
+    assert (ub.field, ub.torsion_order, ub.torsion_gen, ub.regulator_nonzero_witness) == (
+        ub0.field, ub0.torsion_order, ub0.torsion_gen, ub0.regulator_nonzero_witness)
+    # Q(sqrt -3): torsion of order 6 and no fundamental units.
+    E = quadratic_field(-3)
+    w0 = cu.unit_group(E)
+    w7 = cu.unit_group(E, 7)
+    assert w7.saturated_at == (2, 3, 5, 7) and w7.fundamental_units == []
+    assert (w7.torsion_order, w7.torsion_gen, w7.regulator_nonzero_witness) == (
+        6, w0.torsion_gen, True)
 
 
 # The saturated unit systems that the coordinate-box search, which the T2

@@ -122,6 +122,21 @@ def test_non_prime_p_is_precondition(capsys, command, p):
     assert f"p = {p} " in rep["error"]["reason"]
 
 
+@pytest.mark.parametrize("option,value,reason", [
+    ("--count", "-2", "--count = -2 is not positive"),
+    ("--count", "0", "--count = 0 is not positive"),
+    ("--norm-bound", "-5", "--norm-bound = -5 is below 2"),
+    ("--norm-bound", "1", "--norm-bound = 1 is below 2"),
+])
+def test_bad_search_x_count_or_bound_is_precondition(capsys, option, value, reason):
+    code, out, err = run_capture(capsys, ["--json", "search-x", "--field", "sqrt5.field",
+                                          "--p", "3", option, value])
+    assert code == 2 and out == ""
+    rep = json.loads(err.strip())
+    assert rep["error"]["kind"] == "precondition"
+    assert rep["error"]["reason"].startswith(reason)
+
+
 def test_non_prime_p_in_layer_config_is_precondition(capsys, tmp_path):
     ini = tmp_path / "p4.ini"
     ini.write_text(cli._data_path("example1.ini").read_text().replace("p = 3", "p = 4"))
@@ -328,6 +343,21 @@ def test_reproduce_leaves_sympy_unloaded():
     proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[0, 0] False\n"
+
+
+def test_cli_import_skips_the_inspect_chain():
+    # dataclasses pulls in inspect, dis, ast and tokenize, which cost every
+    # process several milliseconds of cold import and which tclab never
+    # uses.  The diff against a bare interpreter ignores whatever site
+    # preloads.
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import tclab.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'dis', 'ast', 'tokenize'}\n"
+            "             & (set(sys.modules) - before)))\n")
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_sandwich_twisted_config(capsys):

@@ -127,6 +127,14 @@ def test_gamma_module_invariants():
     assert eq.invariants_dim(eq.trivial_module(3, 2, 1, 2)) == 2
 
 
+def test_example2_twist_group_order():
+    # The closure that counts the group compares action matrices by value:
+    # the companion matrix of x^2 + x + 1 over F_2 has order 3.
+    twist = cli._load_layer_config("example2.ini")["twist"]
+    assert (twist.dim, twist.p, twist.group_order) == (2, 2, 3)
+    assert eq.gamma_module(3, [[[2]]]).group_order == 2
+
+
 def test_tensor_and_dual():
     # F_2^2 with the order-3 companion matrix A: (A tensor A)^Gamma has dim 2
     A = eq.gamma_module(2, [[[0, 1], [1, 1]]])

@@ -183,6 +183,29 @@ def test_finabgroup():
     assert str(la.FinAbGroup([])) == "0"
 
 
+def test_finabgroup_is_a_value():
+    # Factors 1 are dropped, lists and tuples give the same group, and
+    # equal groups hash equal.
+    g = la.FinAbGroup([1, 2, 12])
+    assert g == la.FinAbGroup((2, 12)) and hash(g) == hash(la.FinAbGroup((2, 12)))
+    assert g.invariant_factors == (2, 12)
+    assert la.FinAbGroup() == la.FinAbGroup([1]) == la.FinAbGroup(())
+    assert g != la.FinAbGroup((2, 4)) and g != (2, 12)
+    assert len({g, la.FinAbGroup((2, 12)), la.FinAbGroup()}) == 2
+    for bad in ((2, 3), (4, 2), (0,), (-2, 4)):
+        with pytest.raises(ValueError):
+            la.FinAbGroup(bad)
+
+
+def test_fp_matrix_equality_is_by_entries():
+    a = la.FpMatrix.from_rows([[1, 7], [3, 4]], 5)
+    assert a == la.FpMatrix(2, 2, [[1, 2], [3, 4]], 5)
+    assert a in [la.FpMatrix.from_rows([[0, 1], [1, 0]], 5),
+                 la.FpMatrix.from_rows([[6, 2], [3, 9]], 5)]
+    assert a != la.FpMatrix.from_rows([[1, 2], [3, 3]], 5)
+    assert a != la.FpMatrix.from_rows([[1, 2], [3, 4]], 7)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_fp_kernel_random(p):
     rng = random.Random(p)
