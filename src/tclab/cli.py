@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from importlib import resources
+from pathlib import Path
 
 from . import classunit, equivariant as eq, pipeline as pl, rayclass as rc, selmer as sm
 from .fieldfile import FieldFileError, parse_field_file
@@ -49,8 +49,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _data_path(name: str):
-    return resources.files("tclab.data") / name
+def _data_path(name: str) -> Path:
+    """The bundled file name, in the data folder next to this module.  Found
+    from __file__: importlib.resources, with the zipfile and tempfile it
+    imports, would cost every cold process several milliseconds."""
+    return Path(__file__).with_name("data") / name
 
 
 def _load_field(spec: str) -> NumberField:

@@ -347,6 +347,23 @@ def product_first_fastest(ranges):
     return (t[::-1] for t in product(*reversed(ranges)))
 
 
+def _gram_schmidt_row(G: Matrix, d: list[int], lam: Matrix, k: int) -> None:
+    """Integral Gram-Schmidt for the vector b_k of the Gram matrix G, the
+    rows before k done: lam[k][j] = d[j+1] mu_kj for j < k, and d[k+1], the
+    Gram determinant of b_0, ..., b_k (Cohen, GTM 138, Alg. 2.6.7, step 2).
+    Every division is exact."""
+    for j in range(k + 1):
+        u = G[k][j]
+        for i in range(j):
+            u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+        if j < k:
+            lam[k][j] = u
+        else:
+            if u <= 0:
+                raise ValueError("Gram matrix is not positive definite")
+            d[k + 1] = u
+
+
 def lll(gram: Matrix) -> tuple[Matrix, Matrix]:
     """Integral LLL reduction (delta = 3/4) of the lattice with positive
     definite integer Gram matrix gram (Cohen, GTM 138, Alg. 2.6.7).
@@ -394,22 +411,12 @@ def lll(gram: Matrix) -> tuple[Matrix, Matrix]:
         d[k] = B
 
     if n:
-        d[1] = G[0][0]
+        _gram_schmidt_row(G, d, lam, 0)
     k, kmax = 1, 0
     while k < n:
         if k > kmax:
-            # Incremental Gram-Schmidt for the new vector b_k.
             kmax = k
-            for j in range(k + 1):
-                u = G[k][j]
-                for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-                if j < k:
-                    lam[k][j] = u
-                else:
-                    if u <= 0:
-                        raise ValueError("Gram matrix is not positive definite")
-                    d[k + 1] = u
+            _gram_schmidt_row(G, d, lam, k)
         reduce(k, k - 1)
         # Lovasz condition d_k d_(k-2) >= (3/4) d_(k-1)^2 - lam^2, times 4.
         if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
@@ -422,6 +429,27 @@ def lll(gram: Matrix) -> tuple[Matrix, Matrix]:
     return G, T
 
 
+def _completed_squares(gram: Matrix) -> tuple[list[int], Matrix, int, int]:
+    """(a, C, D, m D^2) for the positive definite integer Gram matrix gram,
+    completed into squares in integers by the Gram-Schmidt recurrence of
+    lll.  With d_k the leading k x k minor of gram and lam_ji = d_(i+1)
+    mu_ji, Q(x) = sum_i q_ii (x_i + sum_(j>i) q_ij x_j)^2 for q_ii =
+    d_(i+1) / d_i and q_ij = lam_ji / d_(i+1).  m and D are the least
+    common denominators of those quotients in lowest terms, found by gcd
+    alone: q_ii = a_i / m and q_ij = C_ij / D, with C[i] the list of C_ij
+    for j > i.  No Fraction is built."""
+    n = len(gram)
+    d, lam = [1] + [0] * n, zeros(n, n)
+    for k in range(n):
+        _gram_schmidt_row(gram, d, lam, k)
+    m = math.lcm(*(d[i] // math.gcd(d[i + 1], d[i]) for i in range(n)))
+    D = math.lcm(*(d[i + 1] // math.gcd(lam[j][i], d[i + 1])
+                   for i in range(n) for j in range(i + 1, n)))
+    a = [d[i + 1] * m // d[i] for i in range(n)]
+    C = [[lam[j][i] * D // d[i + 1] for j in range(i + 1, n)] for i in range(n)]
+    return a, C, D, m * D * D
+
+
 def fincke_pohst(gram: Matrix, bound):
     """(x, x^t gram x) for every nonzero x in Z^n with x^t gram x <= bound,
     one of each pair +-x (the last nonzero coordinate is positive), for a
@@ -429,26 +457,12 @@ def fincke_pohst(gram: Matrix, bound):
     1985; Cohen, GTM 138, Alg. 2.7.5), in increasing order of (x_(n-1),
     ..., x_0).
 
-    The form is completed into squares over Q once, Q(x) = sum_i q_ii (x_i
-    + sum_(j>i) q_ij x_j)^2, and then scaled to integers: q_ii = a_i / m
-    and q_ij = C_ij / D over common denominators, so m D^2 Q(x) = sum_i
+    With gram's squares completed (_completed_squares), m D^2 Q(x) = sum_i
     a_i (D x_i + C_i)^2 with C_i = sum_(j>i) C_ij x_j.  Q(x) is an integer,
     so the budget is m D^2 floor(bound), and each coordinate runs over the
     v with |D v + C_i| <= isqrt(remaining budget // a_i)."""
     n = len(gram)
-    q = [[Fraction(x) for x in row] for row in gram]
-    for i in range(n):
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
-    m = math.lcm(*(q[i][i].denominator for i in range(n)))
-    D = math.lcm(*(q[i][j].denominator for i in range(n) for j in range(i + 1, n)))
-    a = [int(q[i][i] * m) for i in range(n)]
-    C = [[int(q[i][j] * D) for j in range(i + 1, n)] for i in range(n)]
-    scale = m * D * D
+    a, C, D, scale = _completed_squares(gram)
     budget = scale * math.floor(bound)
     x = [0] * n
 

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -723,6 +724,29 @@ def test_units_generate_the_box_search_unit_group(f):
     # Each old unit is +- a product of the new ones, and the exponent
     # matrix is unimodular: both systems generate the same group.
     assert abs(la.det([_unit_exponents(K, v, units) for v in old])) == 1
+
+
+# sha256 of the units (nums, den), saturated_at, and the class group data
+# (invariant factors, generating prime labels, relation matrix, relation
+# elements' nums and den) of the cubic corpus, the cubics with classes and
+# x^4 - 5x^2 + 5, x^4 - 4x^2 + 2.  A change that keeps these outputs by
+# construction (the integer square completion of fincke_pohst, the roots
+# of f mod q by evaluation) must keep the digest.
+UNIT_AND_CLASS_DIGEST = "73dd319f56ffc97e8afe6f6274dbc29d416c00044fafdcb770db2b464fef782d"
+
+
+def test_units_and_class_groups_keep_their_digest():
+    fs = (CUBIC_CORPUS + [f for f, _, _ in CUBICS_WITH_CLASSES]
+          + [(5, 0, -5, 0, 1), (2, 0, -4, 0, 1)])
+    digest = hashlib.sha256()
+    for f in fs:
+        K = NumberField(f)
+        ub, cg = cu.unit_group(K), cu.class_group(K)
+        digest.update(repr((
+            f, [(u.nums, u.den) for u in ub.fundamental_units], ub.saturated_at,
+            cg.group.invariant_factors, [P.label for P in cg.generating_primes],
+            cg.relation_matrix, [(e.nums, e.den) for e in cg.relation_elements])).encode())
+    assert digest.hexdigest() == UNIT_AND_CLASS_DIGEST
 
 
 # The flag says that the units the T2 search finds are saturated at 2, 3

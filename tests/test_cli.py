@@ -360,6 +360,18 @@ def test_cli_import_skips_the_inspect_chain():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_import_skips_importlib_resources():
+    # importlib.resources pulls in zipfile and tempfile; the bundled data is
+    # found next to cli.py instead.  python -S keeps site from preloading
+    # any of them, so the check holds wherever site does.
+    code = ("import sys\n"
+            "import tclab.cli\n"
+            "print(sorted({'importlib.resources', 'zipfile', 'tempfile'} & set(sys.modules)))\n")
+    proc = fresh_python("-S", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_sandwich_twisted_config(capsys):
     code, out, _ = run_capture(capsys, ["--json", "sandwich", "--config",
                                         "example1.ini", "--twisted"])

@@ -403,6 +403,45 @@ def _brute_short_vectors(gram, bound):
     return sorted(out)
 
 
+def _completed_squares_over_q(gram):
+    """(a, C, D, m D^2) of la._completed_squares, by completing the squares
+    with Fractions, as fincke_pohst once did: the reference."""
+    n = len(gram)
+    q = [[Fraction(x) for x in row] for row in gram]
+    for i in range(n):
+        for j in range(i + 1, n):
+            q[j][i] = q[i][j]
+            q[i][j] = q[i][j] / q[i][i]
+        for k in range(i + 1, n):
+            for l in range(k, n):
+                q[k][l] -= q[k][i] * q[i][l]
+    m = math.lcm(*(q[i][i].denominator for i in range(n)))
+    D = math.lcm(*(q[i][j].denominator for i in range(n) for j in range(i + 1, n)))
+    a = [int(q[i][i] * m) for i in range(n)]
+    C = [[int(q[i][j] * D) for j in range(i + 1, n)] for i in range(n)]
+    return a, C, D, m * D * D
+
+
+def test_completed_squares_match_the_fraction_completion():
+    rng = random.Random(1985)
+    for case in range(400):
+        gram = _random_gram(rng, case % 5 + 1, rng.choice((3, 10, 30)))
+        if case % 2:
+            gram = la.lll(gram)[0]
+        assert la._completed_squares(gram) == _completed_squares_over_q(gram), gram
+
+
+def test_fincke_pohst_builds_no_fraction_on_integer_input(monkeypatch):
+    gram = la.lll(_random_gram(random.Random(7), 4, 6))[0]
+    expected = list(la.fincke_pohst(gram, 3 * gram[0][0]))
+
+    def refuse(*args):
+        raise AssertionError("fincke_pohst built a Fraction")
+
+    monkeypatch.setattr(la, "Fraction", refuse)
+    assert list(la.fincke_pohst(gram, 3 * gram[0][0])) == expected and len(expected) > 1
+
+
 def test_fincke_pohst_matches_box_enumeration():
     rng = random.Random(2718)
     cases = 0

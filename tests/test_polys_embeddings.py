@@ -16,7 +16,7 @@ except ImportError:  # pragma: no cover
 from tclab import intlinalg as la
 from tclab import polys
 from tclab.embeddings import RealEmbeddings, _poly_interval, certified_log_rank
-from tclab.numberfield import FieldError, NumberField
+from tclab.numberfield import FieldError, NumberField, is_prime
 
 from conftest import fresh_python, quadratic_field
 
@@ -67,6 +67,38 @@ def test_gfp_factor_of_every_monic_quartic_by_brute_force(q):
                     irreducible[g] = g[-1] == 1 and all(
                         polys.gfp_mod(g, h, q) for h in small if 2 * (len(h) - 1) <= len(g) - 1)
                 assert irreducible[g], (q, f, g)
+
+
+def _seeded_monic(rng):
+    """A monic integer polynomial of degree 1 to 6: random, or a product of
+    random monic factors of degree 1 to 3, some of them repeated."""
+    if rng.random() < 0.4:
+        return tuple(rng.randint(-99, 99) for _ in range(rng.randint(1, 6))) + (1,)
+    f = (1,)
+    while len(f) == 1 or len(f) < rng.randint(2, 7):
+        g = tuple(rng.randint(-30, 30) for _ in range(rng.choice((1, 1, 1, 2, 3)))) + (1,)
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            if len(f) + len(g) - 2 <= 6:
+                f = polys.poly_mul(f, g)
+    return f
+
+
+def test_gfp_roots_by_evaluation_and_by_gcd_match_brute_force():
+    # gfp_roots evaluates f at every residue up to the crossover and takes
+    # gcd(x^q - x, f) above it; both must give the distinct roots of f mod
+    # q in ascending order, for f with repeated factors too.
+    rng = random.Random(2026)
+    top = 2 * polys._ROOTS_BY_EVALUATION_MAX_Q
+    qs = [q for q in range(2, top + 1) if is_prime(q)] + [1009, 7919]
+    split = 0
+    for q in qs:
+        for _ in range(4):
+            f = _seeded_monic(rng)
+            expected = [r for r in range(q)
+                        if sum(c * pow(r, i, q) for i, c in enumerate(f)) % q == 0]
+            assert polys.gfp_roots(f, q) == expected, (f, q)
+            split += len(expected) > 1
+    assert split > 100
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
