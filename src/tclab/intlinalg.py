@@ -1,8 +1,10 @@
 """Exact linear algebra over Z, F_p and Q.
 
 Everything here works on small dense matrices represented as lists of
-lists of Python ints, or of Fractions over Q.  No floating point anywhere;
-transforms are kept unimodular so results can be certified exactly.
+lists of Python ints; over Q they are integers over a denominator, solved
+by Bareiss elimination, with Fractions only at the frac_* entries.  No
+floating point anywhere; transforms are kept unimodular so results can be
+certified exactly.
 """
 
 from __future__ import annotations
@@ -83,6 +85,17 @@ def bareiss_solve(m: Matrix, b: list[int]) -> tuple[list[int], int]:
     for i in reversed(range(n)):
         y[i] = (d * a[i][n] - sum(a[i][j] * y[j] for j in range(i + 1, n))) // a[i][i]
     return y, d
+
+
+def bareiss_inverse(m: Matrix) -> tuple[Matrix, int]:
+    """Integers V and d >= 1 with m^-1 = V / d in lowest terms, for a
+    square integer matrix m; ZeroDivisionError if m is singular.  One
+    bareiss_solve per unit column: its pivots depend on m alone, so every
+    column comes over the same d = +-det m, and one gcd reduces."""
+    sols = [bareiss_solve(m, e) for e in identity(len(m))]
+    d = sols[0][1]
+    g = math.gcd(d, *(y for ys, _ in sols for y in ys)) * (1 if d > 0 else -1)
+    return transpose([[y // g for y in ys] for ys, _ in sols]), d // g
 
 
 def _bareiss(a: Matrix, n: int) -> int:
@@ -628,7 +641,7 @@ def fp_inverse(m: FpMatrix) -> FpMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Matrices over Q, given as rows of ints or Fractions; results are Fractions.
+# Matrices over Q, given as rows of ints or Fractions, each row cleared.
 
 
 def clear_denominators(row) -> tuple[list[int], int]:
@@ -650,31 +663,28 @@ def frac_det(m) -> Fraction:
 
 
 def frac_inv(m):
-    """Inverse over Q; ZeroDivisionError if m is singular."""
-    return _inverse(m)
+    """Inverse over Q; ZeroDivisionError if m is singular.  With row i of
+    m equal to A_i / s_i, m^-1 = A^-1 diag(s) for A^-1 from bareiss_inverse."""
+    rows, scales = zip(*map(clear_denominators, m))
+    V, d = bareiss_inverse(rows)
+    return [[Fraction(v * s, d) for v, s in zip(row, scales)] for row in V]
 
 
 def frac_solve(m, b):
-    """One solution of m @ x = b over Q; ZeroDivisionError if there is none."""
-    x = _solve(m, b, len(m))
-    if x is None:
-        raise ZeroDivisionError("singular matrix")
-    return x
+    """m^-1 b over Q for a square m; ZeroDivisionError if m is singular."""
+    return mat_vec(frac_inv(m), b)
 
 
 # ---------------------------------------------------------------------------
-# The one elimination behind every F_p and Q entry above.
+# The one Gauss-Jordan elimination, over F_p, behind every fp_* entry above.
 
 
-def _rref(rows, ncols: int, p: int | None = None):
-    """Gauss-Jordan elimination over F_p, or over Q when p is None, with
-    pivots taken in the first ncols columns (rows may be longer, e.g. an
-    augmented block).  Each column's pivot is the first nonzero entry at
-    or below the current row.  Returns (reduced rows, pivot columns)."""
-    if p is None:
-        a = [[Fraction(x) for x in row] for row in rows]
-    else:
-        a = [[x % p for x in row] for row in rows]
+def _rref(rows, ncols: int, p: int):
+    """Gauss-Jordan elimination over F_p, with pivots taken in the first
+    ncols columns (rows may be longer, e.g. an augmented block).  Each
+    column's pivot is the first nonzero entry at or below the current row.
+    Returns (reduced rows, pivot columns)."""
+    a = [[x % p for x in row] for row in rows]
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -684,48 +694,40 @@ def _rref(rows, ncols: int, p: int | None = None):
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        if p is None:
-            inv = 1 / a[r][c]
-            a[r] = [x * inv for x in a[r]]
-        else:
-            inv = pow(a[r][c], -1, p)
-            a[r] = [x * inv % p for x in a[r]]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
         for i, row in enumerate(a):
             f = row[c]
             if f and i != r:
-                if p is None:
-                    a[i] = [x - f * y for x, y in zip(row, a[r])]
-                else:
-                    a[i] = [(x - f * y) % p for x, y in zip(row, a[r])]
+                a[i] = [(x - f * y) % p for x, y in zip(row, a[r])]
         pivots.append(c)
     return a, pivots
 
 
-def _kernel(rows, ncols: int, p: int | None = None):
+def _kernel(rows, ncols: int, p: int):
     """One kernel vector per free column: 1 there, minus the reduced
     entries at the pivot columns, 0 elsewhere."""
     a, pivots = _rref(rows, ncols, p)
-    zero = Fraction(0) if p is None else 0
     basis = []
     for fc in range(ncols):
         if fc in pivots:
             continue
-        v = [zero] * ncols
-        v[fc] = zero + 1
+        v = [0] * ncols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc] if p is None else -a[r][fc] % p
+            v[pc] = -a[r][fc] % p
         basis.append(v)
     return basis
 
 
-def _solve(rows, b, ncols: int, p: int | None = None):
+def _solve(rows, b, ncols: int, p: int):
     """The solution with free coordinates 0: the kernel vector of
     [rows | -b] that is 1 in the last column, if there is one."""
     ker = _kernel([list(row) + [-y] for row, y in zip(rows, b)], ncols + 1, p)
     return next((v[:ncols] for v in ker if v[ncols]), None)
 
 
-def _inverse(rows, p: int | None = None):
+def _inverse(rows, p: int):
     n = len(rows)
     a, pivots = _rref([list(row) + [int(i == j) for j in range(n)]
                        for i, row in enumerate(rows)], n, p)

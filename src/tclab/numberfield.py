@@ -188,7 +188,6 @@ class NumberField:
         d = la.frac_det(rows)
         if d == 0:
             raise FieldError("integral basis rows are linearly dependent")
-        self._basis_inv = la.frac_inv(rows)
         # Index of Z[theta] in the claimed order.
         idx = Fraction(1) / abs(d)
         if idx.denominator != 1:
@@ -199,7 +198,15 @@ class NumberField:
         self.disc = self.disc_poly // (self.index**2)
         if rows[0] != [1] + [0] * (n - 1):
             raise FieldError("integral basis must start with 1")
-        # Closure under multiplication is checked in _build_structure.
+        # B = R / r and B^-1 = r R^-1 = V / v in lowest terms: for R^-1 =
+        # V' / v' in lowest terms, r V' / v' reduces by gcd(r, v').  Closure
+        # under multiplication is checked in _build_structure.
+        flat, r = la.clear_denominators([c for row in rows for c in row])
+        R = [flat[i * n:(i + 1) * n] for i in range(n)]
+        V, v = la.bareiss_inverse(R)
+        g = math.gcd(r, v)
+        self._basis_num, self._basis_den = R, r
+        self._inv_num, self._inv_den = [[x * (r // g) for x in row] for row in V], v // g
 
     def _check_maximality(self):
         """Accept the order O only where it is shown maximal: at each q with
@@ -221,16 +228,11 @@ class NumberField:
         multiplication matrix of x has entry (k, j) = sum_i x_i [k][j][i].
         Refuses a basis whose products leave the lattice it spans.
 
-        In integers: with the basis rows B = R / r and B^-1 = V / v over
-        one denominator each, kept as _basis_num, _basis_den, _inv_num and
-        _inv_den, b_i b_j has power coordinates (R_i R_j mod f) / r^2 and
+        In integers: with the basis rows B = R / r and B^-1 = V / v of
+        _set_basis, b_i b_j has power coordinates (R_i R_j mod f) / r^2 and
         basis coordinates (R_i R_j mod f) V / (r^2 v)."""
         n = self.degree
-        flat, r = la.clear_denominators([c for row in self._basis_rows for c in row])
-        R = [flat[i * n:(i + 1) * n] for i in range(n)]
-        flat, v = la.clear_denominators([c for row in self._basis_inv for c in row])
-        V = [flat[i * n:(i + 1) * n] for i in range(n)]
-        self._basis_num, self._basis_den, self._inv_num, self._inv_den = R, r, V, v
+        R, r, V, v = self._basis_num, self._basis_den, self._inv_num, self._inv_den
         scale = r * r * v
         table = [[[0] * n for _ in range(n)] for _ in range(n)]
         for i in range(n):
@@ -324,26 +326,25 @@ class NumberField:
 
     @cached_property
     def _factor_generator(self):
-        """(gen, minimal polynomial of gen, matrix from basis coordinates to
-        gen-power coordinates) for an element gen with Z[gen] equal to the
-        full order, used to factor primes dividing the index.  Raises
-        FieldError if the search fails."""
+        """(gen, minimal polynomial of gen, (T, 1) with T the integer matrix
+        from basis coordinates to gen-power coordinates) for an element gen
+        with Z[gen] equal to the full order, used to factor primes dividing
+        the index.  Raises FieldError if the search fails."""
         n = self.degree
-        # disc(minpoly(cand)) = det(P)^2 disc(K) for P the basis coordinates
-        # of 1, cand, ..., cand^(n-1), so Z[cand] is the whole order iff
-        # |det P| = 1.
+        # disc(minpoly(cand)) = det(M)^2 disc(K) for M the columns of basis
+        # coordinates of 1, cand, ..., cand^(n-1), so Z[cand] is the whole
+        # order iff |det M| = 1, and then T = M^-1 is integral.
         for coords in chain.from_iterable(la.shell(n, h) for h in (1, 2, 3)):
             cand = self.elt(coords)
             pows = [self.one]
             for _ in range(n - 1):
                 pows.append(pows[-1] * cand)
-            P = [list(p.coords) for p in pows]
-            if abs(la.frac_det(P)) == 1:
-                # cand^n = sum_i c_i cand^i for the solution c of
-                # P^T c = coords(cand^n), which is integral as |det P| = 1.
-                c, d = la.bareiss_solve(la.transpose([[int(x) for x in row] for row in P]),
-                                        [int(x) for x in (pows[-1] * cand).coords])
-                return cand, tuple(-ci // d for ci in c) + (1,), la.frac_inv(P)
+            M = la.transpose([p.nums for p in pows])
+            if abs(la.det(M)) == 1:
+                # cand^n = sum_i c_i cand^i for c = T nums(cand^n).
+                T, _ = la.bareiss_inverse(M)
+                c = la.mat_vec(T, (pows[-1] * cand).nums)
+                return cand, tuple(-ci for ci in c) + (1,), (T, 1)
         raise FieldError(
             "no monogenic generator found; cannot factor primes dividing the index"
         )
@@ -352,7 +353,8 @@ class NumberField:
         if q in self._prime_cache:
             return list(self._prime_cache[q])
         if self.index % q != 0:
-            gen, genpoly, to_gen = self.theta, self.min_poly, self._basis_rows
+            gen, genpoly = self.theta, self.min_poly
+            to_gen = la.transpose(self._basis_num), self._basis_den
         else:
             gen, genpoly, to_gen = self._factor_generator
         factors = gfp_factor(gfp_trim(genpoly, q), q)
@@ -502,7 +504,7 @@ class PrimeIdeal:
         self.gpoly = gpoly  # over F_q, ascending coefficients
         self.index = index  # 1-based position in the deterministic ordering
         self.gen = gen
-        self.to_gen = to_gen  # basis coordinates -> gen-power coordinates
+        self.to_gen = to_gen  # (T, d): gen-power coordinates T nums / (d den)
         self.norm = q**f_deg
         self._lattice = None
 
@@ -534,17 +536,17 @@ class PrimeIdeal:
 
     def residue(self, x: NFElement):
         """Image of x in the residue field; requires x integral at q.
-        With x = nums / den and to_gen = cols / d, the gen-power
-        coordinates of x are the integer dot products s_j = nums . cols[j]
-        over D = den d.  Write D = q^k u with u prime to q: x is integral
-        at q exactly when q^k divides every s_j, and then its residue
-        coordinates are (s_j / q^k) u^-1 mod q."""
+        With x = nums / den and to_gen = (T, d), the gen-power coordinates
+        of x are the integer dot products s_j = T_j . nums over D = den d.
+        Write D = q^k u with u prime to q: x is integral at q exactly when
+        q^k divides every s_j, and then its residue coordinates are
+        (s_j / q^k) u^-1 mod q."""
         x = self.field.elt(x)
-        cols, d = self._int_to_gen
+        T, d = self.to_gen
         q, qk, u = self.q, 1, x.den * d
         while u % q == 0:
             u, qk = u // q, qk * q
-        coords = [sum(map(operator.mul, x.nums, col)) for col in cols]
+        coords = [sum(map(operator.mul, x.nums, row)) for row in T]
         if qk > 1:
             if any(s % qk for s in coords):
                 raise FieldError(f"element is not integral at {q}")
@@ -564,14 +566,6 @@ class PrimeIdeal:
         if rf.is_zero(r):
             raise FieldError(f"element not coprime to {self.label}")
         return rf.dlog(rf.pow(r, (self.norm - 1) // m), rf.subgroup_generator(m), m)
-
-    @cached_property
-    def _int_to_gen(self) -> tuple[list[tuple[int, ...]], int]:
-        """to_gen as integer columns over one denominator d:
-        to_gen[i][j] = cols[j][i] / d."""
-        n = self.field.degree
-        flat, d = la.clear_denominators([Fraction(t) for row in self.to_gen for t in row])
-        return [tuple(flat[i * n + j] for i in range(n)) for j in range(n)], d
 
     def is_unit_at(self, x: NFElement) -> bool:
         x = self.field.elt(x)

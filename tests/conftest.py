@@ -18,6 +18,28 @@ def quadratic_field(n: int) -> NumberField:
     return NumberField((-n, 0, 1), label=f"sqrt{n}")
 
 
+def fraction_inverse(m):
+    """The inverse of a square matrix over Q by Gauss-Jordan elimination in
+    Fractions on [m | I], each column's pivot the first nonzero entry at or
+    below the current row: the oracle for the integer inverses of intlinalg.
+    ZeroDivisionError if m is singular."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for c in range(n):
+        pr = next((i for i in range(c, n) if a[i][c]), None)
+        if pr is None:
+            raise ZeroDivisionError("singular matrix")
+        a[c], a[pr] = a[pr], a[c]
+        piv = a[c][c]
+        a[c] = [x / piv for x in a[c]]
+        for i in range(n):
+            f = a[i][c]
+            if f and i != c:
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return [row[n:] for row in a]
+
+
 def fresh_python(*args) -> subprocess.CompletedProcess:
     """Run python with args in a new interpreter that imports this tclab."""
     src = os.path.dirname(os.path.dirname(tclab.__file__))

@@ -21,7 +21,7 @@ from tclab import numberfield as nf
 from tclab import polys
 from tclab.numberfield import NumberField, lattice_mul
 
-from conftest import quadratic_field
+from conftest import fraction_inverse, quadratic_field
 from test_polys_embeddings import CUBIC_CORPUS
 
 
@@ -180,7 +180,7 @@ def ref_structure(field):
                     vec[k - n + j] -= c * f[j]
         return vec[:n]
 
-    B, inv = field._basis_rows, la.frac_inv(field._basis_rows)
+    B, inv = field._basis_rows, fraction_inverse(field._basis_rows)
     table = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i, n):

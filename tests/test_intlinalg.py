@@ -1,12 +1,14 @@
 import math
 import random
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, product
 
 import pytest
 
 from tclab import intlinalg as la
 from tclab import polys
+
+from conftest import fraction_inverse
 
 
 def random_matrix(rng, rows, cols, bound=30):
@@ -227,42 +229,42 @@ def test_fp_solve():
     assert [(r[0] * x[0] + r[1] * x[1]) % 5 for r in m.entries] == [1, 0]
 
 
-def _rank_by_minors(m, cols):
-    return max((k for k in range(1, min(len(m), cols) + 1)
-                for rs in combinations(m, k) for cs in combinations(range(cols), k)
-                if la.frac_det([[row[c] for c in cs] for row in rs])), default=0)
-
-
 def test_q_and_fp_inverse_random():
+    # Over Q the reference is the Fraction Gauss-Jordan elimination that
+    # the integer inverse replaced (conftest.fraction_inverse).
     rng = random.Random(17)
-    for _ in range(60):
+    singular = 0
+    for _ in range(80):
         n = rng.randint(1, 4)
         m = random_matrix(rng, n, n, 9)
-        assert la.frac_det(m) == la.det(m)
         q = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in m]
         if rng.random() < 0.3 and n > 1:
+            m[-1] = [a + b for a, b in zip(m[0], m[-2])]
             q[-1] = [a + b for a, b in zip(q[0], q[-2])]
-        d = la.frac_det(q)
-        if d == 0:
-            with pytest.raises(ZeroDivisionError):
-                la.frac_inv(q)
-            continue
-        inv = la.frac_inv(q)
-        assert la.mat_mul(inv, q) == la.identity(n)
-        assert la.frac_det(inv) * d == 1
+        assert la.frac_det(m) == la.det(m)
         b = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
-        assert la.mat_vec(q, la.frac_solve(q, b)) == b
-    for _ in range(60):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
-        q = [[Fraction(x, rng.randint(1, 4)) for x in row]
-             for row in random_matrix(rng, rows, cols, 5)]
-        if rows > 2 and rng.random() < 0.5:
-            q[-1] = [a - 2 * b for a, b in zip(q[0], q[1])]
-        ker = la._kernel(q, cols)
-        assert _rank_by_minors(q, cols) + len(ker) == cols
-        for v in ker:
-            assert la.mat_vec(q, v) == [0] * rows
-    assert la._kernel([], 2) == [[1, 0], [0, 1]]
+        # The integer inverse of m, then frac_inv and frac_solve on q.
+        for a, calls in ((m, [la.bareiss_inverse]),
+                         (q, [la.frac_inv, lambda a: la.frac_solve(a, b)])):
+            if la.frac_det(a) == 0:
+                singular += 1
+                for call in [fraction_inverse] + calls:
+                    with pytest.raises(ZeroDivisionError):
+                        call(a)
+        if la.det(m):
+            V, d = la.bareiss_inverse(m)
+            assert d >= 1 and math.gcd(d, *chain.from_iterable(V)) == 1
+            assert [[Fraction(v, d) for v in row] for row in V] == fraction_inverse(m)
+        if la.frac_det(q) == 0:
+            continue
+        inv = fraction_inverse(q)
+        assert la.frac_inv(q) == inv
+        assert la.mat_mul(inv, q) == la.identity(n)
+        assert la.frac_det(inv) * la.frac_det(q) == 1
+        x = la.frac_solve(q, b)
+        assert x == la.mat_vec(inv, b) and la.mat_vec(q, x) == b
+    assert singular >= 10
+    assert la.fp_kernel(la.FpMatrix(0, 2, [], 3)) == [[1, 0], [0, 1]]
     for p in (2, 3, 7):
         for _ in range(40):
             n = rng.randint(1, 4)
@@ -388,7 +390,7 @@ def test_lll_random_grams():
 
 def _reference_box(gram, bound):
     """|x_i| <= sqrt(bound (gram^-1)_ii) holds for every x with x^t gram x <= bound."""
-    inv = la.frac_inv(gram)
+    inv = fraction_inverse(gram)
     return [math.isqrt(math.floor(max(bound, 0) * inv[i][i])) + 1 for i in range(len(gram))]
 
 

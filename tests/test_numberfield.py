@@ -8,7 +8,7 @@ from tclab import intlinalg as la
 from tclab.numberfield import FieldError, NFElement, Q, NumberField, is_prime, lattice_mul
 from tclab.polys import poly_eval, poly_mul
 
-from conftest import SQUAREFREE, quadratic_field
+from conftest import SQUAREFREE, fraction_inverse, quadratic_field
 
 
 def test_rationals_basics():
@@ -259,6 +259,13 @@ def test_integer_norm_matches_fraction_determinant(poly, basis):
         assert (x * y).norm() == x.norm() * y.norm()
 
 
+def _fraction_to_gen(K, P):
+    """The map from basis coordinates to gen-power coordinates as Fractions,
+    row i the gen-power coordinates of b_i: the inverse of the matrix whose
+    rows are the basis coordinates of 1, gen, ..., gen^(n-1)."""
+    return fraction_inverse([(P.gen ** i).coords for i in range(K.degree)])
+
+
 @pytest.mark.parametrize("poly,basis", ARITH_FIELDS, ids=ARITH_IDS)
 def test_residue_matches_fraction_coordinates(poly, basis):
     # residue works on integers over one denominator; the reference sums
@@ -268,16 +275,35 @@ def test_residue_matches_fraction_coordinates(poly, basis):
     n = K.degree
     for q in [2, 3, 5, 7, 13]:
         for P in K.factor_prime(q):
+            to_gen = _fraction_to_gen(K, P)
             for _ in range(12):
                 den = rng.choice((1, 2, 3, 4, 5, 6, 35))
                 x = K.elt([Fraction(rng.randint(-50, 50), den) for _ in range(n)])
-                c = [sum(x.coords[i] * P.to_gen[i][j] for i in range(n)) for j in range(n)]
+                c = [sum(x.coords[i] * to_gen[i][j] for i in range(n)) for j in range(n)]
                 if any(t.denominator % q == 0 for t in c):
                     with pytest.raises(FieldError, match="not integral"):
                         P.residue(x)
                 else:
                     expect = P.residue_field.elt([t.numerator * pow(t.denominator, -1, q) for t in c])
                     assert P.residue(x) == expect
+
+
+@pytest.mark.parametrize("poly,basis", ARITH_FIELDS + [((5, 0, -5, 0, 1), None),
+                                                      ((2, 0, -4, 0, 1), None)],
+                         ids=ARITH_IDS + ["disc2000", "disc2048"])
+def test_integer_basis_changes_match_fraction_inverses(poly, basis):
+    # The basis inverse V / v and each prime's map (T, d) are integers over
+    # one denominator; they must be the Fraction inverses computed here, in
+    # lowest terms.
+    K = NumberField(poly, integral_basis=basis)
+    n = K.degree
+    flat, v = la.clear_denominators([c for row in fraction_inverse(K._basis_rows) for c in row])
+    assert K._inv_den == v and K._inv_num == [flat[i * n:(i + 1) * n] for i in range(n)]
+    for q in [2, 3, 5, 7, 11, 13]:
+        for P in K.factor_prime(q):
+            T, d = P.to_gen
+            ref = la.transpose(_fraction_to_gen(K, P))
+            assert [[Fraction(t, d) for t in row] for row in T] == ref
 
 
 def _random_element(K, rng):
@@ -326,8 +352,8 @@ def test_elements_of_different_fields_differ():
     (6, -1, 1),      # Q(sqrt -23): theta = (1 + sqrt -23) / 2
 ], ids=["zeta7plus", "sqrt-23"])
 def test_inverse_matches_fraction_solve(poly):
-    # inverse solves in integers (Bareiss); frac_solve is the Fraction
-    # Gauss-Jordan reference on the same integer matrix.
+    # inverse solves in integers (Bareiss); the reference applies the
+    # test-local Fraction Gauss-Jordan inverse of the same integer matrix.
     K = NumberField(poly)
     rng = random.Random(f"inv{poly}")
     for _ in range(60):
@@ -335,7 +361,8 @@ def test_inverse_matches_fraction_solve(poly):
         if x.is_zero():
             continue
         m, den = K._mult_matrix(x.nums), x.den
-        assert x.inverse().coords == tuple(la.frac_solve(m, [den] + [0] * (K.degree - 1)))
+        ref = la.mat_vec(fraction_inverse(m), [den] + [0] * (K.degree - 1))
+        assert x.inverse().coords == tuple(ref)
     with pytest.raises(ZeroDivisionError):
         K.zero.inverse()
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +7,21 @@ from tclab import classunit as cu, selmer as sm
 from tclab.numberfield import NumberField, Q
 
 from conftest import SQUAREFREE, quadratic_field
+
+
+def test_selmer_at_an_index_divisor_matches_the_monogenic_model():
+    # x^2 - 5 with the basis 1, (1 + theta)/2 has index 2, so its prime
+    # above 2 comes from the monogenic generator of _factor_generator and
+    # its integer map; x^2 - x - 1 is the same field on Z[theta].
+    K = NumberField((-5, 0, 1), integral_basis=[[1, 0], [Fraction(1, 2), Fraction(1, 2)]])
+    assert K.index == 2 and K.prime(2).gen == K._factor_generator[0] != K.theta
+    runs = {}
+    for L in (K, NumberField((-1, -1, 1))):
+        for S in ([], [L.prime(2)], [L.prime(7)]):
+            sb = sm.selmer_basis(L, S, 3)
+            assert sb.certified and sb.verify()
+            runs.setdefault(L, []).append((sb.dim, [P.label for P in sb.aux_primes]))
+    assert list(runs.values()) == [[(1, ["17_1"]), (0, ["17_1"]), (1, ["17_1"])]] * 2
 
 
 def tame_primes(K, p, rng, count, blocked, norm_cap=400):
