@@ -501,12 +501,6 @@ def _cycle_generators(field: NumberField, lat):
         p, q, r, s = q, k * q - p, s, k * s - r
 
 
-def _rho(form, D):
-    """rho(f) of an indefinite form f of discriminant D and the k of its
-    transform, by _rho_step."""
-    return _rho_step(form, D, math.isqrt(D))
-
-
 def _rho_step(form, D, root):
     """rho(f) of an indefinite form f (Cohen, GTM 138, section 5.6) and the
     k of its transform [[0, -1], [1, k]], given root = isqrt(D)."""
@@ -753,9 +747,10 @@ def _class_key(form, D, keys: dict | None = None):
     if keys is None:
         keys = {}
     seen: dict = {}
+    root = math.isqrt(D)
     while form not in keys and form not in seen:
         seen[form] = len(seen)
-        form = _rho(form, D)[0]
+        form = _rho_step(form, D, root)[0]
     key = keys.get(form)
     if key is None:
         cycle = list(seen)[seen[form]:]

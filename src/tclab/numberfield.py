@@ -441,11 +441,14 @@ def _primes_up_to(bound: int) -> list[int]:
     return _sieve_primes[: bisect_right(_sieve_primes, bound)]
 
 
-def next_prime(n: int) -> int:
-    n += 1
-    while not is_prime(n):
-        n += 1
-    return n
+def iter_primes(bound: int):
+    """The primes up to bound, ascending, sieved by doubling only as far as
+    they are read, so a scan that stops early never sieves to bound."""
+    lo, hi = 0, 1024
+    while lo < bound:
+        block = _primes_up_to(min(hi, bound))
+        yield from block[bisect_right(block, lo):]
+        lo, hi = hi, 2 * hi
 
 
 def is_prime(n: int) -> bool:
@@ -494,7 +497,8 @@ class PrimeIdeal:
     """A prime of the field above the rational prime q, represented by the
     pair (q, g(gen)) where gen generates the order locally at q (theta
     when q does not divide the index) and g is a monic irreducible factor
-    of gen's minimal polynomial mod q."""
+    of gen's minimal polynomial mod q.  Its residue map is one integer
+    matrix mod q, the residue matrix, built on first use."""
 
     def __init__(self, field, q, e, f_deg, gpoly, index, gen, to_gen):
         self.field = field
@@ -534,27 +538,27 @@ class PrimeIdeal:
             acc[0] += c
         return self.field.elt(acc)
 
-    def residue(self, x: NFElement):
-        """Image of x in the residue field; requires x integral at q.
-        With x = nums / den and to_gen = (T, d), the gen-power coordinates
-        of x are the integer dot products s_j = T_j . nums over D = den d.
-        Write D = q^k u with u prime to q: x is integral at q exactly when
-        q^k divides every s_j, and then its residue coordinates are
-        (s_j / q^k) u^-1 mod q."""
-        x = self.field.elt(x)
+    @cached_property
+    def residue_matrix(self) -> la.Matrix:
+        """The f x n matrix W over F_q whose column j is the residue of b_j:
+        column j of T d^-1 for to_gen = (T, d), folded by the residue field.
+        d is 1 at an index divisor and divides the index elsewhere."""
         T, d = self.to_gen
-        q, qk, u = self.q, 1, x.den * d
-        while u % q == 0:
-            u, qk = u // q, qk * q
-        coords = [sum(map(operator.mul, x.nums, row)) for row in T]
-        if qk > 1:
-            if any(s % qk for s in coords):
-                raise FieldError(f"element is not integral at {q}")
-            coords = [s // qk for s in coords]
-        if u > 1:
-            inv = pow(u, -1, q)
-            coords = [s * inv for s in coords]
-        return self.residue_field.elt(coords)
+        rf, dinv = self.residue_field, pow(d, -1, self.q)
+        cols = [rf.elt([t * dinv for t in col]) for col in zip(*T)]
+        return [[c[k] if k < len(c) else 0 for c in cols] for k in range(self.f_deg)]
+
+    def residue(self, x: NFElement):
+        """Image of x = nums / den in the residue field: the order is
+        maximal, so x is integral at q exactly when q does not divide den,
+        and then x mod P is (W nums) den^-1 mod q for W the residue matrix,
+        as DegreeOnePrime.residue reads it with f = 1."""
+        x = self.field.elt(x)
+        if x.den % self.q == 0:
+            raise FieldError(f"element is not integral at {self.q}")
+        dinv = pow(x.den, -1, self.q)
+        return self.residue_field.elt(
+            [sum(map(operator.mul, row, x.nums)) * dinv for row in self.residue_matrix])
 
     def character(self, x: NFElement, m: int) -> int:
         """The tame character of order m | N(P) - 1 at x: the k mod m with
@@ -614,36 +618,42 @@ class PrimeIdeal:
         return v
 
 
-def certify_independence(field, gens, skip, p: int):
-    """(certified, aux, rows): auxiliary tame primes aux whose characters
-    of order p on gens, rows[i] at aux[i], have full rank over F_p, which
-    certifies gens independent mod K^{xp}.  The primes above q = 3, 5, 7,
-    ..., 10007 (the first prime past 10^4), q != p, are scanned in order,
-    skipping those in skip, those of norm not 1 mod p and those at which
-    some generator is not a unit; a prime is kept when it raises the rank."""
-    if not gens:
-        return True, [], []
+def tame_characters(field, gens, skip, p: int, qs, norm_bound=math.inf):
+    """(P, row), row[j] the character of order p of gens[j] at P, for the
+    primes P above each q in qs in turn, with q != p, P not in skip,
+    N(P) = 1 mod p, N(P) <= norm_bound (tested before any character is
+    read) and every generator a unit at P."""
     skip = {P.label for P in skip}
-    cols, aux = [], []  # each kept column raised the rank, so it is len(cols)
-    q = 2
-    while q < 10**4:
-        q = next_prime(q)
+    for q in qs:
         if q == p:
             continue
         for P in field.factor_prime(q):
-            if P.label in skip or (P.norm - 1) % p != 0:
+            if P.label in skip or (P.norm - 1) % p or P.norm > norm_bound:
                 continue
             try:
-                col = [P.character(g, p) for g in gens]
+                row = [P.character(g, p) for g in gens]
             except FieldError:
                 continue
-            trial = la.FpMatrix.from_rows(la.transpose(cols + [col]), p, cols=len(cols) + 1)
-            if la.fp_rank(trial) > len(cols):
-                cols.append(col)
-                aux.append(P)
-                if len(cols) == len(gens):
-                    return True, aux, cols
-    return False, aux, cols
+            yield P, row
+
+
+def certify_independence(field, gens, skip, p: int):
+    """(certified, aux, rows): auxiliary tame primes aux whose characters
+    of order p on gens, rows[i] at aux[i], have full rank over F_p, which
+    certifies gens independent mod K^{xp}.  The primes of tame_characters
+    above q = 3, 5, 7, ..., 10007 (the first prime past 10^4) are read in
+    order; a prime is kept when it raises the rank."""
+    if not gens:
+        return True, [], []
+    rows, aux = [], []  # each kept row raised the rank, so it is len(rows)
+    for P, row in tame_characters(field, gens, skip, p, _primes_up_to(10007)[1:]):
+        trial = la.FpMatrix.from_rows(la.transpose(rows + [row]), p, cols=len(rows) + 1)
+        if la.fp_rank(trial) > len(rows):
+            rows.append(row)
+            aux.append(P)
+            if len(rows) == len(gens):
+                return True, aux, rows
+    return False, aux, rows
 
 
 def _ideal_lattice(field, q, alpha):

@@ -8,6 +8,8 @@ When the two meet, the dimension is pinned exactly.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .equivariant import (
     GaloisLayer,
     GammaModule,
@@ -18,9 +20,9 @@ from .equivariant import (
     selmer_module,
     tensor,
 )
-from .numberfield import FieldError, NumberField, PrimeIdeal, next_prime
+from .numberfield import FieldError, NumberField, PrimeIdeal, iter_primes, tame_characters
 from .rayclass import ray_class_p_part, rcg_surjection_kernel
-from .selmer import power_residue_class, selmer_basis, crosscheck_rusb
+from .selmer import selmer_basis, crosscheck_rusb
 
 
 def sha_lower_bound(field: NumberField, p: int, T: list[PrimeIdeal],
@@ -139,27 +141,10 @@ class PreservingSet:
 def find_preserving_primes(field: NumberField, S: list[PrimeIdeal], p: int,
                            count: int, norm_bound: int = 10**4) -> PreservingSet:
     sb = selmer_basis(field, S, p)
-    skip = {P.label for P in S}
-    found: list[PrimeIdeal] = []
-    witnesses = {}
-    q = 1
-    while len(found) < count and q < norm_bound:
-        q = next_prime(q)
-        if q == p:
-            continue
-        for P in field.factor_prime(q):
-            if P.label in skip or (P.norm - 1) % p != 0 or P.norm > norm_bound:
-                continue
-            try:
-                classes = [power_residue_class(g, P, p) for g in sb.v0_generators]
-            except FieldError:
-                continue
-            if any(classes):
-                continue
-            found.append(P)
-            witnesses[P.label] = classes
-            if len(found) == count:
-                break
+    rows = tame_characters(field, sb.v0_generators, S, p, iter_primes(norm_bound), norm_bound)
+    pairs = list(islice(((P, row) for P, row in rows if not any(row)), max(count, 0)))
+    found = [P for P, _ in pairs]
+    witnesses = {P.label: row for P, row in pairs}
     verified = False
     if found:
         sb2 = selmer_basis(field, prime_set(S + found), p)

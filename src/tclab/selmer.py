@@ -27,13 +27,13 @@ def power_residue_class(x: NFElement, P: PrimeIdeal, p: int) -> int:
 
 class SelmerBasis:
     __slots__ = ("field", "S", "p", "generators", "local_matrix", "v0_generators",
-                 "v0_labels", "kernel_vectors", "certified", "aux_primes")
+                 "v0_labels", "kernel_vectors", "certified", "aux_primes", "aux_rows")
 
     def __init__(self, field: NumberField, S: list[PrimeIdeal], p: int,
                  generators: list[NFElement], local_matrix: la.FpMatrix,
                  v0_generators: list[NFElement], v0_labels: list[str],
                  kernel_vectors: list[list[int]], certified: bool,
-                 aux_primes: list[PrimeIdeal]):
+                 aux_primes: list[PrimeIdeal], aux_rows: list[list[int]]):
         self.field = field
         self.S = S
         self.p = p
@@ -44,6 +44,7 @@ class SelmerBasis:
         self.kernel_vectors = kernel_vectors  # exponent vectors over v0_generators
         self.certified = certified
         self.aux_primes = aux_primes
+        self.aux_rows = aux_rows  # characters of v0_generators at aux_primes
 
     @property
     def dim(self) -> int:
@@ -121,10 +122,10 @@ def selmer_basis(field: NumberField, S: list[PrimeIdeal], p: int) -> SelmerBasis
         for g, e in zip(gens, vec):
             x = x * g**e
         sel_gens.append(x)
-    certified, aux, _ = certify_independence(field, gens, S, p)
+    certified, aux, aux_rows = certify_independence(field, gens, S, p)
     certified = certified and cls.certified and ub.regulator_nonzero_witness
     return SelmerBasis(field, list(S), p, sel_gens, local, gens, labels,
-                       kernel, certified, aux)
+                       kernel, certified, aux, aux_rows)
 
 
 class H1FormulaContext:

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from tclab import cli, equivariant as eq, intlinalg as la, rayclass as rc, selmer as sm
+from tclab import cli, equivariant as eq, intlinalg as la, numberfield as nf
+from tclab import rayclass as rc, selmer as sm
 from tclab.numberfield import NumberField, Q, is_prime
 from tclab.polys import poly_eval
 
@@ -241,6 +243,50 @@ def test_selmer_module_table(ini, key, expected):
     ctx = cli._load_layer_config(ini)
     sb = sm.selmer_basis(ctx["L"], _closed_set(ctx, key), ctx["p"])
     assert _module(eq.selmer_module(ctx["layer"], sb)) == expected
+
+
+def _reference_selmer_module(layer, sb):
+    """The generator matrices of the route that certified the Selmer
+    generators themselves: auxiliary primes for sb.generators, then each
+    gamma image solved against their character rows."""
+    p, gens = sb.p, sb.generators
+    ok, aux, rows = nf.certify_independence(layer.L_field, gens, sb.S, p)
+    assert ok
+    B = la.FpMatrix.from_rows(rows, p, cols=len(gens))
+    return [la.transpose([la.fp_solve(B, [sm.power_residue_class(gamma(g), P, p) for P in aux])
+                          for g in gens])
+            for gamma in layer.gamma_gens]
+
+
+@pytest.mark.parametrize("ini", ["example1.ini", "example2.ini"])
+def test_selmer_module_reads_the_basis_certificate(monkeypatch, ini):
+    # 40 orbit-closed sets per layer: the closures of the first prime above
+    # each of ten unramified q, and of thirty pairs of them.  selmer_module
+    # reads the certificate of the V_emptyset generators through the kernel
+    # vectors and certifies nothing itself.
+    ctx = cli._load_layer_config(ini)
+    L, layer, p = ctx["L"], ctx["layer"], ctx["p"]
+    qs = [q for q in nf._primes_up_to(400)
+          if q != p and all(P.e == 1 for P in L.factor_prime(q))][:10]
+    sets = [[q] for q in qs] + [list(c) for c in combinations(qs, 2)][:30]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = nf.certify_independence
+    nontrivial = 0
+    for qset in sets:
+        sb = sm.selmer_basis(L, layer.orbit_closure([L.factor_prime(q)[0] for q in qset]), p)
+        expected = _reference_selmer_module(layer, sb) if sb.dim else [[]] * len(layer.gamma_gens)
+        for mod in (nf, sm, eq):
+            monkeypatch.setattr(mod, "certify_independence", counted, raising=False)
+        m = eq.selmer_module(layer, sb)
+        monkeypatch.undo()
+        assert [g.entries for g in m.mats] == expected and m.dim == sb.dim, qset
+        nontrivial += sb.dim > 0
+    assert not calls and nontrivial >= 10
 
 
 @pytest.mark.parametrize("ini,big,small,expected", KERNEL_MODULES)

@@ -420,3 +420,16 @@ def test_prime_sieve_is_one_list_extended_by_doubling(monkeypatch):
     # Each extension at least doubles the limit, so there are few of them.
     assert nf._sieve_limit < 6000 and len(limits) <= 4
     assert len(nf._sieve_primes) == len(nf._primes_up_to(nf._sieve_limit))
+
+
+def test_iter_primes_sieves_only_as_far_as_read(monkeypatch):
+    # The lazy walk gives the sieve's primes; stopping after the 300th
+    # prime (1987) leaves the sieve at 2048 however large the bound.
+    monkeypatch.setattr(nf, "_sieve_primes", [])
+    monkeypatch.setattr(nf, "_sieve_limit", 1)
+    for b in [0, 1, 2, 1023, 1024, 1025, 5000]:
+        assert list(nf.iter_primes(b)) == nf._primes_up_to(b)
+    monkeypatch.setattr(nf, "_sieve_primes", [])
+    monkeypatch.setattr(nf, "_sieve_limit", 1)
+    walk = nf.iter_primes(10**12)
+    assert [next(walk) for _ in range(300)][-1] == 1987 and nf._sieve_limit == 2048

@@ -270,17 +270,26 @@ def _fraction_to_gen(K, P):
 def test_residue_matches_fraction_coordinates(poly, basis):
     # residue works on integers over one denominator; the reference sums
     # the Fraction gen-power coordinates and refuses a q in a denominator.
+    # The order is maximal, so that refusal is exactly q | den; column j of
+    # the residue matrix is the residue of b_j.
     K = NumberField(poly, integral_basis=basis)
     rng = random.Random(repr(poly))
     n = K.degree
     for q in [2, 3, 5, 7, 13]:
         for P in K.factor_prime(q):
             to_gen = _fraction_to_gen(K, P)
+            W = P.residue_matrix
+            assert len(W) == P.f_deg and all(0 <= w < q for row in W for w in row)
+            for j in range(n):
+                b_j = [t.numerator * pow(t.denominator, -1, q) for t in to_gen[j]]
+                assert P.residue_field.elt([row[j] for row in W]) == P.residue_field.elt(b_j)
             for _ in range(12):
                 den = rng.choice((1, 2, 3, 4, 5, 6, 35))
                 x = K.elt([Fraction(rng.randint(-50, 50), den) for _ in range(n)])
                 c = [sum(x.coords[i] * to_gen[i][j] for i in range(n)) for j in range(n)]
-                if any(t.denominator % q == 0 for t in c):
+                refused = any(t.denominator % q == 0 for t in c)
+                assert refused == (x.den % q == 0)
+                if refused:
                     with pytest.raises(FieldError, match="not integral"):
                         P.residue(x)
                 else:

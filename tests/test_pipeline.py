@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tclab import equivariant as eq, pipeline as pl, selmer as sm
+from tclab import equivariant as eq, numberfield as nf, pipeline as pl, selmer as sm
 from tclab.numberfield import FieldError, NumberField, Q, is_prime
 
 from conftest import quadratic_field
@@ -106,6 +106,74 @@ def test_find_preserving_primes_golden(L5):
                 assert naive_pth_power_test(g, P, 3)
         after = sm.selmer_basis(L5, [P], 3)
         assert after.dim == sb.dim
+
+
+def _reference_preserving(field, S, p, count, norm_bound):
+    """(X, witnesses) by the walk over q = 2, 3, 5, ... with a primality
+    test at each step, filtering on the norm bound before any character."""
+    sb = sm.selmer_basis(field, S, p)
+    skip = {P.label for P in S}
+    found, witnesses = [], {}
+    q = 1
+    while len(found) < count and q < norm_bound:
+        q += 1
+        while not is_prime(q):
+            q += 1
+        if q == p:
+            continue
+        for P in field.factor_prime(q):
+            if P.label in skip or (P.norm - 1) % p != 0 or P.norm > norm_bound:
+                continue
+            try:
+                classes = [sm.power_residue_class(g, P, p) for g in sb.v0_generators]
+            except FieldError:
+                continue
+            if any(classes):
+                continue
+            found.append(P)
+            witnesses[P.label] = classes
+            if len(found) == count:
+                break
+    return [P.label for P in found], witnesses
+
+
+@pytest.mark.parametrize("case", ["sqrt5-3", "zeta7plus-2", "zeta7plus-3"])
+def test_find_preserving_primes_matches_the_prime_walk(monkeypatch, L5, layer7, case):
+    # The shared tame-prime scan against that walk, for counts 1-3, norm
+    # bounds 97 (a prime), 500 and 2000, and S empty or not.  No character
+    # is read inside the scan at a prime of norm above the bound (the
+    # certificate scans of selmer_basis have no norm bound).
+    field, p = {"sqrt5-3": (L5, 3), "zeta7plus-2": (layer7.L_field, 2),
+                "zeta7plus-3": (layer7.L_field, 3)}[case]
+    real_scan, real_character = pl.tame_characters, nf.PrimeIdeal.character
+    scanning = [None]  # the norm bound of the scan being read, if any
+
+    def scan(*args):
+        inner = real_scan(*args)
+        while True:
+            scanning[0] = args[-1]
+            item = next(inner, None)
+            scanning[0] = None
+            if item is None:
+                return
+            yield item
+
+    def character(P, x, m):
+        assert scanning[0] is None or P.norm <= scanning[0], (P.label, scanning[0])
+        return real_character(P, x, m)
+
+    monkeypatch.setattr(pl, "tame_characters", scan)
+    monkeypatch.setattr(nf.PrimeIdeal, "character", character)
+    found = 0
+    for S in ([], [first(field, 11)], [first(field, 29), first(field, 41)]):
+        for count in (1, 2, 3):
+            for bound in (97, 500, 2000):
+                ps = pl.find_preserving_primes(field, S, p, count, bound)
+                X, witnesses = _reference_preserving(field, S, p, count, bound)
+                assert ([P.label for P in ps.X], ps.witnesses) == (X, witnesses)
+                assert ps.shortfall == count - len(X)
+                found += len(X)
+    assert found > 0
 
 
 def test_frobenius_order_refuses_a_pole():

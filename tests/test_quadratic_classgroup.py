@@ -228,7 +228,7 @@ def test_key_walks_hand_each_form_to_rho_once(monkeypatch, d):
     K = quadratic_field(d)
     inside = [False]
     walked = []
-    real_key, real_rho = cu._class_key, cu._rho
+    real_key, real_rho = cu._class_key, cu._rho_step
 
     def key(*args):
         inside[0] = True
@@ -237,13 +237,13 @@ def test_key_walks_hand_each_form_to_rho_once(monkeypatch, d):
         finally:
             inside[0] = False
 
-    def rho(form, D):
+    def rho(form, D, root):
         if inside[0]:
             walked.append(form)
-        return real_rho(form, D)
+        return real_rho(form, D, root)
 
     monkeypatch.setattr(cu, "_class_key", key)
-    monkeypatch.setattr(cu, "_rho", rho)
+    monkeypatch.setattr(cu, "_rho_step", rho)
     cu.class_group(K)
     assert walked and len(walked) == len(set(walked)), d
 
