@@ -174,8 +174,9 @@ def _coords(x) -> str:
 
 
 def _resolved(primes) -> list[dict]:
-    """Portable two-element representation (q, generator polynomial in
-    theta, ascending coefficients) for each resolved prime."""
+    """Two-element representation (q, g) for each resolved prime, g with
+    ascending coefficients in the prime's local generator gen: theta only
+    where q does not divide the index."""
     return [{"label": P.label, "q": P.q, "e": P.e, "f": P.f_deg,
              "gen_coeffs": [int(c) for c in P.gpoly]} for P in primes]
 
@@ -367,10 +368,7 @@ def _reproduce_example1():
     T = parse_prime_set(L, ctx["primes"]["t"])
     V = parse_prime_set(L, ctx["primes"]["v"])
     rcg = [str(rc.ray_class_p_part(L, X, p).p_group) for X in (S, T, V)]
-    rusb = []
-    for X in (S, T):
-        sb = sm.selmer_basis(L, X, p)
-        rusb.append(eq.invariants_dim(eq.tensor(eq.dual(eq.selmer_module(layer, sb)), A)))
+    rusb = [pl.twisted_rusb_dim(layer, sm.selmer_basis(L, X, p), A) for X in (S, T)]
     sw = pl.sha_sandwich(L, p, T, V, layer=layer, A=A)
     computed = {
         "rcg_3_parts": rcg,
@@ -407,19 +405,16 @@ def _reproduce_example2():
     sets = [[], S, T, V]
     rcds = [rc.ray_class_p_part(L, X, p) for X in sets]
     rcg = [str(r.p_group) for r in rcds]
-    sbs = [sm.selmer_basis(L, X, p) for X in sets]
-    rusb = [sb.dim for sb in sbs]
+    # Every RusB entry by both routes: a disagreement raises CrosscheckError.
+    rusb = [sm.crosscheck_rusb(L, X, p)["selmer_dim"] for X in sets]
     sha = [
         _sha_entry(L, p, sets[i], V if i == 2 else sets[i], rcds[i].p_group, rusb[i])
         for i in range(4)
     ]
-    g_rusb = []
-    g_sha = []
     stables = [layer.orbit_closure(X) for X in sets]
+    g_rusb = [pl.twisted_rusb_dim(layer, sm.selmer_basis(L, X, p), A) for X in stables]
+    g_sha = []
     for i, X in enumerate(stables):
-        sb = sm.selmer_basis(L, X, p)
-        rus_mod = eq.dual(eq.selmer_module(layer, sb))
-        g_rusb.append(eq.invariants_dim(eq.tensor(rus_mod, A)))
         if rcds[i].p_group.order() == 1:
             g_sha.append(0)
             continue

@@ -596,6 +596,12 @@ class PrimeIdeal:
         beta = la.fp_kernel(la.FpMatrix.from_rows(m, self.q))[0]
         return self.field._mult_matrix(beta)
 
+    @property
+    def inverse_uniformizer(self) -> NFElement:
+        """beta / q for the beta of _anti_uniformizer (its first column):
+        valuation -1 at P, integral at the other primes above q."""
+        return self.field.elt([Fraction(row[0], self.q) for row in self._anti_uniformizer])
+
     def valuation(self, x: NFElement) -> int:
         """v_P(x) for nonzero x (possibly non-integral): with x = nums / den,
         the number of times num <- beta num / q stays integral from num =

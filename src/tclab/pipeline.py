@@ -22,22 +22,13 @@ from .equivariant import (
 )
 from .numberfield import FieldError, NumberField, PrimeIdeal, iter_primes, tame_characters
 from .rayclass import ray_class_p_part, rcg_surjection_kernel
-from .selmer import selmer_basis, crosscheck_rusb
+from .selmer import SelmerBasis, compare_rusb, selmer_basis
 
 
-def sha_lower_bound(field: NumberField, p: int, T: list[PrimeIdeal],
-                    V: list[PrimeIdeal]) -> dict:
-    t_labels = {P.label for P in T}
-    if not t_labels <= {P.label for P in V}:
-        raise FieldError("T must be contained in V")
-    rcg_T = ray_class_p_part(field, T, p)
-    rcg_V = ray_class_p_part(field, V, p)
-    return {
-        "lower": rcg_surjection_kernel(rcg_V, rcg_T).p_rank(p),
-        "precondition": rcg_T.p_group.p_rank(p) == rcg_V.p_group.p_rank(p),
-        "rcg_T": rcg_T,
-        "rcg_V": rcg_V,
-    }
+def twisted_rusb_dim(layer: GaloisLayer, sb: SelmerBasis, A: GammaModule) -> int:
+    """dim (RusB_S tensor A)^Gamma, RusB_S the dual of the Selmer module
+    of the Gamma-stable basis sb."""
+    return invariants_dim(tensor(dual(selmer_module(layer, sb)), A))
 
 
 class ShaSandwich:
@@ -64,16 +55,24 @@ def sha_sandwich(field: NumberField, p: int, T: list[PrimeIdeal],
                  A: GammaModule | None = None,
                  T_rep: list[PrimeIdeal] | None = None,
                  V_rep: list[PrimeIdeal] | None = None) -> ShaSandwich:
-    lb = sha_lower_bound(field, p, T, V)
+    t_labels = sorted(P.label for P in T)
+    if not set(t_labels) <= {P.label for P in V}:
+        raise FieldError("T must be contained in V")
+    rcg_T = ray_class_p_part(field, T, p)
+    # V with T's primes exactly has T's ray class group.
+    same = sorted(P.label for P in V) == t_labels
+    rcg_V = rcg_T if same else ray_class_p_part(field, V, p)
+    precondition = rcg_T.p_group.p_rank(p) == rcg_V.p_group.p_rank(p)
     if layer is None and A is None:
-        rep = crosscheck_rusb(field, T, p)
-        lower, upper = lb["lower"], rep["selmer_dim"]
+        rep = compare_rusb(selmer_basis(field, T, p), rcg_T)
+        upper = rep["selmer_dim"]
         if upper == 0:
             # Sha embeds in RusB, so a zero upper bound pins the dimension
             # with no inflation hypothesis needed.
             return ShaSandwich(field, p, list(T), list(V), 0, 0, rep["certified"], "untwisted")
-        certified = lb["precondition"] and lower == upper and rep["certified"]
-        if lb["precondition"] and lower > upper:  # pragma: no cover
+        lower = rcg_surjection_kernel(rcg_V, rcg_T).p_rank(p)
+        certified = precondition and lower == upper and rep["certified"]
+        if precondition and lower > upper:  # pragma: no cover
             raise FieldError(f"sandwich inverted: lower {lower} > upper {upper}")
         return ShaSandwich(field, p, list(T), list(V), lower, upper, certified, "untwisted")
     if layer is None or A is None:
@@ -81,13 +80,11 @@ def sha_sandwich(field: NumberField, p: int, T: list[PrimeIdeal],
     if layer.order % p == 0:
         raise FieldError("twisted sandwich needs p coprime to |Gamma|")
     sb = selmer_basis(field, T, p)
-    rus = dual(selmer_module(layer, sb))
-    upper = invariants_dim(tensor(rus, A))
+    upper = twisted_rusb_dim(layer, sb, A)
     if upper == 0:
         return ShaSandwich(field, p, list(T), list(V), 0, 0, sb.certified, "twisted")
-    if lb["precondition"]:
-        kmod = kernel_module(layer, lb["rcg_V"], lb["rcg_T"])
-        lower = invariants_dim(tensor(kmod, A))
+    if precondition:
+        lower = invariants_dim(tensor(kernel_module(layer, rcg_V, rcg_T), A))
         if lower > upper:  # pragma: no cover
             raise FieldError(f"sandwich inverted: lower {lower} > upper {upper}")
         return ShaSandwich(field, p, list(T), list(V), lower, upper,

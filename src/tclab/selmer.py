@@ -14,15 +14,29 @@ from . import intlinalg as la
 from .classunit import class_group, pth_root, solve_relation_element, unit_group
 from .numberfield import FieldError, NFElement, NumberField, PrimeIdeal, certify_independence
 from .polys import prime_factors
-from .rayclass import ray_class_p_part
+from .rayclass import RayClassData, ray_class_p_part
 
 
 def power_residue_class(x: NFElement, P: PrimeIdeal, p: int) -> int:
     """Class of x in the F_p quotient of (O/P)^*; 0 iff x is a p-th power
-    in the completion at P.  Requires Norm(P) = 1 mod p and v_P(x) = 0."""
+    in the completion at P.  Requires Norm(P) = 1 mod p and v_P(x) = v
+    with p | v.  Where the character refuses x (v != 0 or q | den) it
+    reads the P-unit y = x t^v s^(pk), integral at q, for t =
+    P.inverse_uniformizer and the P-unit s = q t^e, positive at the other
+    primes above q: y / x is the global p-th power (t^(v/p) s^k)^p."""
     if (P.norm - 1) % p != 0:
         raise FieldError(f"{P.label} has norm not 1 mod {p}")
-    return P.character(x, p)
+    try:
+        return P.character(x, p)
+    except FieldError:
+        if x.is_zero() or (v := P.valuation(x)) % p:
+            raise
+    t = P.inverse_uniformizer
+    s = P.q * t**P.e
+    y = x * t**v
+    while y.den % P.q == 0:
+        y = y * s**p
+    return P.character(y, p)
 
 
 class SelmerBasis:
@@ -128,66 +142,52 @@ def selmer_basis(field: NumberField, S: list[PrimeIdeal], p: int) -> SelmerBasis
                        kernel, certified, aux, aux_rows)
 
 
-class H1FormulaContext:
-    __slots__ = ("Z", "delta_p_K", "r", "local_deltas", "dim_h1")
-
-    def __init__(self, Z: list[PrimeIdeal], delta_p_K: int, r: int,
-                 local_deltas: list[int], dim_h1: int):
-        self.Z = Z
-        self.delta_p_K = delta_p_K
-        self.r = r
-        self.local_deltas = local_deltas
-        self.dim_h1 = dim_h1
-
-    @property
-    def rusb_dim(self) -> int:
-        return self.dim_h1 + self.delta_p_K + self.r - 1 - sum(self.local_deltas)
-
-
-def h1_context(field: NumberField, Z: list[PrimeIdeal], p: int) -> H1FormulaContext:
-    for P in Z:
-        if P.q == p:
-            raise FieldError(f"{P.label} is wild at {p}")
-    rcd = ray_class_p_part(field, Z, p)
-    ub = unit_group(field)
-    r1, r2 = field.signature
-    return H1FormulaContext(
-        Z=list(Z),
-        delta_p_K=ub.delta_p(p),
-        r=r1 + r2,
-        local_deltas=[1 if (P.norm - 1) % p == 0 else 0 for P in Z],
-        dim_h1=rcd.p_group.p_rank(p),
-    )
+def h1_context(rcd: RayClassData) -> dict:
+    """The ray-class route to dim RusB_Z for Z the modulus of rcd, built by
+    the caller: dim_h1 + delta_p + r - 1 - sum(local_deltas), from the
+    p-rank of RCG_Z, mu_p in K, the r infinite places and, per prime of Z,
+    whether its norm is 1 mod p."""
+    field, p = rcd.field, rcd.p
+    dim_h1 = rcd.p_group.p_rank(p)
+    delta_p = unit_group(field).delta_p(p)
+    r = sum(field.signature)
+    local = [1 if (P.norm - 1) % p == 0 else 0 for P in rcd.modulus]
+    return {"h1_route_dim": dim_h1 + delta_p + r - 1 - sum(local), "dim_h1": dim_h1,
+            "delta_p": delta_p, "r": r, "local_deltas": local}
 
 
 class CrosscheckError(RuntimeError):
     pass
 
 
-def crosscheck_rusb(field: NumberField, S: list[PrimeIdeal], p: int) -> dict:
-    sb = selmer_basis(field, S, p)
-    ctx = h1_context(field, S, p)
+def compare_rusb(sb: SelmerBasis, rcd: RayClassData) -> dict:
+    """The report of both routes to dim RusB_S: the Selmer basis sb and
+    the h1_context of rcd, the ray class p-part of the same field, p and
+    modulus S.  A disagreement raises CrosscheckError."""
+    terms = h1_context(rcd)
     report = {
-        "field": field.label or str(field.min_poly),
-        "p": p,
-        "S": [P.label for P in S],
+        "field": sb.field.label or str(sb.field.min_poly),
+        "p": sb.p,
+        "S": [P.label for P in sb.S],
         "selmer_dim": sb.dim,
-        "h1_route_dim": ctx.rusb_dim,
-        "dim_h1": ctx.dim_h1,
-        "delta_p": ctx.delta_p_K,
-        "r": ctx.r,
-        "local_deltas": ctx.local_deltas,
+        **terms,
         "certified": sb.certified,
-        "agree": sb.dim == ctx.rusb_dim,
+        "agree": sb.dim == terms["h1_route_dim"],
     }
     if not report["agree"]:
         raise CrosscheckError(
             f"selmer route gives {sb.dim}, ray-class route gives "
-            f"{ctx.rusb_dim}; full context: {report}; "
+            f"{terms['h1_route_dim']}; full context: {report}; "
             f"v0 generators: {[g.coords for g in sb.v0_generators]}; "
             f"local matrix: {sb.local_matrix.entries}"
         )
     return report
+
+
+def crosscheck_rusb(field: NumberField, S: list[PrimeIdeal], p: int) -> dict:
+    """compare_rusb on the Selmer basis of S, built first, and RCG_S."""
+    sb = selmer_basis(field, S, p)
+    return compare_rusb(sb, ray_class_p_part(field, S, p))
 
 
 # ---------------------------------------------------------------------------

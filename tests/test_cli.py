@@ -192,6 +192,25 @@ def test_real_quadratic_commands_on_a_nonstandard_polynomial(capsys, tmp_path):
     assert json.loads(out)["results"]["dim"] == 1
 
 
+@pytest.mark.parametrize("poly,p,S,gen", [("-79 0 1", 3, "7", "7_1"), ("-79 0 1", 3, "7:2", "7_2"),
+                                           ("-10 0 1", 2, "3", "3_1")])
+def test_selmer_where_a_generator_is_not_a_unit(capsys, tmp_path, poly, p, S, gen):
+    # A V_emptyset generator has a pole at a prime above q: selmer reads its
+    # local condition, while rusb and sandwich still refuse q, whose primes
+    # generate the class group.
+    f = tmp_path / "k.field"
+    f.write_text(f"poly {poly}\n")
+    code, out, _ = run_capture(capsys, ["--json", "selmer", "--field", str(f),
+                                        "--p", str(p), "--S", S])
+    assert code == 0 and json.loads(out)["results"]["reverified"]
+    for argv in (["rusb", "--S", S], ["sandwich", "--T", S, "--V", S]):
+        code, out, err = run_capture(capsys, ["--json", argv[0], "--field", str(f),
+                                              "--p", str(p)] + argv[1:])
+        error = json.loads(err.strip())["error"]
+        assert code == 2 and out == "" and error["kind"] == "precondition"
+        assert error["reason"].startswith(f"class group generator {gen} divides the modulus")
+
+
 def test_out_of_scope_exit_code(capsys, tmp_path):
     f = tmp_path / "cbrt2.field"
     f.write_text("poly -2 0 0 1\n")

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from tclab import equivariant as eq, numberfield as nf, pipeline as pl, selmer as sm
+from tclab import cli, equivariant as eq, numberfield as nf, pipeline as pl, rayclass as rc
+from tclab import selmer as sm
 from tclab.numberfield import FieldError, NumberField, Q, is_prime
 
 from conftest import quadratic_field
@@ -202,8 +203,131 @@ def test_frobenius_order_euler_criterion(p):
 
 
 def test_sha_lower_bound_report(L5):
+    # The kernel of RCG_V ->> RCG_T gives the lower bound 1, under the
+    # precondition that the two ray class groups have equal p-rank.
     T = [first(L5, 5), first(L5, 107)]
     V = T + [first(L5, 197)]
-    rep = pl.sha_lower_bound(L5, 3, T, V)
-    assert rep["precondition"]
-    assert rep["lower"] == 1
+    rcg_T, rcg_V = (rc.ray_class_p_part(L5, X, 3) for X in (T, V))
+    assert rcg_T.p_group.p_rank(3) == rcg_V.p_group.p_rank(3)
+    sw = pl.sha_sandwich(L5, 3, T, V)
+    assert sw.lower == 1 and sw.certified and sw.mode == "untwisted"
+
+
+def _reference_sandwich(field, p, T, V, layer=None, A=None, T_rep=None, V_rep=None):
+    """(lower, upper, certified, mode) by the route that builds the ray
+    class groups for the lower bound and calls crosscheck_rusb for the
+    untwisted upper bound."""
+    if not {P.label for P in T} <= {P.label for P in V}:
+        raise FieldError("T must be contained in V")
+    rcg_T = rc.ray_class_p_part(field, T, p)
+    rcg_V = rc.ray_class_p_part(field, V, p)
+    lower = rc.rcg_surjection_kernel(rcg_V, rcg_T).p_rank(p)
+    precondition = rcg_T.p_group.p_rank(p) == rcg_V.p_group.p_rank(p)
+    if layer is None:
+        rep = sm.crosscheck_rusb(field, T, p)
+        upper = rep["selmer_dim"]
+        if upper == 0:
+            return 0, 0, rep["certified"], "untwisted"
+        return lower, upper, precondition and lower == upper and rep["certified"], "untwisted"
+    sb = sm.selmer_basis(field, T, p)
+    upper = eq.invariants_dim(eq.tensor(eq.dual(eq.selmer_module(layer, sb)), A))
+    if upper == 0:
+        return 0, 0, sb.certified, "twisted"
+    if precondition:
+        lower = eq.invariants_dim(eq.tensor(eq.kernel_module(layer, rcg_V, rcg_T), A))
+        return lower, upper, lower == upper and sb.certified, "twisted-direct"
+    if T_rep is None:
+        return 0, upper, False, "twisted"
+    inner = _reference_sandwich(field, p, T_rep, V_rep)
+    ok = inner[2] and inner[1] == sb.dim
+    return upper if ok else 0, upper, ok, "twisted-transfer"
+
+
+def _sandwich(*args, **kw):
+    sw = pl.sha_sandwich(*args, **kw)
+    return sw.lower, sw.upper, sw.certified, sw.mode
+
+
+@pytest.mark.parametrize("case", ["sqrt5-3", "zeta7plus-2"])
+def test_untwisted_sandwich_matches_the_reference_route(L5, layer7, case):
+    # The golden pair and 32 seeded pairs T <= V, each V also as T.
+    field, p, golden, qs = {
+        "sqrt5-3": (L5, 3, [5, 107, 197], [5, 7, 11, 19, 31, 61, 107, 197]),
+        "zeta7plus-2": (layer7.L_field, 2, [7, 181, 293, 307, 349],
+                        [7, 13, 29, 43, 181, 293, 307, 349]),
+    }[case]
+    pool = [P for q in qs for P in field.factor_prime(q)]
+    rng = random.Random(34)
+    V = [first(field, q) for q in golden]
+    pairs = [(V[:-1], V)]
+    for _ in range(16):
+        V = sorted(rng.sample(pool, rng.randint(1, 5)), key=lambda P: (P.q, P.index))
+        pairs += [(V[:rng.randint(1, len(V))], V), (V, V)]
+    seen = set()
+    for T, V in pairs:
+        got = _sandwich(field, p, T, V)
+        assert got == _reference_sandwich(field, p, T, V), ([P.label for P in T], [P.label for P in V])
+        seen.add((got[1] > 0, got[2]))
+    assert len(seen) >= 3  # upper zero and not, certified and not
+
+
+@pytest.mark.parametrize("ini,reps", [
+    ("example1.ini", [([5], [5, 107]), ([5, 107], [5, 107, 197]), ([11], [11, 19, 31]),
+                      ([107], [107, 197])]),
+    ("example2.ini", [([7], [7, 181]), ([7, 181, 293], [7, 181, 293, 307, 349]),
+                      ([13], [13, 29]), ([181], [181, 293])]),
+])
+def test_twisted_sandwich_matches_the_reference_route(ini, reps):
+    ctx = cli._load_layer_config(ini)
+    L, layer, A, p = ctx["L"], ctx["layer"], ctx["twist"], ctx["p"]
+    modes = set()
+    for t_qs, v_qs in reps:
+        T_rep, V_rep = ([L.factor_prime(q)[0] for q in qs] for qs in (t_qs, v_qs))
+        T, V = layer.orbit_closure(T_rep), layer.orbit_closure(V_rep)
+        for kw in ({}, {"T_rep": T_rep, "V_rep": V_rep}):
+            got = _sandwich(L, p, T, V, layer=layer, A=A, **kw)
+            assert got == _reference_sandwich(L, p, T, V, layer, A, **kw), (t_qs, v_qs, kw)
+            modes.add(got[3])
+    assert len(modes) >= 2
+
+
+def test_sandwich_refusals_match_the_reference_route(L5, layer7):
+    P3, P5, P107, P197 = (first(L5, q) for q in (3, 5, 107, 197))
+    cases = [
+        (L5, 3, [P5, P107], [P5, P107, P107]),  # V repeats a prime of T
+        (L5, 3, [P5], [P5, P197, P197]),  # V repeats a prime outside T
+        (L5, 3, [P5, P5], [P5, P5]),  # T = V with a repeat
+        (L5, 3, [P5, P197], [P5, P107]),  # T not in V
+        (L5, 3, [P3, P5], [P3, P5, P107]),  # wild prime in T
+        (layer7.L_field, 2, [first(layer7.L_field, 2)], [first(layer7.L_field, 2)]),
+    ]
+    for field, p, T, V in cases:
+        with pytest.raises(FieldError) as want:
+            _reference_sandwich(field, p, T, V)
+        with pytest.raises(FieldError) as got:
+            pl.sha_sandwich(field, p, T, V)
+        assert str(got.value) == str(want.value), [P.label for P in V]
+
+
+def test_sandwich_builds_each_ray_class_group_once(monkeypatch, L5, layer7):
+    built = []
+    real = rc.ray_class_p_part
+
+    def counted(field, modulus, p):
+        built.append([P.label for P in modulus])
+        return real(field, modulus, p)
+
+    monkeypatch.setattr(pl, "ray_class_p_part", counted)
+    monkeypatch.setattr(sm, "ray_class_p_part", counted)
+    L7 = layer7.L_field
+    for field, p, qs in ((L5, 3, (5, 107, 197)), (L7, 2, (7, 181, 293, 307, 349))):
+        V = [first(field, q) for q in qs]
+        for T in (V[:2], V[:-1], V, list(reversed(V))):
+            built.clear()
+            pl.sha_sandwich(field, p, T, V)
+            same = sorted(P.label for P in T) == sorted(P.label for P in V)
+            assert built == ([[P.label for P in T]] if same else
+                             [[P.label for P in T], [P.label for P in V]])
+        built.clear()
+        sm.crosscheck_rusb(field, V, p)
+        assert built == [[P.label for P in V]]

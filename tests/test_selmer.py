@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from tclab import classunit as cu, selmer as sm
-from tclab.numberfield import NumberField, Q
+from tclab import classunit as cu, rayclass as rc, selmer as sm
+from tclab.numberfield import NumberField, Q, is_prime
 
 from conftest import SQUAREFREE, quadratic_field
 
@@ -133,8 +133,61 @@ def test_crosscheck_random_corpus():
 
 def test_rusb_dim_via_h1_rationals():
     # dim RusB over Q with empty S: r - 1 + delta_p = delta_p
-    assert sm.h1_context(Q, [], 2).rusb_dim == 1
-    assert sm.h1_context(Q, [], 3).rusb_dim == 0
+    assert sm.h1_context(rc.ray_class_p_part(Q, [], 2))["h1_route_dim"] == 1
+    assert sm.h1_context(rc.ray_class_p_part(Q, [], 3))["h1_route_dim"] == 0
+
+
+def _qadic_class(x, d, q, p, root):
+    """(v, k) for x in Q(sqrt d) sent to Q_q by sqrt d -> the Hensel lift of
+    root: v the q-adic valuation, and k with u^((q-1)/p) = z^k mod q for
+    the unit part u and z = g^((q-1)/p), g the least primitive root."""
+    N = 40
+    mod = q**N
+    r = root
+    for _ in range(N.bit_length() + 1):  # Newton: r <- r - (r^2 - d) / 2r
+        r = (r - (r * r - d) * pow(2 * r, -1, mod)) % mod
+    assert (r * r - d) % mod == 0
+    a, b = x.power_coords()
+    num = (a.numerator * b.denominator + b.numerator * a.denominator * r) % mod
+    den = a.denominator * b.denominator
+    assert num
+    v = 0
+    while num % q == 0:
+        num //= q
+        v += 1
+    while den % q == 0:
+        den //= q
+        v -= 1
+    u = num * pow(den, -1, q) % q
+    g = next(g for g in range(2, q) if all(pow(g, (q - 1) // f, q) != 1
+                                           for f in range(2, q) if (q - 1) % f == 0 and is_prime(f)))
+    z, w = pow(g, (q - 1) // p, q), pow(u, (q - 1) // p, q)
+    return v, next(k for k in range(p) if pow(z, k, q) == w)
+
+
+@pytest.mark.parametrize("d,p,q", [(79, 3, 7), (10, 2, 3)])
+def test_local_conditions_where_a_generator_is_not_a_unit(d, p, q):
+    # A V_emptyset generator of Q(sqrt 79) has valuation -3 at 7_1 and is
+    # a unit at 7_2 with 7 in its denominator; Q(sqrt 10) has the same at
+    # 3.  Each class is read against the q-adic oracle: per prime, the
+    # classes are one fixed nonzero multiple of the oracle's.
+    K = NumberField((-d, 0, 1))
+    primes = K.factor_prime(q)
+    assert [P.f_deg for P in primes] == [1, 1]
+    sbs = [sm.selmer_basis(K, [P], p) for P in primes]
+    assert sbs[0].dim == sbs[1].dim and all(sb.certified and sb.verify() for sb in sbs)
+    elements = sbs[0].v0_generators + [g for sb in sbs for g in sb.generators]
+    irregular = 0
+    for P in primes:
+        root = -P.gpoly[0] % q  # P = (q, theta - root)
+        oracle = [_qadic_class(x, d, q, p, root) for x in elements]
+        assert all(v % p == 0 for v, _ in oracle)
+        irregular += sum(v != 0 or x.den % q == 0 for x, (v, _) in zip(elements, oracle))
+        got = [sm.power_residue_class(x, P, p) for x in elements]
+        assert any(all(g * c % p == k for g, (_, k) in zip(got, oracle)) for c in range(1, p))
+    for sb, P in zip(sbs, primes):
+        assert all(sm.power_residue_class(g, P, p) == 0 for g in sb.generators)
+    assert irregular >= 2
 
 
 def test_exceptional_rationals():
