@@ -354,7 +354,7 @@ def _pth_root_totally_real(x: NFElement, p: int) -> NFElement | None:
     if p % 2:
         patterns = [tuple(1 if s >= 0 else -1 for s in signs)]
     else:
-        patterns = [(1,) + rest for rest in la.product_first_fastest([(1, -1)] * (n - 1))]
+        patterns = [(1,) + rest for rest in product((1, -1), repeat=n - 1)]
     for pat in patterns:
         rhs = [sum(s * m * c for s, m, c in zip(pat, mags, row)) for row in conj]
         sol, d = la.bareiss_solve(field.trace_form, rhs)

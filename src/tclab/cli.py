@@ -126,8 +126,14 @@ def _load_layer_config(path):
     p = _prime_p(cfg.getint("run", "p"))
     twist = None
     if cfg.has_section("twist"):
-        rows = [[int(t) for t in r.split()] for r in cfg["twist"]["matrix"].split("/")]
-        twist = eq.gamma_module(p, [rows])
+        spec = cfg["twist"]["matrix"]
+        try:
+            twist = eq.gamma_module(p, [[[int(t) for t in r.split()] for r in spec.split("/")]])
+        except ValueError as exc:
+            raise FieldError(f"twist matrix {spec!r}: {exc}") from None
+        if not eq.is_action(layer, twist):
+            raise FieldError(f"twist matrix {spec!r} is not an action of the Galois group"
+                             f" of order {layer.order}")
     primes = {k: v for k, v in cfg["primes"].items()} if cfg.has_section("primes") else {}
     return {"layer": layer, "p": p, "twist": twist, "primes": primes,
             "K": K, "L": L}

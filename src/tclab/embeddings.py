@@ -294,7 +294,7 @@ def _full_character_rank(field, units, ell: int) -> bool:
             continue
         logs = {pow(z, k, q): k for k in range(ell)}
         trial = rows + [[logs[c] for c in powers]]
-        if la.fp_rank(la.FpMatrix.from_rows(trial, ell)) > len(rows):
+        if la.fp_rank(trial, ell) > len(rows):
             rows = trial
             if len(rows) == len(units):
                 return True

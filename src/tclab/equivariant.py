@@ -160,14 +160,14 @@ def make_layer(K_field: NumberField, L_field: NumberField, embedding,
 
 
 class GammaModule:
-    """F_p^dim with one action matrix per layer generator, and the order of
-    the group they generate."""
+    """F_p^dim with one action matrix per layer generator, each a list of
+    rows reduced mod p, and the order of the group they generate."""
 
     __slots__ = ("dim", "p", "mats", "group_order")
 
-    def __init__(self, dim: int, p: int, mats: list[la.FpMatrix], group_order: int):
+    def __init__(self, dim: int, p: int, mats: list[la.Matrix], group_order: int):
         for m in mats:
-            if la.fp_rank(m) != dim:
+            if la.fp_rank(m, p, dim) != dim:
                 raise ValueError("action matrix is singular")
         self.dim = dim
         self.p = p
@@ -175,22 +175,40 @@ class GammaModule:
         self.group_order = group_order
 
 
-def _eye(p: int, dim: int) -> la.FpMatrix:
-    return la.FpMatrix.from_rows(la.identity(dim), p, cols=dim)
+def _fp_mul(a: la.Matrix, b: la.Matrix, p: int) -> la.Matrix:
+    """a b over F_p, reduced, so that _closure can compare products."""
+    return [[x % p for x in row] for row in la.mat_mul(a, b)]
 
 
 def trivial_module(p: int, dim: int, n_gens: int, order: int) -> GammaModule:
-    return GammaModule(dim, p, [_eye(p, dim) for _ in range(n_gens)], order)
+    return GammaModule(dim, p, [la.identity(dim) for _ in range(n_gens)], order)
 
 
-def gamma_module(p: int, mats: list[list[list[int]]]) -> GammaModule:
-    ms = [la.FpMatrix.from_rows(m, p) for m in mats]
-    dim = ms[0].rows if ms else 0
-    return GammaModule(dim, p, ms, len(_closure(ms, _eye(p, dim), _mat_mul_fp, 4096)))
+def gamma_module(p: int, mats: list[la.Matrix]) -> GammaModule:
+    """The module of the action matrices mats over F_p, which must be
+    square and of one size."""
+    dim = len(mats[0]) if mats else 0
+    for m in mats:
+        if len(m) != dim or any(len(row) != dim for row in m):
+            raise ValueError(f"action matrix with rows of lengths {[len(row) for row in m]}"
+                             f" is not {dim} x {dim}")
+    ms = [[[x % p for x in row] for row in m] for m in mats]
+    order = len(_closure(ms, la.identity(dim), lambda a, b: _fp_mul(a, b, p), 4096))
+    return GammaModule(dim, p, ms, order)
 
 
-def _mat_mul_fp(a: la.FpMatrix, b: la.FpMatrix) -> la.FpMatrix:
-    return la.FpMatrix.from_rows(la.mat_mul(a.entries, b.entries), a.p, b.cols)
+def is_action(layer: GaloisLayer, m: GammaModule) -> bool:
+    """Whether gamma_i -> M_i, for the layer's generators gamma_i and m's
+    matrices M_i, defines an action of the layer's group: the pairs
+    (gamma_i, M_i) generate a group of the layer's order exactly when
+    every relation among the gamma_i holds among the M_i."""
+    if len(m.mats) != len(layer.gamma_gens):
+        return False
+    one = (Automorphism(layer.L_field, la.identity(layer.L_field.degree)), la.identity(m.dim))
+    pairs = _closure(list(zip(layer.gamma_gens, m.mats)), one,
+                     lambda g, a: (g[0].compose(a[0]), _fp_mul(g[1], a[1], m.p)),
+                     layer.order * m.group_order)
+    return len(pairs) == layer.order
 
 
 def invariants_dim(m: GammaModule) -> int:
@@ -200,48 +218,35 @@ def invariants_dim(m: GammaModule) -> int:
     if m.dim == 0:
         return 0
     p = m.p
-    stacked = []
-    for g in m.mats:
-        for i in range(m.dim):
-            stacked.append([(g.entries[i][j] - int(i == j)) % p for j in range(m.dim)])
-    if not stacked:
-        return m.dim
-    ker = la.fp_kernel(la.FpMatrix.from_rows(stacked, p, cols=m.dim))
-    d = len(ker)
+    stacked = [[(x - (i == j)) % p for j, x in enumerate(row)]
+               for g in m.mats for i, row in enumerate(g)]
+    d = len(la.fp_kernel(stacked, p, m.dim))
     if m.group_order % p != 0:
-        elems = _closure(m.mats, _eye(p, m.dim), _mat_mul_fp, 4096)
+        elems = _closure(m.mats, la.identity(m.dim), lambda a, b: _fp_mul(a, b, p), 4096)
         inv = pow(len(elems), -1, p)
-        avg = [[sum(e.entries[i][j] for e in elems) * inv % p for j in range(m.dim)]
+        avg = [[sum(e[i][j] for e in elems) * inv % p for j in range(m.dim)]
                for i in range(m.dim)]
-        r = la.fp_rank(la.FpMatrix.from_rows(avg, p, cols=m.dim))
+        r = la.fp_rank(avg, p)
         assert r == d, f"idempotent rank {r} != fixed-space dim {d}"
     return d
 
 
 def tensor(m1: GammaModule, m2: GammaModule) -> GammaModule:
+    """The Kronecker product of the generator matrices: row i d2 + k,
+    column j d2 + l holds a[i][j] b[k][l], for d2 = dim m2."""
     if m1.p != m2.p:
         raise ValueError("modulus mismatch")
     if len(m1.mats) != len(m2.mats):
         raise ValueError("generator count mismatch")
     p = m1.p
-    mats = []
-    for a, b in zip(m1.mats, m2.mats):
-        dim = m1.dim * m2.dim
-        ent = [[0] * dim for _ in range(dim)]
-        for i in range(m1.dim):
-            for j in range(m1.dim):
-                for k in range(m2.dim):
-                    for l in range(m2.dim):
-                        ent[i * m2.dim + k][j * m2.dim + l] = (
-                            a.entries[i][j] * b.entries[k][l]) % p
-        mats.append(la.FpMatrix.from_rows(ent, p, cols=dim))
+    mats = [[[x * y % p for x in ra for y in rb] for ra in a for rb in b]
+            for a, b in zip(m1.mats, m2.mats)]
     return GammaModule(m1.dim * m2.dim, p, mats, m1.group_order)
 
 
 def dual(m: GammaModule) -> GammaModule:
     """Contragredient action (inverse transpose per generator)."""
-    mats = [la.FpMatrix.from_rows(la.transpose(la.fp_inverse(g).entries), m.p, cols=m.dim)
-            for g in m.mats]
+    mats = [la.transpose(la.fp_inverse(g, m.p)) for g in m.mats]
     return GammaModule(m.dim, m.p, mats, m.group_order)
 
 
@@ -259,9 +264,8 @@ def selmer_module(layer: GaloisLayer, sb: SelmerBasis) -> GammaModule:
     p, gens = sb.p, sb.generators
     if not gens:
         return trivial_module(p, 0, len(layer.gamma_gens), layer.order)
-    rows = la.mat_mul(sb.aux_rows, la.transpose(sb.kernel_vectors))
-    B = la.FpMatrix.from_rows(rows, p, cols=len(gens))
-    if la.fp_rank(B) < len(gens):  # pragma: no cover
+    B = la.mat_mul(sb.aux_rows, la.transpose(sb.kernel_vectors))
+    if la.fp_rank(B, p, len(gens)) < len(gens):  # pragma: no cover
         raise FieldError("auxiliary primes failed to separate the basis")
     mats = []
     for gamma in layer.gamma_gens:
@@ -269,11 +273,11 @@ def selmer_module(layer: GaloisLayer, sb: SelmerBasis) -> GammaModule:
         for g in gens:
             img = gamma(g)
             v = [power_residue_class(img, P, p) for P in sb.aux_primes]
-            sol = la.fp_solve(B, v)
+            sol = la.fp_solve(B, v, p, len(gens))
             if sol is None:  # pragma: no cover
                 raise FieldError("gamma image is not in the carrier span")
             cols.append(sol)
-        mats.append(la.FpMatrix.from_rows(la.transpose(cols), p, cols=len(gens)))
+        mats.append(la.transpose(cols))
     return GammaModule(len(gens), p, mats, layer.order)
 
 
@@ -332,7 +336,7 @@ def kernel_module(layer: GaloisLayer, big: RayClassData, small: RayClassData) ->
         for i in pos:
             y = la.mat_vec(pres.U, la.mat_vec(images, pres.generator(i)))
             cols.append([y[t] % p for t in pos])
-        mats.append(la.FpMatrix.from_rows(la.transpose(cols), p, cols=len(pos)))
+        mats.append(la.transpose(cols))
     return GammaModule(len(pos), p, mats, layer.order)
 
 

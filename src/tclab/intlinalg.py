@@ -354,12 +354,6 @@ def shell(n: int, h: int):
     return (v for v in product(range(-h, h + 1), repeat=n) if max(map(abs, v)) == h)
 
 
-def product_first_fastest(ranges):
-    """itertools.product of the ranges, with the first coordinate varying
-    fastest."""
-    return (t[::-1] for t in product(*reversed(ranges)))
-
-
 def _gram_schmidt_row(G: Matrix, d: list[int], lam: Matrix, k: int) -> None:
     """Integral Gram-Schmidt for the vector b_k of the Gram matrix G, the
     rows before k done: lam[k][j] = d[j+1] mu_kj for j < k, and d[k+1], the
@@ -582,62 +576,62 @@ def integer_kernel(a: Matrix, cols: int) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# F_p matrices
+# F_p matrices: lists of integer rows, read mod p.  ncols, the number of
+# columns, is needed only where the rows may be empty.  Each entry runs
+# the one Gauss-Jordan elimination _rref below and calls no other entry.
 
 
-class FpMatrix:
-    """Dense matrix over Z/p with all entries kept reduced.  Matrices with
-    the same shape, entries and p compare equal, which the closure of a
-    group of action matrices relies on."""
-
-    __slots__ = ("rows", "cols", "entries", "p")
-
-    def __init__(self, rows: int, cols: int, entries: list[list[int]], p: int):
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-        self.p = p
-
-    def __eq__(self, other):
-        if not isinstance(other, FpMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries, self.p) == (
-            other.rows, other.cols, other.entries, other.p)
-
-    def __repr__(self):
-        return f"FpMatrix({self.rows}, {self.cols}, {self.entries}, {self.p})"
-
-    @classmethod
-    def from_rows(cls, rows: list[list[int]], p: int, cols: int | None = None) -> "FpMatrix":
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        ent = [[x % p for x in r] for r in rows]
-        return cls(len(ent), cols, ent, p)
+def fp_rref(rows: Matrix, p: int, ncols: int | None = None) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form over F_p and the list of pivot columns."""
+    return _rref(rows, len(rows[0]) if ncols is None else ncols, p)
 
 
-def fp_rref(m: FpMatrix) -> tuple[FpMatrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    rows, pivots = _rref(m.entries, m.cols, m.p)
-    return FpMatrix(m.rows, m.cols, rows, m.p), pivots
+def fp_rank(rows: Matrix, p: int, ncols: int | None = None) -> int:
+    return len(_rref(rows, len(rows[0]) if ncols is None else ncols, p)[1])
 
 
-def fp_rank(m: FpMatrix) -> int:
-    return len(_rref(m.entries, m.cols, m.p)[1])
+def fp_kernel(rows: Matrix, p: int, ncols: int | None = None) -> Matrix:
+    """Basis of the right kernel over F_p: one vector per free column, 1
+    there, minus the reduced entries at the pivot columns, 0 elsewhere."""
+    if ncols is None:
+        ncols = len(rows[0])
+    a, pivots = _rref(rows, ncols, p)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [0] * ncols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -a[r][fc] % p
+        basis.append(v)
+    return basis
 
 
-def fp_kernel(m: FpMatrix) -> list[list[int]]:
-    """Basis of the right kernel of m over F_p."""
-    return _kernel(m.entries, m.cols, m.p)
+def fp_solve(rows: Matrix, b: list[int], p: int, ncols: int | None = None) -> list[int] | None:
+    """The solution x of rows @ x = b over F_p with free coordinates 0, or
+    None: [rows | b] reduced with pivots in the first ncols columns gives
+    x at each pivot column as its row's reduced b entry, and has no
+    solution when a row below the pivots keeps a nonzero b entry."""
+    if ncols is None:
+        ncols = len(rows[0])
+    a, pivots = _rref([list(row) + [y] for row, y in zip(rows, b)], ncols, p)
+    if any(row[ncols] for row in a[len(pivots):]):
+        return None
+    x = [0] * ncols
+    for row, pc in zip(a, pivots):
+        x[pc] = row[ncols]
+    return x
 
 
-def fp_solve(m: FpMatrix, b: list[int]) -> list[int] | None:
-    """One solution of m @ x = b over F_p, or None."""
-    return _solve(m.entries, b, m.cols, m.p)
-
-
-def fp_inverse(m: FpMatrix) -> FpMatrix:
-    """Inverse over F_p; ZeroDivisionError if m is singular."""
-    return FpMatrix(m.rows, m.cols, _inverse(m.entries, m.p), m.p)
+def fp_inverse(rows: Matrix, p: int) -> Matrix:
+    """Inverse over F_p of a square matrix; ZeroDivisionError if singular."""
+    n = len(rows)
+    a, pivots = _rref([list(row) + [int(i == j) for j in range(n)]
+                       for i, row in enumerate(rows)], n, p)
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular matrix")
+    return [row[n:] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -703,34 +697,3 @@ def _rref(rows, ncols: int, p: int):
         pivots.append(c)
     return a, pivots
 
-
-def _kernel(rows, ncols: int, p: int):
-    """One kernel vector per free column: 1 there, minus the reduced
-    entries at the pivot columns, 0 elsewhere."""
-    a, pivots = _rref(rows, ncols, p)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc] % p
-        basis.append(v)
-    return basis
-
-
-def _solve(rows, b, ncols: int, p: int):
-    """The solution with free coordinates 0: the kernel vector of
-    [rows | -b] that is 1 in the last column, if there is one."""
-    ker = _kernel([list(row) + [-y] for row, y in zip(rows, b)], ncols + 1, p)
-    return next((v[:ncols] for v in ker if v[ncols]), None)
-
-
-def _inverse(rows, p: int):
-    n = len(rows)
-    a, pivots = _rref([list(row) + [int(i == j) for j in range(n)]
-                       for i, row in enumerate(rows)], n, p)
-    if len(pivots) < n:
-        raise ZeroDivisionError("singular matrix")
-    return [row[n:] for row in a]

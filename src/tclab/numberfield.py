@@ -593,7 +593,7 @@ class PrimeIdeal:
         beta / q has valuation -1 at P and is integral at every other
         prime above q."""
         m = self.field._mult_matrix(self.second_generator().nums)
-        beta = la.fp_kernel(la.FpMatrix.from_rows(m, self.q))[0]
+        beta = la.fp_kernel(m, self.q)[0]
         return self.field._mult_matrix(beta)
 
     @property
@@ -653,8 +653,7 @@ def certify_independence(field, gens, skip, p: int):
         return True, [], []
     rows, aux = [], []  # each kept row raised the rank, so it is len(rows)
     for P, row in tame_characters(field, gens, skip, p, _primes_up_to(10007)[1:]):
-        trial = la.FpMatrix.from_rows(la.transpose(rows + [row]), p, cols=len(rows) + 1)
-        if la.fp_rank(trial) > len(rows):
+        if la.fp_rank(rows + [row], p) > len(rows):
             rows.append(row)
             aux.append(P)
             if len(rows) == len(gens):

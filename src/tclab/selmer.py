@@ -44,7 +44,7 @@ class SelmerBasis:
                  "v0_labels", "kernel_vectors", "certified", "aux_primes", "aux_rows")
 
     def __init__(self, field: NumberField, S: list[PrimeIdeal], p: int,
-                 generators: list[NFElement], local_matrix: la.FpMatrix,
+                 generators: list[NFElement], local_matrix: la.Matrix,
                  v0_generators: list[NFElement], v0_labels: list[str],
                  kernel_vectors: list[list[int]], certified: bool,
                  aux_primes: list[PrimeIdeal], aux_rows: list[list[int]]):
@@ -127,9 +127,8 @@ def selmer_basis(field: NumberField, S: list[PrimeIdeal], p: int) -> SelmerBasis
     rows = []
     for g in gens:
         rows.append([power_residue_class(g, P, p) for P in cond_primes])
-    local = la.FpMatrix.from_rows(rows, p, cols=len(cond_primes))
-    # Left kernel: exponent vectors e with e . local = 0.
-    kernel = la.fp_kernel(la.FpMatrix.from_rows(la.transpose(rows), p, cols=len(gens)))
+    # Left kernel: exponent vectors e with e . rows = 0.
+    kernel = la.fp_kernel(la.transpose(rows), p, len(gens))
     sel_gens = []
     for vec in kernel:
         x = field.one
@@ -138,7 +137,7 @@ def selmer_basis(field: NumberField, S: list[PrimeIdeal], p: int) -> SelmerBasis
         sel_gens.append(x)
     certified, aux, aux_rows = certify_independence(field, gens, S, p)
     certified = certified and cls.certified and ub.regulator_nonzero_witness
-    return SelmerBasis(field, list(S), p, sel_gens, local, gens, labels,
+    return SelmerBasis(field, list(S), p, sel_gens, rows, gens, labels,
                        kernel, certified, aux, aux_rows)
 
 
@@ -179,7 +178,7 @@ def compare_rusb(sb: SelmerBasis, rcd: RayClassData) -> dict:
             f"selmer route gives {sb.dim}, ray-class route gives "
             f"{terms['h1_route_dim']}; full context: {report}; "
             f"v0 generators: {[g.coords for g in sb.v0_generators]}; "
-            f"local matrix: {sb.local_matrix.entries}"
+            f"local matrix: {sb.local_matrix}"
         )
     return report
 

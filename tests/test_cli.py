@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import re
 import shlex
 import time
 from pathlib import Path
@@ -145,6 +147,38 @@ def test_non_prime_p_in_layer_config_is_precondition(capsys, tmp_path):
     rep = json.loads(err.strip())
     assert rep["error"]["kind"] == "precondition"
     assert "p = 4 " in rep["error"]["reason"]
+
+
+# M^2 = -1 over F_3 (Gamma = Z/2); 2 x 3; ragged; order 2 over F_2 (Gamma = Z/3).
+@pytest.mark.parametrize("ini,matrix", [("example1.ini", "0 1 / 2 0"),
+                                        ("example2.ini", "1 0 0 / 0 1 0"),
+                                        ("example2.ini", "1 0 / 0"),
+                                        ("example2.ini", "1 1 / 0 1")])
+def test_twist_that_is_not_a_gamma_action_is_precondition(capsys, tmp_path, ini, matrix):
+    text = cli._data_path(ini).read_text()
+    bad = tmp_path / ini
+    bad.write_text(re.sub(r"(?m)^matrix = .*$", f"matrix = {matrix}", text))
+    code, _, err = run_capture(capsys, ["--json", "sandwich", "--config", str(bad), "--twisted"])
+    assert code == 2
+    rep = json.loads(err.strip())
+    assert rep["error"]["kind"] == "precondition"
+    assert rep["error"]["reason"].startswith(f"twist matrix '{matrix}'")
+
+
+def test_every_traced_name_resolves():
+    # perfbench/tracer.py wraps each path of LAYERS by name; a rename in
+    # src/tclab fails here as well as in the traced benchmark run.
+    path = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, entries in tracer.LAYERS.items():
+        home = importlib.import_module(f"tclab.{layer}")
+        for _, paths in entries:
+            for dotted in paths:
+                owner_name, _, attr = dotted.rpartition(".")
+                owner = getattr(home, owner_name) if owner_name else home
+                assert callable(vars(owner).get(attr)), f"{layer}.{dotted}"
 
 
 @pytest.mark.parametrize("argv", [["--p", "3", "--T", "7"],

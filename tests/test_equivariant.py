@@ -129,6 +129,29 @@ def test_gamma_module_invariants():
     assert eq.invariants_dim(eq.trivial_module(3, 2, 1, 2)) == 2
 
 
+def test_gamma_module_reads_entries_mod_p():
+    # The closure compares matrices by value, so they are kept reduced.
+    a, b = eq.gamma_module(5, [[[1, 7], [3, 4]]]), eq.gamma_module(5, [[[1, 2], [3, 4]]])
+    assert a.mats == b.mats == [[[1, 2], [3, 4]]]
+    assert a.group_order == b.group_order
+    assert eq.invariants_dim(a) == eq.invariants_dim(b)
+    for bad in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0]], [[1, 0], [0, 1], [0, 0]]):
+        with pytest.raises(ValueError, match="rows of lengths"):
+            eq.gamma_module(5, [bad])
+
+
+def test_is_action_needs_the_layer_relations(layer5, layer7):
+    # Gamma = Z/2 on sqrt 5 and Z/3 on zeta7plus: M must satisfy M^2 = 1,
+    # resp. M^3 = 1.  [[0, 1], [2, 0]] squares to -1 over F_3, and
+    # [[1, 1], [0, 1]] has order 2 over F_2.
+    assert eq.is_action(layer5, eq.gamma_module(3, [[[2]]]))
+    assert eq.is_action(layer5, eq.trivial_module(3, 2, 1, 1))
+    assert not eq.is_action(layer5, eq.gamma_module(3, [[[0, 1], [2, 0]]]))
+    assert eq.is_action(layer7, eq.gamma_module(2, [[[0, 1], [1, 1]]]))
+    assert not eq.is_action(layer7, eq.gamma_module(2, [[[1, 1], [0, 1]]]))
+    assert not eq.is_action(layer7, eq.trivial_module(2, 1, 2, 1))
+
+
 def test_example2_twist_group_order():
     # The closure that counts the group compares action matrices by value:
     # the companion matrix of x^2 + x + 1 over F_2 has order 3.
@@ -157,9 +180,8 @@ def test_selmer_module_action_order(layer7):
     m = eq.selmer_module(layer7, sb)
     assert m.dim == sb.dim
     g = m.mats[0]
-    gg = eq._mat_mul_fp(g, eq._mat_mul_fp(g, g))
-    ident = [[1 if i == j else 0 for j in range(m.dim)] for i in range(m.dim)]
-    assert gg.entries == ident
+    gg = la.mat_mul(g, la.mat_mul(g, g))
+    assert [[x % 2 for x in row] for row in gg] == la.identity(m.dim)
 
 
 def test_selmer_module_requires_stable_set(layer7):
@@ -178,7 +200,7 @@ def test_kernel_module_golden(layer5):
     big = rc.ray_class_p_part(L, [P5, P107, P197], 3)
     m = eq.kernel_module(layer5, big, small)
     assert m.dim == 1
-    assert m.mats[0].entries[0][0] % 3 == 2
+    assert m.mats == [[[2]]]
 
 
 def test_kernel_module_trivial_big_group():
@@ -203,7 +225,7 @@ def test_descent_refuses_p_dividing_gamma(layer5):
 
 
 def _module(m):
-    return m.dim, m.group_order, [g.entries for g in m.mats]
+    return m.dim, m.group_order, m.mats
 
 
 # (dim, group order, generator matrices) of the Gamma-modules of the two
@@ -245,6 +267,19 @@ def test_selmer_module_table(ini, key, expected):
     assert _module(eq.selmer_module(ctx["layer"], sb)) == expected
 
 
+def _certificate_sets(ini):
+    """(layer, p, sets) for an example: 40 orbit-closed sets, the closures
+    of the first prime above each of ten unramified q, and of thirty
+    pairs of them."""
+    ctx = cli._load_layer_config(ini)
+    L, layer, p = ctx["L"], ctx["layer"], ctx["p"]
+    qs = [q for q in nf._primes_up_to(400)
+          if q != p and all(P.e == 1 for P in L.factor_prime(q))][:10]
+    qsets = [[q] for q in qs] + [list(c) for c in combinations(qs, 2)][:30]
+    return layer, p, [layer.orbit_closure([L.factor_prime(q)[0] for q in qset])
+                      for qset in qsets]
+
+
 def _reference_selmer_module(layer, sb):
     """The generator matrices of the route that certified the Selmer
     generators themselves: auxiliary primes for sb.generators, then each
@@ -252,23 +287,18 @@ def _reference_selmer_module(layer, sb):
     p, gens = sb.p, sb.generators
     ok, aux, rows = nf.certify_independence(layer.L_field, gens, sb.S, p)
     assert ok
-    B = la.FpMatrix.from_rows(rows, p, cols=len(gens))
-    return [la.transpose([la.fp_solve(B, [sm.power_residue_class(gamma(g), P, p) for P in aux])
+    return [la.transpose([la.fp_solve(rows, [sm.power_residue_class(gamma(g), P, p) for P in aux],
+                                      p, len(gens))
                           for g in gens])
             for gamma in layer.gamma_gens]
 
 
 @pytest.mark.parametrize("ini", ["example1.ini", "example2.ini"])
 def test_selmer_module_reads_the_basis_certificate(monkeypatch, ini):
-    # 40 orbit-closed sets per layer: the closures of the first prime above
-    # each of ten unramified q, and of thirty pairs of them.  selmer_module
-    # reads the certificate of the V_emptyset generators through the kernel
+    # On the 40 orbit-closed sets of each layer, selmer_module reads the certificate of the V_emptyset generators through the kernel
     # vectors and certifies nothing itself.
-    ctx = cli._load_layer_config(ini)
-    L, layer, p = ctx["L"], ctx["layer"], ctx["p"]
-    qs = [q for q in nf._primes_up_to(400)
-          if q != p and all(P.e == 1 for P in L.factor_prime(q))][:10]
-    sets = [[q] for q in qs] + [list(c) for c in combinations(qs, 2)][:30]
+    layer, p, sets = _certificate_sets(ini)
+    L = layer.L_field
     calls = []
 
     def counted(*args):
@@ -277,16 +307,46 @@ def test_selmer_module_reads_the_basis_certificate(monkeypatch, ini):
 
     real = nf.certify_independence
     nontrivial = 0
-    for qset in sets:
-        sb = sm.selmer_basis(L, layer.orbit_closure([L.factor_prime(q)[0] for q in qset]), p)
+    for S in sets:
+        sb = sm.selmer_basis(L, S, p)
         expected = _reference_selmer_module(layer, sb) if sb.dim else [[]] * len(layer.gamma_gens)
         for mod in (nf, sm, eq):
             monkeypatch.setattr(mod, "certify_independence", counted, raising=False)
         m = eq.selmer_module(layer, sb)
         monkeypatch.undo()
-        assert [g.entries for g in m.mats] == expected and m.dim == sb.dim, qset
+        assert m.mats == expected and m.dim == sb.dim, [P.label for P in S]
         nontrivial += sb.dim > 0
     assert not calls and nontrivial >= 10
+
+
+def _transposed_certify_independence(field, gens, skip, p):
+    """certify_independence as it tested each row: the rank of the
+    transpose of the kept rows and the new one."""
+    if not gens:
+        return True, [], []
+    rows, aux = [], []
+    for P, row in nf.tame_characters(field, gens, skip, p, nf._primes_up_to(10007)[1:]):
+        if la.fp_rank(la.transpose(rows + [row]), p, len(rows) + 1) > len(rows):
+            rows.append(row)
+            aux.append(P)
+            if len(rows) == len(gens):
+                return True, aux, rows
+    return False, aux, rows
+
+
+@pytest.mark.parametrize("ini", ["example1.ini", "example2.ini"])
+def test_certify_independence_matches_the_transposed_rank(ini):
+    # rank(M^t) = rank(M): the same primes and rows, for the Selmer
+    # generators and the V_emptyset generators of every set.
+    layer, p, sets = _certificate_sets(ini)
+    L = layer.L_field
+    for S in sets:
+        sb = sm.selmer_basis(L, S, p)
+        for gens in (sb.generators, sb.v0_generators):
+            got, want = (f(L, gens, S, p) for f in (nf.certify_independence,
+                                                     _transposed_certify_independence))
+            assert (got[0], [P.label for P in got[1]], got[2]) == (
+                want[0], [P.label for P in want[1]], want[2]), [P.label for P in S]
 
 
 @pytest.mark.parametrize("ini,big,small,expected", KERNEL_MODULES)
