@@ -66,7 +66,8 @@ def _load_field(spec: str) -> NumberField:
 
 def parse_prime_set(field: NumberField, spec: str):
     """Comma or space separated entries: 'q' (first prime above q),
-    'q:i' (i-th prime in the deterministic ordering), 'q:all'."""
+    'q:i' (i-th prime in the deterministic ordering), 'q:all'.  The one
+    reader of every command's prime sets: a prime named twice is refused."""
     out = []
     for tok in spec.replace(",", " ").split():
         if ":" in tok:
@@ -79,17 +80,16 @@ def parse_prime_set(field: NumberField, spec: str):
             raise FieldError(f"bad prime entry {tok!r}")
         if q < 2 or not is_prime(q):
             raise FieldError(f"{q} is not a rational prime")
-        above = field.factor_prime(q)
         if sel == "all":
-            out.extend(above)
+            out.extend(field.factor_prime(q))
         else:
             try:
                 idx = int(sel)
             except ValueError:
                 raise FieldError(f"bad selector in {tok!r}")
-            if not 1 <= idx <= len(above):
-                raise FieldError(f"{q} has {len(above)} primes above, not {idx}")
-            out.append(above[idx - 1])
+            out.append(field.prime(q, idx))
+    if len({P.label for P in out}) < len(out):
+        raise FieldError("a prime repeats in the modulus; a tame modulus is squarefree")
     return out
 
 

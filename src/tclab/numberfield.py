@@ -498,7 +498,10 @@ class PrimeIdeal:
     pair (q, g(gen)) where gen generates the order locally at q (theta
     when q does not divide the index) and g is a monic irreducible factor
     of gen's minimal polynomial mod q.  Its residue map is one integer
-    matrix mod q, the residue matrix, built on first use."""
+    matrix mod q, the residue matrix.  The lattice, residue field, residue
+    matrix and anti-uniformizer are each built on first use into an
+    attribute that __init__ declares as None, so that every prime's
+    instance dict has the same keys."""
 
     def __init__(self, field, q, e, f_deg, gpoly, index, gen, to_gen):
         self.field = field
@@ -510,18 +513,20 @@ class PrimeIdeal:
         self.gen = gen
         self.to_gen = to_gen  # (T, d): gen-power coordinates T nums / (d den)
         self.norm = q**f_deg
-        self._lattice = None
+        self._lattice = self._residue_field = self._residue_matrix = self._beta_matrix = None
 
     @property
     def label(self) -> str:
         return f"{self.q}_{self.index}"
 
-    @cached_property
+    @property
     def residue_field(self) -> ResidueField:
         """F_q[t]/(g), built on first use, so that the primes a class
         group or unit search factors but never reduces build no fold
         table."""
-        return ResidueField(self.q, self.gpoly)
+        if self._residue_field is None:
+            self._residue_field = ResidueField(self.q, self.gpoly)
+        return self._residue_field
 
     def second_generator(self) -> NFElement:
         """The element g(gen) of the two-element representation (q, g(gen))."""
@@ -538,15 +543,18 @@ class PrimeIdeal:
             acc[0] += c
         return self.field.elt(acc)
 
-    @cached_property
+    @property
     def residue_matrix(self) -> la.Matrix:
         """The f x n matrix W over F_q whose column j is the residue of b_j:
         column j of T d^-1 for to_gen = (T, d), folded by the residue field.
         d is 1 at an index divisor and divides the index elsewhere."""
-        T, d = self.to_gen
-        rf, dinv = self.residue_field, pow(d, -1, self.q)
-        cols = [rf.elt([t * dinv for t in col]) for col in zip(*T)]
-        return [[c[k] if k < len(c) else 0 for c in cols] for k in range(self.f_deg)]
+        if self._residue_matrix is None:
+            T, d = self.to_gen
+            rf, dinv = self.residue_field, pow(d, -1, self.q)
+            cols = [rf.elt([t * dinv for t in col]) for col in zip(*T)]
+            self._residue_matrix = [[c[k] if k < len(c) else 0 for c in cols]
+                                    for k in range(self.f_deg)]
+        return self._residue_matrix
 
     def residue(self, x: NFElement):
         """Image of x = nums / den in the residue field: the order is
@@ -569,7 +577,8 @@ class PrimeIdeal:
         r = self.residue(x)
         if rf.is_zero(r):
             raise FieldError(f"element not coprime to {self.label}")
-        return rf.dlog(rf.pow(r, (self.norm - 1) // m), rf.subgroup_generator(m), m)
+        rf.subgroup_generator(m)  # stores the powers of z that dlog reads
+        return rf.dlog(rf.pow(r, (self.norm - 1) // m), m)
 
     def is_unit_at(self, x: NFElement) -> bool:
         x = self.field.elt(x)
@@ -584,7 +593,7 @@ class PrimeIdeal:
             self._lattice = _ideal_lattice(self.field, self.q, self.second_generator())
         return self._lattice
 
-    @cached_property
+    @property
     def _anti_uniformizer(self) -> la.Matrix:
         """The integer multiplication matrix of an element beta of
         qP^-1 outside qO (Cohen, GTM 138, Alg. 4.8.17).  As P = (q, pi),
@@ -592,9 +601,10 @@ class PrimeIdeal:
         vector of the F_q kernel of the multiplication matrix of pi.  Then
         beta / q has valuation -1 at P and is integral at every other
         prime above q."""
-        m = self.field._mult_matrix(self.second_generator().nums)
-        beta = la.fp_kernel(m, self.q)[0]
-        return self.field._mult_matrix(beta)
+        if self._beta_matrix is None:
+            m = self.field._mult_matrix(self.second_generator().nums)
+            self._beta_matrix = self.field._mult_matrix(la.fp_kernel(m, self.q)[0])
+        return self._beta_matrix
 
     @property
     def inverse_uniformizer(self) -> NFElement:

@@ -597,11 +597,13 @@ class ResidueField:
 
     Elements are reduced coefficient tuples.  Deliberately minimal: just
     what power-residue tests and discrete logs in small groups need.  The
-    field holds one table, the rows t^k mod g for f <= k < max(_FOLD_TOP,
-    2f - 1): an integer coefficient vector is reduced by adding c_k times
-    row k into its low f coefficients for every k >= f, and taking each
-    sum mod q once.  A product is the integer convolution of two
-    elements, reduced the same way.
+    field holds the rows t^k mod g for f <= k < max(_FOLD_TOP, 2f - 1):
+    an integer coefficient vector is reduced by adding c_k times row k
+    into its low f coefficients for every k >= f, and taking each sum mod
+    q once.  A product is the integer convolution of two elements,
+    reduced the same way.  For each order m asked of subgroup_generator,
+    _subgroup_gens[m] holds the powers (z^0, ..., z^(m-1)) of the fixed
+    generator z of mu_m, so a discrete log to z is one lookup.
     """
 
     def __init__(self, q: int, modulus: Poly):
@@ -611,7 +613,7 @@ class ResidueField:
         self.order = q**self.deg
         # a^norm_exp = N(a), the norm to F_q: (q^f - 1)/(q - 1), 1 at f = 1.
         self.norm_exp = (self.order - 1) // (q - 1)
-        self._subgroup_gens: dict[int, Poly] = {}  # memo of subgroup_generator
+        self._subgroup_gens: dict[int, tuple[Poly, ...]] = {}  # m -> powers of z
         self._fold = _fold_table(self.modulus, q, max(_FOLD_TOP, 2 * self.deg - 1))
 
     def elt(self, coeffs) -> Poly:
@@ -671,24 +673,22 @@ class ResidueField:
         nonzero a in _candidates order (t + c first) that is no r-th power
         for any prime r | m.  Then z^m = 1 and z^(m/r) = a^((order-1)/r)
         != 1, so z has exact order m; the degree-deg candidates reduce to
-        every element, so the search ends."""
-        if m in self._subgroup_gens:
-            return self._subgroup_gens[m]
-        assert (self.order - 1) % m == 0
-        rs = prime_factors(m)
-        for cand in _candidates(self.deg, self.q):
-            a = self.elt(cand)
-            if a and all(self.pow(a, (self.order - 1) // r) != self.one for r in rs):
-                z = self._subgroup_gens[m] = self.pow(a, (self.order - 1) // m)
-                return z
-        raise RuntimeError("no subgroup generator found")  # pragma: no cover
+        every element, so the search ends.  The first call at m stores the
+        powers of z in _subgroup_gens[m]."""
+        if m not in self._subgroup_gens:
+            assert (self.order - 1) % m == 0
+            rs = prime_factors(m)
+            a = next(a for a in map(self.elt, _candidates(self.deg, self.q))
+                     if a and all(self.pow(a, (self.order - 1) // r) != self.one for r in rs))
+            z, powers = self.pow(a, (self.order - 1) // m), [self.one]
+            for _ in range(m - 1):
+                powers.append(self.mul(powers[-1], z))
+            self._subgroup_gens[m] = tuple(powers)
+        return self._subgroup_gens[m][1 % m]
 
-    def dlog(self, target, base, order: int) -> int:
-        """Discrete log in the cyclic group generated by base of known
-        order; brute force, fine for the small groups used here."""
-        acc = self.one
-        for k in range(order):
-            if acc == target:
-                return k
-            acc = self.mul(acc, base)
-        raise ValueError("element not in the cyclic subgroup")
+    def dlog(self, target, order: int) -> int:
+        """The k in 0..order-1 with target = z^k, for z =
+        subgroup_generator(order), which must have been called: the index
+        of target among the stored powers of z.  ValueError when target is
+        not in the subgroup."""
+        return self._subgroup_gens[order].index(target)

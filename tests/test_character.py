@@ -29,9 +29,10 @@ SQRT5 = quadratic_field(5)
 ZETA7PLUS = NumberField((-1, -2, 1, 1), label="zeta7plus")
 
 # Residue degree 1 (Q at 7 and 13, both primes of Q(sqrt 5) above 11),
-# 2 (Q(sqrt 5) at 2 and 7) and 3 (zeta7plus at 2, 3 and 5).
-PRIMES = ([(Q, 7, 1), (Q, 13, 1), (SQRT5, 11, 1), (SQRT5, 11, 2), (SQRT5, 2, 1), (SQRT5, 7, 1)]
-          + [(ZETA7PLUS, q, 1) for q in (2, 3, 5)])
+# 2 (Q(sqrt 5) at 2, 7 and 17) and 3 (zeta7plus at 2, 3 and 5).  At 17,
+# N - 1 = 288 = 2^5 3^2, so the orders 32, 3 and 9 do not divide q - 1.
+PRIMES = ([(Q, 7, 1), (Q, 13, 1), (SQRT5, 11, 1), (SQRT5, 11, 2), (SQRT5, 2, 1), (SQRT5, 7, 1),
+           (SQRT5, 17, 1)] + [(ZETA7PLUS, q, 1) for q in (2, 3, 5)])
 IDS = [f"{K.label}-{q}_{i}" for K, q, i in PRIMES]
 
 
@@ -100,6 +101,36 @@ def test_character_oracle(P):
         for x in _in_P(P):
             with pytest.raises(FieldError, match="not coprime"):
                 P.character(x, m)
+
+
+def test_dlog_refuses_an_element_outside_the_subgroup(P):
+    F = P.residue_field
+    for m in _prime_powers(P.norm - 1):
+        F.subgroup_generator(m)
+        outside = [a for a in F.elements() if _power(F, a, m) != F.one]
+        assert len(outside) == P.norm - m
+        for a in outside[:5]:
+            with pytest.raises(ValueError):
+                F.dlog(a, m)
+
+
+def test_a_second_character_builds_no_new_powers(P, monkeypatch):
+    F, N = P.residue_field, P.norm
+    x = _units(P)[0]
+    calls = []
+    mul = F.mul
+    monkeypatch.setattr(F, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    for m in _prime_powers(N - 1):
+        P.character(x, m)
+        powers = F._subgroup_gens[m]
+        assert len(powers) == m and powers[1] == F.subgroup_generator(m)
+        calls.clear()
+        F.pow(P.residue(x), (N - 1) // m)
+        pow_calls = len(calls)
+        calls.clear()
+        P.character(x, m)
+        assert len(calls) == pow_calls
+        assert F._subgroup_gens[m] is powers
 
 
 def test_resgen_dlog_matches_the_projection_formula(P):

@@ -104,6 +104,49 @@ def test_repeated_modulus_prime_is_precondition(capsys, command, option):
     assert "repeats" in rep["error"]["reason"]
 
 
+REPEAT_REASON = "a prime repeats in the modulus; a tame modulus is squarefree"
+
+# Every option that takes a prime set; "{}" is replaced by the set.
+PRIME_SET_ARGV = [
+    ["rayclass", "--field", "sqrt5.field", "--p", "3", "--modulus", "{}"],
+    ["selmer", "--field", "sqrt5.field", "--p", "3", "--S", "{}"],
+    ["rusb", "--field", "sqrt5.field", "--p", "3", "--S", "{}"],
+    ["exceptional", "--field", "sqrt5.field", "--S", "{}"],
+    ["sandwich", "--field", "sqrt5.field", "--p", "3", "--T", "{}", "--V", "11:all"],
+    ["sandwich", "--field", "sqrt5.field", "--p", "3", "--T", "11", "--V", "{}"],
+    ["sandwich", "--config", "example1.ini", "--T", "{}"],
+    ["orbit-check", "--config", "example2.ini", "--S", "{}", "--X", "181"],
+    ["orbit-check", "--config", "example2.ini", "--X", "{}"],
+    ["search-x", "--field", "sqrt5.field", "--p", "3", "--S", "{}"],
+]
+
+
+def _prime_set_id(argv):
+    option = argv[argv.index("{}") - 1].lstrip("-")
+    return "-".join([argv[0], option] + (["config"] if "--config" in argv else []))
+
+
+@pytest.mark.parametrize("spec", ["11,11", "11:1,11:1", "11:all,11"])
+@pytest.mark.parametrize("argv", PRIME_SET_ARGV, ids=_prime_set_id)
+def test_repeated_prime_in_any_prime_set_is_precondition(capsys, argv, spec):
+    argv = [spec if a == "{}" else a for a in argv]
+    code, out, err = run_capture(capsys, ["--json"] + argv)
+    assert code == 2 and out == ""
+    rep = json.loads(err.strip())
+    assert rep["error"]["kind"] == "precondition"
+    assert rep["error"]["reason"] == REPEAT_REASON
+
+
+def test_repeat_reason_is_the_ray_class_reason():
+    from tclab import rayclass as rc
+    from tclab.numberfield import FieldError
+    K = cli._load_field("sqrt5.field")
+    P = K.prime(11)
+    with pytest.raises(FieldError) as exc:
+        rc.ray_class_p_part(K, [P, P], 3)
+    assert str(exc.value) == REPEAT_REASON
+
+
 P_COMMANDS = {
     "selmer": ["--S", "11"],
     "rusb": ["--S", "11"],

@@ -172,6 +172,20 @@ def test_tensor_and_dual():
     assert eq.invariants_dim(eq.tensor(s, eq.dual(s))) == 1
 
 
+@pytest.mark.parametrize("p,g,order", [(7, 2, 3), (5, 2, 4)])
+def test_dual_of_a_character_that_is_not_self_dual(p, g, order):
+    # gamma acting by g on F_p is a character chi of Z/order with chi^2 != 1,
+    # so chi^dual = chi^-1 != chi: (chi^dual tensor chi)^Gamma = Hom_Gamma(chi,
+    # chi) is the scalars, and (chi tensor chi)^Gamma = 0.
+    chi = eq.gamma_module(p, [[[g]]])
+    assert chi.group_order == order
+    assert eq.invariants_dim(eq.tensor(eq.dual(chi), chi)) == 1
+    assert eq.invariants_dim(eq.tensor(chi, chi)) == 0
+    M = eq.gamma_module(p, [[[g, 1], [0, 1]]])
+    for m in (chi, M):
+        assert eq.dual(eq.dual(m)).mats == m.mats
+
+
 def test_selmer_module_action_order(layer7):
     L = layer7.L_field
     T = layer7.orbit_closure([L.factor_prime(7)[0], L.factor_prime(181)[0],

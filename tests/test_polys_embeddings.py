@@ -132,7 +132,7 @@ def test_residue_field_dlog():
     F = polys.ResidueField(11, (9, 1))
     g = F.subgroup_generator(10)
     for k in (0, 1, 5, 7):
-        assert F.dlog(F.pow(g, k), g, 10) == k
+        assert F.dlog(F.pow(g, k), 10) == k
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 13, 101])
