@@ -1,10 +1,12 @@
 """Command line front end.
 
-Everything is computed into a JSON-serializable report first; the table
-renderer only reads the report, so table and JSON output can never
-disagree.  Exit codes: 0 success, 1 internal failure, 2 refusal (a
-precondition, an input out of scope, or a search budget exhausted), 64
-usage.  Refusals and failures write a JSON error with its kind to stderr.
+Each command returns its inputs and results (reproduce also its label),
+and run alone times it and wraps them in the report {schema, command,
+inputs, results, wall_time_s}.  The table renderer only reads the
+report, so table and JSON output can never disagree.  Exit codes: 0
+success, 1 internal failure, 2 refusal (a precondition, an input out of
+scope, or a search budget exhausted), 64 usage.  Refusals and failures
+write a JSON error with its kind to stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from . import classunit, equivariant as eq, pipeline as pl, rayclass as rc, selm
 from .fieldfile import FieldFileError, parse_field_file
 from .numberfield import FieldError, NumberField, is_prime
 
-SCHEMA = "tclab-report/1"
+SCHEMA = "tclab-report/2"
 
 EX1_GOLDEN = {
     "rcg_3_parts": ["0", "Z/3", "Z/27"],
@@ -101,32 +103,41 @@ def _prime_p(p: int | None) -> int | None:
 
 
 def _load_layer_config(path):
+    """The layer, p, twist and named prime sets of a layer config.  A file
+    that lacks a section or key, has no section header, or has an entry
+    that configparser cannot read or that is no number (1/0 included) is
+    refused as a FieldFileError."""
     cfg = configparser.ConfigParser()
-    if os.path.exists(path):
-        cfg.read(path)
-        base_dir = os.path.dirname(os.path.abspath(path))
-    else:
-        cand = _data_path(path)
-        if not cand.is_file():
-            raise FieldFileError(path, 0, "config not found")
-        cfg.read_string(cand.read_text())
-        base_dir = None
-    def field_of(name):
-        spec = cfg["fields"][name]
+    try:
+        if os.path.exists(path):
+            cfg.read(path)
+            base_dir = os.path.dirname(os.path.abspath(path))
+        else:
+            cand = _data_path(path)
+            if not cand.is_file():
+                raise FieldFileError(path, 0, "config not found")
+            cfg.read_string(cand.read_text())
+            base_dir = None
+        specs = [cfg["fields"]["base"], cfg["fields"]["ext"]]
+        emb = [Fraction(t) for t in cfg["layer"]["embedding"].split()]
+        gammas = [[Fraction(t) for t in part.split()] for part in cfg["layer"]["gamma"].split("/")]
+        p = _prime_p(cfg.getint("run", "p"))
+        spec = cfg.get("twist", "matrix") if cfg.has_section("twist") else None
+        primes = dict(cfg["primes"]) if cfg.has_section("primes") else {}
+    except KeyError as exc:
+        raise FieldFileError(path, 0, f"missing section or key {exc}") from None
+    except (configparser.Error, ZeroDivisionError) as exc:
+        raise FieldFileError(path, 0, f"{type(exc).__name__}: {exc}") from None
+
+    def field_of(spec):
         if base_dir is not None and os.path.exists(os.path.join(base_dir, spec)):
             return parse_field_file(os.path.join(base_dir, spec))
         return _load_field(spec)
-    K = field_of("base")
-    L = field_of("ext")
-    emb = [Fraction(t) for t in cfg["layer"]["embedding"].split()]
-    gammas = []
-    for part in cfg["layer"]["gamma"].split("/"):
-        gammas.append(L.elt([Fraction(t) for t in part.split()]))
+    K, L = map(field_of, specs)
+    gammas = [L.elt(g) for g in gammas]
     layer = eq.make_layer(K, L, emb, gammas)
-    p = _prime_p(cfg.getint("run", "p"))
     twist = None
-    if cfg.has_section("twist"):
-        spec = cfg["twist"]["matrix"]
+    if spec is not None:
         try:
             twist = eq.gamma_module(p, [[[int(t) for t in r.split()] for r in spec.split("/")]])
         except ValueError as exc:
@@ -134,24 +145,12 @@ def _load_layer_config(path):
         if not eq.is_action(layer, twist):
             raise FieldError(f"twist matrix {spec!r} is not an action of the Galois group"
                              f" of order {layer.order}")
-    primes = {k: v for k, v in cfg["primes"].items()} if cfg.has_section("primes") else {}
     return {"layer": layer, "p": p, "twist": twist, "primes": primes,
             "K": K, "L": L}
 
 
 # ---------------------------------------------------------------------------
 # Reports
-
-
-def _report(command, inputs, results, t0, seed):
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "inputs": inputs,
-        "seed": seed,
-        "results": results,
-        "wall_time_s": round(time.time() - t0, 3),
-    }
 
 
 def emit_table(report) -> str:
@@ -180,19 +179,18 @@ def _coords(x) -> str:
 
 
 def _resolved(primes) -> list[dict]:
-    """Two-element representation (q, g) for each resolved prime, g with
-    ascending coefficients in the prime's local generator gen: theta only
-    where q does not divide the index."""
+    """Each resolved prime with its hnf_basis: the columns of the HNF of P
+    in integral-basis coordinates, which is unique for P (Cohen, GTM 138,
+    2.4.3), so it names P whatever local generator factored it."""
     return [{"label": P.label, "q": P.q, "e": P.e, "f": P.f_deg,
-             "gen_coeffs": [int(c) for c in P.gpoly]} for P in primes]
+             "hnf_basis": [list(c) for c in zip(*P.lattice())]} for P in primes]
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def cmd_field(args, seed):
-    t0 = time.time()
+def cmd_field(args):
     K = _load_field(args.field)
     res = {
         "label": K.label,
@@ -202,11 +200,10 @@ def cmd_field(args, seed):
         "signature": [str(r) for r in K.signature],
         "minkowski_bound": K.minkowski_bound(),
     }
-    return _report("field", {"field": args.field}, res, t0, seed)
+    return {"field": args.field}, res
 
 
-def cmd_classgroup(args, seed):
-    t0 = time.time()
+def cmd_classgroup(args):
     K = _load_field(args.field)
     cg = classunit.class_group(K)
     res = {
@@ -215,11 +212,10 @@ def cmd_classgroup(args, seed):
         "certified": cg.certified,
         "generating_primes": [P.label for P in cg.generating_primes],
     }
-    return _report("classgroup", {"field": args.field}, res, t0, seed)
+    return {"field": args.field}, res
 
 
-def cmd_units(args, seed):
-    t0 = time.time()
+def cmd_units(args):
     K = _load_field(args.field)
     ub = classunit.unit_group(K)
     res = {
@@ -230,11 +226,10 @@ def cmd_units(args, seed):
         "saturated_at": list(ub.saturated_at),
         "regulator_nonzero": ub.regulator_nonzero_witness,
     }
-    return _report("units", {"field": args.field}, res, t0, seed)
+    return {"field": args.field}, res
 
 
-def cmd_rayclass(args, seed):
-    t0 = time.time()
+def cmd_rayclass(args):
     K = _load_field(args.field)
     modulus = parse_prime_set(K, args.modulus)
     rcd = rc.ray_class_p_part(K, modulus, args.p)
@@ -244,13 +239,11 @@ def cmd_rayclass(args, seed):
         "p_rank": rcd.p_group.p_rank(args.p),
         "provenance": "ray class presentation + SNF",
     }
-    return _report("rayclass", {"field": args.field, "p": args.p,
-                                "modulus": args.modulus,
-                                "resolved": _resolved(modulus)}, res, t0, seed)
+    return {"field": args.field, "p": args.p, "modulus": args.modulus,
+            "resolved": _resolved(modulus)}, res
 
 
-def cmd_selmer(args, seed):
-    t0 = time.time()
+def cmd_selmer(args):
     K = _load_field(args.field)
     S = parse_prime_set(K, args.S)
     sb = sm.selmer_basis(K, S, args.p)
@@ -263,12 +256,10 @@ def cmd_selmer(args, seed):
         "aux_primes": [P.label for P in sb.aux_primes],
         "reverified": sb.verify(),
     }
-    return _report("selmer", {"field": args.field, "p": args.p, "S": args.S,
-                              "resolved": _resolved(S)}, res, t0, seed)
+    return {"field": args.field, "p": args.p, "S": args.S, "resolved": _resolved(S)}, res
 
 
-def cmd_rusb(args, seed):
-    t0 = time.time()
+def cmd_rusb(args):
     K = _load_field(args.field)
     S = parse_prime_set(K, args.S)
     rep = sm.crosscheck_rusb(K, S, args.p)
@@ -278,12 +269,10 @@ def cmd_rusb(args, seed):
         "selmer_dim": "explicit V_S generators and local kernel",
         "h1_route_dim": "ray class p-rank formula",
     }
-    return _report("rusb", {"field": args.field, "p": args.p, "S": args.S,
-                            "resolved": _resolved(S)}, rep, t0, seed)
+    return {"field": args.field, "p": args.p, "S": args.S, "resolved": _resolved(S)}, rep
 
 
-def cmd_exceptional(args, seed):
-    t0 = time.time()
+def cmd_exceptional(args):
     K = _load_field(args.field)
     S = parse_prime_set(K, args.S) if args.S else []
     rep = sm.is_exceptional(K, S)
@@ -296,11 +285,10 @@ def cmd_exceptional(args, seed):
         "per_prime_c": rep.per_prime_c,
         "exceptional": rep.exceptional,
     }
-    return _report("exceptional", {"field": args.field, "S": args.S}, res, t0, seed)
+    return {"field": args.field, "S": args.S}, res
 
 
-def cmd_sandwich(args, seed):
-    t0 = time.time()
+def cmd_sandwich(args):
     if args.config:
         ctx = _load_layer_config(args.config)
         L, p = ctx["L"], ctx["p"]
@@ -326,25 +314,20 @@ def cmd_sandwich(args, seed):
         "certified": sw.certified,
         "mode": sw.mode,
     }
-    return _report("sandwich", {"p": p, "T": args.T, "V": args.V,
-                                "twisted": bool(args.twisted),
-                                "resolved_T": _resolved(sw.T),
-                                "resolved_V": _resolved(sw.V)}, res, t0, seed)
+    return {"p": p, "T": args.T, "V": args.V, "twisted": bool(args.twisted),
+            "resolved_T": _resolved(sw.T), "resolved_V": _resolved(sw.V)}, res
 
 
-def cmd_orbit_check(args, seed):
-    t0 = time.time()
+def cmd_orbit_check(args):
     ctx = _load_layer_config(args.config)
     L = ctx["L"]
     S = parse_prime_set(L, args.S) if args.S else []
     X = parse_prime_set(L, args.X)
     rep = pl.orbit_closure_check(ctx["layer"], ctx["layer"].orbit_closure(S), X, ctx["p"])
-    return _report("orbit-check", {"config": args.config, "S": args.S, "X": args.X},
-                   rep, t0, seed)
+    return {"config": args.config, "S": args.S, "X": args.X}, rep
 
 
-def cmd_search_x(args, seed):
-    t0 = time.time()
+def cmd_search_x(args):
     if args.count < 1:
         raise FieldError(f"--count = {args.count} is not positive")
     if args.norm_bound < 2:
@@ -358,9 +341,8 @@ def cmd_search_x(args, seed):
         "shortfall": ps.shortfall,
         "verified": ps.verified,
     }
-    return _report("search-x", {"field": args.field, "p": args.p, "S": args.S,
-                                "count": args.count, "norm_bound": args.norm_bound},
-                   res, t0, seed)
+    return {"field": args.field, "p": args.p, "S": args.S, "count": args.count,
+            "norm_bound": args.norm_bound}, res
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +433,7 @@ def _reproduce_example2():
     }
 
 
-def cmd_reproduce(args, seed):
-    t0 = time.time()
+def cmd_reproduce(args):
     if args.example == "example1":
         computed, golden, extra = _reproduce_example1()
     else:
@@ -463,16 +444,19 @@ def cmd_reproduce(args, seed):
     res.update(extra)
     res["golden_diff"] = diffs
     res["match"] = not diffs
-    rep = _report(f"reproduce {args.example}", {"example": args.example}, res, t0, seed)
+    outcome = {"example": args.example}, res, f"reproduce {args.example}"
     if diffs:
-        raise CommandFailure(rep, f"golden mismatch: {sorted(diffs)}")
-    return rep
+        raise CommandFailure(outcome, f"golden mismatch: {sorted(diffs)}")
+    return outcome
 
 
 class CommandFailure(Exception):
-    def __init__(self, report, message):
+    """A command that ran to the end with a wrong answer: its outcome is
+    still reported, and the process exits 1."""
+
+    def __init__(self, outcome, message):
         super().__init__(message)
-        self.report = report
+        self.outcome = outcome
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +466,6 @@ class CommandFailure(Exception):
 def build_parser() -> _Parser:
     ap = _Parser(prog="tclab", description="tame Selmer / ray class laboratory")
     ap.add_argument("--json", action="store_true", help="emit the JSON report")
-    ap.add_argument("--seed", type=int, default=None)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
@@ -552,17 +535,12 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
-    seed = args.seed
-    if seed is None and os.environ.get("TCLAB_SEED"):
-        seed = int(os.environ["TCLAB_SEED"])
+    t0 = time.time()
     try:
         _prime_p(getattr(args, "p", None))
-        report = args.fn(args, seed)
+        outcome, failure = args.fn(args), None
     except CommandFailure as exc:
-        out = json.dumps(exc.report, sort_keys=True, indent=2, default=str)
-        print(out if args.json else emit_table(exc.report))
-        print(f"FAILED: {exc}", file=sys.stderr)
-        return 1
+        outcome, failure = exc.outcome, exc
     except Exception as exc:  # every library failure leaves as a JSON error
         kind, code = _error_kind(exc)
         reason = str(exc) if code == 2 else f"{type(exc).__name__}: {exc}"
@@ -570,10 +548,17 @@ def run(argv=None) -> int:
                    "error": {"kind": kind, "reason": reason}}
         print(json.dumps(refusal, sort_keys=True), file=sys.stderr)
         return code
+    inputs, results, *label = outcome
+    report = {"schema": SCHEMA, "command": label[0] if label else args.command,
+              "inputs": inputs, "results": results,
+              "wall_time_s": round(time.time() - t0, 3)}
     if args.json:
         print(json.dumps(report, sort_keys=True, indent=2, default=str))
     else:
         print(emit_table(report), end="")
+    if failure is not None:
+        print(f"FAILED: {failure}", file=sys.stderr)
+        return 1
     return 0
 
 

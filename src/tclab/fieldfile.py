@@ -72,7 +72,7 @@ def parse_field_text(text: str, path="<string>") -> NumberField:
             for row in rows:
                 try:
                     basis.append([Fraction(e) for e in row])
-                except ValueError as exc:
+                except (ValueError, ZeroDivisionError) as exc:
                     raise FieldFileError(path, line_no, f"bad basis entry: {exc}")
         else:
             raise FieldFileError(path, line_no, f"unknown directive {key!r}")

@@ -577,7 +577,6 @@ class PrimeIdeal:
         r = self.residue(x)
         if rf.is_zero(r):
             raise FieldError(f"element not coprime to {self.label}")
-        rf.subgroup_generator(m)  # stores the powers of z that dlog reads
         return rf.dlog(rf.pow(r, (self.norm - 1) // m), m)
 
     def is_unit_at(self, x: NFElement) -> bool:

@@ -601,8 +601,8 @@ class ResidueField:
     an integer coefficient vector is reduced by adding c_k times row k
     into its low f coefficients for every k >= f, and taking each sum mod
     q once.  A product is the integer convolution of two elements,
-    reduced the same way.  For each order m asked of subgroup_generator,
-    _subgroup_gens[m] holds the powers (z^0, ..., z^(m-1)) of the fixed
+    reduced the same way.  For each order m asked of subgroup_generator or
+    dlog, _subgroup_gens[m] holds the powers (z^0, ..., z^(m-1)) of the fixed
     generator z of mu_m, so a discrete log to z is one lookup.
     """
 
@@ -688,7 +688,8 @@ class ResidueField:
 
     def dlog(self, target, order: int) -> int:
         """The k in 0..order-1 with target = z^k, for z =
-        subgroup_generator(order), which must have been called: the index
-        of target among the stored powers of z.  ValueError when target is
-        not in the subgroup."""
+        subgroup_generator(order): the index of target among the stored
+        powers of z, which the first call at order builds.  ValueError when
+        target is not in the subgroup."""
+        self.subgroup_generator(order)
         return self._subgroup_gens[order].index(target)

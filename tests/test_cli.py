@@ -38,12 +38,12 @@ def test_json_report_schema(capsys):
                                         "--modulus", "5 107 197"])
     assert code == 0
     rep = json.loads(out)
-    assert rep["schema"] == "tclab-report/1"
+    assert sorted(rep) == ["command", "inputs", "results", "schema", "wall_time_s"]
+    assert rep["schema"] == "tclab-report/2"
     assert rep["command"] == "rayclass"
     assert rep["inputs"]["p"] == 3
     assert rep["results"]["p_part"] == "Z/27"
     assert rep["results"]["modulus"] == ["5_1", "107_1", "197_1"]
-    assert "wall_time_s" in rep
 
 
 def test_table_is_derived_from_json(capsys):
@@ -83,6 +83,11 @@ def test_prime_set_errors():
 def test_usage_exit_code(capsys):
     code, _, err = run_capture(capsys, ["not-a-command"])
     assert code == 64
+
+
+def test_seed_is_no_option(capsys):
+    code, out, _ = run_capture(capsys, ["--seed", "1", "field", "--field", "q.field"])
+    assert code == 64 and out == ""
 
 
 def test_precondition_exit_code(capsys):
@@ -206,6 +211,37 @@ def test_twist_that_is_not_a_gamma_action_is_precondition(capsys, tmp_path, ini,
     rep = json.loads(err.strip())
     assert rep["error"]["kind"] == "precondition"
     assert rep["error"]["reason"].startswith(f"twist matrix '{matrix}'")
+
+
+EXAMPLE1_INI = cli._data_path("example1.ini").read_text()
+CONFIG_ARGV = ["sandwich", "--config", "{}", "--twisted"]
+
+
+def _without_section(name):
+    return re.sub(rf"(?ms)^\[{name}\].*?(?=^\[)", "", EXAMPLE1_INI)
+
+
+# A missing section or key, no section header, a bare % (configparser's
+# interpolation), and 1/0 in a config or a field file: each is refused
+# with the file's name, not reported as an internal failure.
+@pytest.mark.parametrize("name,text,argv", [
+    ("nolayer.ini", _without_section("layer"), CONFIG_ARGV),
+    ("norun.ini", _without_section("run"), CONFIG_ARGV),
+    ("noheader.ini", "p = 3\n", CONFIG_ARGV),
+    ("zero.ini", EXAMPLE1_INI.replace("embedding = 0 0", "embedding = 1/0 0"), CONFIG_ARGV),
+    ("zero.field", "poly -1 -1 1\nbasis 1 0 / 1/0 1\n", ["field", "--field", "{}"]),
+    ("nomatrix.ini", EXAMPLE1_INI.replace("matrix = 2", ""), CONFIG_ARGV),
+    ("percent.ini", EXAMPLE1_INI.replace("T = 5 107", "T = 5 107 %"), CONFIG_ARGV),
+], ids=["no-layer", "no-run", "no-header", "zero-embedding", "zero-basis", "no-twist-matrix",
+        "bare-percent"])
+def test_hostile_config_or_field_file_is_precondition(capsys, tmp_path, name, text, argv):
+    f = tmp_path / name
+    f.write_text(text)
+    code, out, err = run_capture(capsys, ["--json"] + [str(f) if a == "{}" else a for a in argv])
+    assert code == 2 and out == ""
+    rep = json.loads(err.strip())
+    assert rep["error"]["kind"] == "precondition"
+    assert rep["error"]["reason"].startswith(f"{f}:")
 
 
 def test_every_traced_name_resolves():
@@ -356,13 +392,39 @@ def test_maximal_basis_is_accepted(capsys, tmp_path, text, disc):
     assert json.loads(out)["results"]["discriminant"] == disc
 
 
+SQRT5_FIELD = cli._data_path("sqrt5.field").read_text()
+
+
+# x^2 + 7 on (1, (1 + sqrt -7)/2) at both primes above 2 and x^2 - 5 on
+# (1, (1 + sqrt 5)/2) at 2, inert there, where 2 divides the index of
+# Z[theta]; Q(sqrt 5) at 5, ramified, and at 11.
+@pytest.mark.parametrize("text,spec", [
+    ("poly 7 0 1\nbasis 1 0 / 1/2 1/2\n", "2:1"),
+    ("poly 7 0 1\nbasis 1 0 / 1/2 1/2\n", "2:2"),
+    ("poly -5 0 1\nbasis 1 0 / 1/2 1/2\n", "2"),
+    (SQRT5_FIELD, "5"),
+    (SQRT5_FIELD, "11"),
+])
+def test_hnf_basis_names_the_prime(tmp_path, text, spec):
+    # Each column lies in P and the columns span a lattice of index N(P)
+    # in O, so they span P itself; P.lattice is not consulted.
+    f = tmp_path / "k.field"
+    f.write_text(text)
+    K = cli._load_field(str(f))
+    [P] = cli.parse_prime_set(K, spec)
+    [entry] = cli._resolved([P])
+    (a, b), (c, d) = entry["hnf_basis"]
+    assert abs(a * d - b * c) == P.norm
+    for v in entry["hnf_basis"]:
+        assert P.valuation(K.elt(v)) >= 1
+
+
 # The --json reports of the README's commands, minus wall_time_s.
 README_REPORTS = json.loads((Path(__file__).parent / "readme_reports.json").read_text())
 
 
 @pytest.mark.parametrize("command", sorted(README_REPORTS))
-def test_readme_reports_golden(capsys, monkeypatch, command):
-    monkeypatch.delenv("TCLAB_SEED", raising=False)
+def test_readme_reports_golden(capsys, command):
     code, out, _ = run_capture(capsys, ["--json", *shlex.split(command)])
     assert code == 0
     rep = json.loads(out)
@@ -377,19 +439,13 @@ def test_readme_reports_golden(capsys, monkeypatch, command):
     (KeyError("x"), "internal", 1),
 ])
 def test_library_errors_map_to_json(capsys, monkeypatch, exc, kind, code):
-    def fail(args, seed):
+    def fail(args):
         raise exc
     monkeypatch.setattr(cli, "cmd_field", fail)
     rc, out, err = run_capture(capsys, ["field", "--field", "q.field"])
     assert rc == code and out == ""
     rep = json.loads(err.strip())
     assert rep["command"] == "field" and rep["error"]["kind"] == kind
-
-
-def test_seed_echoed(capsys, monkeypatch):
-    monkeypatch.setenv("TCLAB_SEED", "42")
-    code, out, _ = run_capture(capsys, ["--json", "field", "--field", "q.field"])
-    assert json.loads(out)["seed"] == 42
 
 
 def test_reproduce_example1(capsys):
@@ -407,6 +463,18 @@ def test_reproduce_json_roundtrip(capsys):
     assert rep["results"]["rcg_3_parts"] == ["0", "Z/3", "Z/27"]
     # rendering the same report twice is byte-identical
     assert cli.emit_table(rep) == cli.emit_table(json.loads(out))
+
+
+def test_golden_mismatch_is_reported_in_the_envelope(capsys, monkeypatch):
+    monkeypatch.setitem(cli.EX1_GOLDEN, "rusb_twisted", [1, 2])
+    code, out, err = run_capture(capsys, ["--json", "reproduce", "example1"])
+    assert code == 1
+    assert "FAILED: golden mismatch: ['rusb_twisted']" in err
+    rep = json.loads(out)
+    assert sorted(rep) == ["command", "inputs", "results", "schema", "wall_time_s"]
+    assert rep["command"] == "reproduce example1" and rep["results"]["match"] is False
+    assert rep["results"]["golden_diff"] == {"rusb_twisted": {"computed": [1, 1],
+                                                              "golden": [1, 2]}}
 
 
 def test_module_entry_point():
