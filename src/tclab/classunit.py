@@ -236,6 +236,9 @@ def _saturate(field: NumberField, units, primes):
     return units
 
 
+_SATURATION_LINES = 20_000
+
+
 def _pth_root_of_product(field: NumberField, units, p: int):
     """(i, r) for the first nonzero exponent vector e in [0, p)^r, in
     product order, with r^p = +-prod u^e for some r other than +-1; i is
@@ -246,7 +249,11 @@ def _pth_root_of_product(field: NumberField, units, p: int):
     is unchanged, and putting r in place of units[i] enlarges the unit
     lattice by index p.  None if no e has one.  For odd p, -1 = (-1)^p, so
     -prod u^e has a p-th root exactly when prod u^e has one, and only the
-    latter is tried."""
+    latter is tried.  More than _SATURATION_LINES lines is refused with
+    CertificationError before any power is built."""
+    lines = (p ** len(units) - 1) // (p - 1)
+    if lines > _SATURATION_LINES:
+        raise CertificationError(f"saturation at p = {p} would try {lines} exponent vectors")
     powers = [list(accumulate([u] * (p - 1), mul)) for u in units]  # u, ..., u^(p-1)
     # In product order, the later the leading 1, the earlier the vector.
     for i in reversed(range(len(units))):

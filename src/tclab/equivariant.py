@@ -306,16 +306,19 @@ def kernel_module(layer: GaloisLayer, big: RayClassData, small: RayClassData) ->
     pos = pres.p_indices(p)
     if not pos:
         return trivial_module(p, 0, len(layer.gamma_gens), layer.order)
-    # The kernel is generated by the residue generators at the extra
-    # primes; lift each to x = base mod its prime, x = 1 mod the rest of
-    # the modulus (the residue primes come first, in res_gens order).
-    primes = [g.prime for g in big.res_gens]
+    # The kernel is generated by the residues of character 1 at the extra
+    # primes, z^(m^-1 mod p^a) for m = (N(P) - 1)/p^a; lift each to x = that
+    # residue mod its prime, x = 1 mod the rest of the modulus (the residue
+    # primes come first, in res_gens order).
+    primes = [P for P, _ in big.res_gens]
     primes += [P for P in big.modulus if all(P is not Q for Q in primes)]
     lifts = []
     for i in extra:
-        rg = big.res_gens[i]
-        x = _crt_lift(layer.L_field, primes, i, rg.prime.lift(rg.base))
-        assert rg.dlog(x) == 1 % rg.order
+        P, pa = big.res_gens[i]
+        rf = P.residue_field
+        r = rf.pow(rf.subgroup_generator(pa), pow((P.norm - 1) // pa, -1, pa))
+        x = _crt_lift(layer.L_field, primes, i, P.lift(r))
+        assert P.character(x, pa) == 1 % pa
         lifts.append(x)
     pad = [0] * len(big.class_data.generating_primes)
     mats = []
@@ -325,8 +328,8 @@ def kernel_module(layer: GaloisLayer, big: RayClassData, small: RayClassData) ->
         images = []
         for x in lifts:
             img = gamma(x)
-            v = [g.dlog(img) for g in big.res_gens] + pad
-            sol = la.solve_integer(lattice, list(big.coords(v)))
+            v = [P.character(img, pa) for P, pa in big.res_gens] + pad
+            sol = la.solve_integer(lattice, list(big.pres.coords(v)))
             if sol is None:  # pragma: no cover
                 raise FieldError("gamma image left the kernel")
             images.append(sol[:len(extra)])

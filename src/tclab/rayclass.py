@@ -1,7 +1,8 @@
 """Ray class groups with tame finite modulus, p-primary parts.
 
 The group of conductor m = prod q_j is presented on the p-parts of the
-residue groups (O/q_j)^* together with the class group generators.
+residue groups (O/q_j)^*, each read as Z/p^a through q_j's tame
+character of order p^a, together with the class group generators.
 Relations: the residue orders, the images of a generating set of global
 units, and the class group relations corrected by the residue classes of
 their principal generators.  The cokernel of that presentation agrees
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from . import intlinalg as la
 from .classunit import ClassGroupData, class_group, unit_group
-from .numberfield import FieldError, NFElement, NumberField, PrimeIdeal
+from .numberfield import FieldError, NumberField, PrimeIdeal
 
 
 def p_part_order(P: PrimeIdeal, p: int) -> int:
@@ -28,58 +29,23 @@ def p_part_order(P: PrimeIdeal, p: int) -> int:
     return p**a
 
 
-class ResGen:
-    """Generator of the p-part of (O/P)^*, read through P's character of
-    order p^a."""
-
-    __slots__ = ("prime", "order")
-
-    def __init__(self, prime: PrimeIdeal, order: int):
-        self.prime = prime
-        self.order = order  # p^a
-
-    @property
-    def base(self) -> tuple:
-        """The residue field element of exact order p^a."""
-        return self.prime.residue_field.subgroup_generator(self.order)
-
-    def dlog(self, x: NFElement) -> int:
-        """k mod p^a with base^k the p-part of r = x mod P.  With
-        m = (N(P) - 1)/p^a and mu = m^-1 mod p^a, that p-part is
-        r^(m mu), and r^m = base^character(x)."""
-        m = (self.prime.norm - 1) // self.order
-        return self.prime.character(x, self.order) * pow(m, -1, self.order) % self.order
-
-
 class RayClassData:
     __slots__ = ("field", "p", "modulus", "res_gens", "class_data", "relation_rows",
                  "group", "p_group", "pres")
 
     def __init__(self, field: NumberField, p: int, modulus: list[PrimeIdeal],
-                 res_gens: list[ResGen], class_data: ClassGroupData,
+                 res_gens: list[tuple[PrimeIdeal, int]], class_data: ClassGroupData,
                  relation_rows: list[list[int]], group: la.FinAbGroup,
                  p_group: la.FinAbGroup, pres: la.Presentation):
         self.field = field
         self.p = p
         self.modulus = modulus
-        self.res_gens = res_gens
+        self.res_gens = res_gens  # (P, p^a) for the modulus primes with p | N(P) - 1
         self.class_data = class_data
         self.relation_rows = relation_rows
         self.group = group  # full cokernel (p-primary part is the RCG's)
         self.p_group = p_group
         self.pres = pres  # the cokernel of relation_rows
-
-    @property
-    def n_gens(self) -> int:
-        return len(self.res_gens) + len(self.class_data.generating_primes)
-
-    def coords(self, vec: list[int]) -> tuple[int, ...]:
-        """Invariant-factor coordinates of a generator-exponent vector."""
-        return self.pres.coords(vec)
-
-    @property
-    def coord_orders(self) -> tuple[int, ...]:
-        return self.pres.orders
 
 
 def ray_class_p_part(field: NumberField, modulus: list[PrimeIdeal], p: int) -> RayClassData:
@@ -95,19 +61,19 @@ def ray_class_p_part(field: NumberField, modulus: list[PrimeIdeal], p: int) -> R
                 f"class group generator {P.label} divides the modulus; "
                 "choose a modulus away from the small primes"
             )
-    res_gens = [ResGen(P, pa) for P in modulus if (pa := p_part_order(P, p)) > 1]
+    res_gens = [(P, pa) for P in modulus if (pa := p_part_order(P, p)) > 1]
     s = len(res_gens)
     k = len(cls.generating_primes)
     rows: list[list[int]] = []
-    for j, g in enumerate(res_gens):
+    for j, (_, pa) in enumerate(res_gens):
         row = [0] * (s + k)
-        row[j] = g.order
+        row[j] = pa
         rows.append(row)
     ub = unit_group(field, p)
     for u in [ub.torsion_gen] + ub.fundamental_units:
-        rows.append([g.dlog(u) for g in res_gens] + [0] * k)
+        rows.append([P.character(u, pa) for P, pa in res_gens] + [0] * k)
     for rel, gamma in zip(cls.relation_matrix, cls.relation_elements):
-        rows.append([-g.dlog(gamma) for g in res_gens] + list(rel))
+        rows.append([-P.character(gamma, pa) for P, pa in res_gens] + list(rel))
     pres = la.present(rows, s + k)
     return RayClassData(field, p, list(modulus), res_gens, cls, rows,
                         pres.group, pres.group.p_primary(p), pres)
@@ -126,11 +92,10 @@ def kernel_presentation(big: RayClassData, small: RayClassData):
     small_labels = {P.label for P in small.modulus}
     if not small_labels <= {P.label for P in big.modulus}:
         raise ValueError("small modulus is not contained in the big one")
-    extra = [i for i, g in enumerate(big.res_gens)
-             if g.prime.label not in small_labels]
-    orders = big.coord_orders
+    extra = [i for i, (P, _) in enumerate(big.res_gens) if P.label not in small_labels]
+    orders = big.pres.orders
     t, r = len(extra), len(orders)
-    W = [big.coords([int(j == i) for j in range(big.n_gens)]) for i in extra]
+    W = [big.pres.coords([int(j == i) for j in range(len(big.pres.diag))]) for i in extra]
     lattice = [[W[j][i] for j in range(t)] + [orders[i] if c == i else 0 for c in range(r)]
                for i in range(r)]
     rel_rows = [vec[:t] for vec in la.integer_kernel(lattice, t + r)]

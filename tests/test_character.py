@@ -3,8 +3,8 @@
 P.character(x, m) reads r = x mod P through one fixed generator z of
 mu_m in the residue field.  Every check here rebuilds its answer without
 ResidueField.pow, dlog or subgroup_generator: powers are repeated
-products, m-th powers are enumerated, the ray-class discrete log is
-recomputed from the formula it replaced, and the order of Frobenius in a
+products, m-th powers are enumerated, the p-part of a residue is read
+to the base of the residue of character 1, and the order of Frobenius in a
 Kummer layer is read from its exponent formula.  The residue field's own
 arithmetic is checked against the polynomial reference gfp_mod, gfp_mul
 and gfp_powmod on random moduli.
@@ -133,17 +133,20 @@ def test_a_second_character_builds_no_new_powers(P, monkeypatch):
         assert F._subgroup_gens[m] is powers
 
 
-def test_resgen_dlog_matches_the_projection_formula(P):
+def test_character_reads_the_p_part_to_the_base_of_character_one(P):
+    # With m = (N - 1)/p^a and mu = m^-1 mod p^a, the p-part of r = x mod P
+    # is r^(m mu), and the character of order p^a is its exponent to the
+    # base z^mu, the residue of character 1 that kernel_module lifts.
     F, N = P.residue_field, P.norm
     for p in polys.prime_factors(N - 1):
         pa = rc.p_part_order(P, p)
-        g = rc.ResGen(P, pa)
         m = (N - 1) // pa
-        proj_exp = m * pow(m, -1, pa) % (N - 1)
-        logs = {_power(F, g.base, k): k for k in range(pa)}
+        mu = pow(m, -1, pa)
+        base = _power(F, F.subgroup_generator(pa), mu)
+        logs = {_power(F, base, k): k for k in range(pa)}
         for x in _units(P):
-            assert g.dlog(x) == logs[_power(F, P.residue(x), proj_exp)]
-        assert g.dlog(P.lift(g.base)) == 1 % pa
+            assert P.character(x, pa) == logs[_power(F, P.residue(x), m * mu % (N - 1))]
+        assert P.character(P.lift(base), pa) == 1 % pa
 
 
 def test_frobenius_order_matches_the_exponent_formula(P):

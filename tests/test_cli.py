@@ -334,6 +334,30 @@ def test_out_of_scope_exit_code(capsys, tmp_path):
     assert "mixed-signature" in rep["error"]["reason"]
 
 
+# Saturating r units at p tries one exponent vector per line of F_p^r,
+# (p^r - 1)/(p - 1) of them: at zeta7plus (r = 2) with p = 100003 and at
+# x^4 - 5x^2 + 5 (r = 3) with p = 1009 that is refused as over budget before
+# any power is built, and zeta7plus with p = 10007 is still answered.
+@pytest.mark.parametrize("poly,p,S,code", [
+    ("-1 -2 1 1", 100003, "2", 2),
+    ("5 0 -5 0 1", 1009, "", 2),
+    ("-1 -2 1 1", 10007, "2", 0),
+])
+def test_saturation_at_a_large_p(capsys, tmp_path, poly, p, S, code):
+    f = tmp_path / "k.field"
+    f.write_text(f"poly {poly}\n")
+    t0 = time.perf_counter()
+    rc, out, err = run_capture(capsys, ["--json", "rusb", "--field", str(f),
+                                        "--p", str(p), "--S", S])
+    assert rc == code
+    if code == 2:
+        assert time.perf_counter() - t0 < 1
+        error = json.loads(err)["error"]
+        assert error["kind"] == "budget" and f"p = {p}" in error["reason"]
+    else:
+        assert json.loads(out)["results"]["agree"]
+
+
 # Totally complex fields of degree 4 (x^3 - 2 is covered above): unit groups
 # are refused before any search, so each case answers at once instead of
 # running for minutes.

@@ -186,6 +186,21 @@ def test_dual_of_a_character_that_is_not_self_dual(p, g, order):
         assert eq.dual(eq.dual(m)).mats == m.mats
 
 
+def test_dual_over_a_group_with_two_generators():
+    # The Frobenius group of order 21 in GL_3(F_43): a = diag(z, z^2, z^4)
+    # for z = -2 of order 7, and the 3-cycle b, with b a b^-1 a power of a.
+    # rho is irreducible with eigenvalues z, z^2, z^4 at a, and rho^dual has
+    # z^6, z^5, z^3, so (rho^dual tensor rho)^Gamma = End_Gamma(rho) is the
+    # scalars and (rho^dual tensor rho^dual)^Gamma = Hom_Gamma(rho, rho^dual)
+    # is 0.  Dropping the transpose or the inverse from dual gives 0 for the
+    # first.
+    rho = eq.gamma_module(43, [[[41, 0, 0], [0, 4, 0], [0, 0, 16]],
+                               [[0, 0, 1], [1, 0, 0], [0, 1, 0]]])
+    assert rho.group_order == 21
+    assert eq.invariants_dim(eq.tensor(eq.dual(rho), rho)) == 1
+    assert eq.invariants_dim(eq.tensor(eq.dual(rho), eq.dual(rho))) == 0
+
+
 def test_selmer_module_action_order(layer7):
     L = layer7.L_field
     T = layer7.orbit_closure([L.factor_prime(7)[0], L.factor_prime(181)[0],
@@ -252,20 +267,22 @@ SELMER_MODULES = [
     ("example2.ini", "t", (2, 3, [[[0, 1], [1, 1]]])),
     ("example2.ini", "v", (0, 3, [[]])),
 ]
+# The kernel modules' matrices are read on the residues of character 1 at
+# the extra primes.
 KERNEL_MODULES = [
     ("example1.ini", "v", "t", (1, 2, [[[2]]])),
     ("example2.ini", "v", "t", (6, 3, [[
-        [0, 1, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [1, 1, 1, 0, 0, 0],
-        [1, 1, 1, 0, 1, 1], [1, 0, 0, 1, 1, 1], [0, 0, 0, 0, 0, 1]]])),
+        [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1], [0, 0, 0, 0, 0, 1]]])),
     ("example2.ini", "t", "s", (6, 3, [[
         [0, 1, 0, 0, 0, 0], [1, 1, 1, 0, 0, 0], [0, 0, 1, 0, 0, 0],
         [0, 0, 1, 0, 1, 0], [0, 0, 0, 0, 0, 1], [0, 0, 1, 1, 0, 0]]])),
     ("example2.ini", "v", "s", (10, 3, [[
-        [1, 0, 1, 0, 0, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 1, 0, 0, 0, 1],
-        [1, 0, 0, 0, 0, 1, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 1, 1, 0, 0],
-        [0, 0, 0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 1, 0, 1, 0], [0, 0, 0, 0, 0, 1, 1, 0, 1, 0],
-        [0, 0, 0, 0, 1, 0, 1, 0, 1, 0], [0, 0, 0, 1, 0, 1, 0, 0, 0, 1]]])),
+        [1, 0, 0, 0, 0, 0, 0, 0, 0, 0], [1, 1, 1, 0, 1, 0, 0, 0, 0, 1],
+        [0, 1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 1, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0, 0, 0],
+        [0, 0, 0, 0, 0, 1, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0, 1, 0],
+        [0, 0, 0, 1, 1, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0, 0, 1]]])),
 ]
 
 
@@ -368,6 +385,31 @@ def test_kernel_module_table(ini, big, small, expected):
     ctx = cli._load_layer_config(ini)
     rcd = {k: rc.ray_class_p_part(ctx["L"], _closed_set(ctx, k), ctx["p"]) for k in (big, small)}
     assert _module(eq.kernel_module(ctx["layer"], rcd[big], rcd[small])) == expected
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["bundled", "shifted"])
+def test_ray_class_data_do_not_depend_on_the_basis(tmp_path, shifted):
+    # zeta7plus on the basis 1, 1 + theta, theta + theta^2, where gamma's
+    # image -2 + theta^2 has coordinates -1 -1 1, reads its characters
+    # through another residue matrix and gives the bundled example's numbers.
+    ini = "example2.ini"
+    if shifted:
+        (tmp_path / "shifted.field").write_text("poly -1 -2 1 1\nbasis 1 0 0 / 1 1 0 / 0 1 1\n")
+        ini = tmp_path / "shifted.ini"
+        ini.write_text(cli._data_path("example2.ini").read_text()
+                       .replace("zeta7plus.field", "shifted.field")
+                       .replace("gamma = -2 0 1", "gamma = -1 -1 1"))
+    ctx = cli._load_layer_config(str(ini))
+    L, layer, p, A = ctx["L"], ctx["layer"], ctx["p"], ctx["twist"]
+    sets = {k: cli.parse_prime_set(L, ctx["primes"][k] if k else "") for k in ("", "s", "t", "v")}
+    assert [rc.ray_class_p_part(L, X, p).p_group.invariant_factors
+            for X in sets.values()] == [(), (), (2, 2), (4, 4)]
+    rcd = {k: rc.ray_class_p_part(L, layer.orbit_closure(X), p) for k, X in sets.items()}
+    assert [r.p_group.invariant_factors for r in rcd.values()] == \
+        [(), (), (2, 2, 4, 4, 4, 4), (2, 2, 2) + (4,) * 7]
+    kt, ks = (eq.kernel_module(layer, rcd["v"], rcd[k]) for k in "ts")
+    assert [eq.invariants_dim(m) for m in (kt, eq.tensor(kt, A), ks, eq.tensor(ks, A))] == \
+        [2, 4, 4, 6]
 
 
 def test_kernel_module_lifts_each_kernel_generator_once(monkeypatch):

@@ -128,8 +128,8 @@ def test_principal_class_is_trivial_on_congruent_elements():
     P107 = L.factor_prime(107)[0]
     rcd = rc.ray_class_p_part(L, [L.factor_prime(5)[0], P107], 3)
     # an element that is 1 mod every modulus prime maps to the identity:
-    # the class of (x) is read by the discrete logs of x at the modulus
+    # the class of (x) is read by the characters of x at the modulus
     # primes, and Q(sqrt 5) has class number 1
     x = L.one + L.elt([5 * 107, 0])
-    vec = [g.dlog(x) for g in rcd.res_gens]
-    assert all(v % o == 0 for v, o in zip(rcd.coords(vec), rcd.coord_orders))
+    vec = [P.character(x, pa) for P, pa in rcd.res_gens]
+    assert all(v % o == 0 for v, o in zip(rcd.pres.coords(vec), rcd.pres.orders))
